@@ -162,6 +162,105 @@ def test_ontic_apply_insufficient_coverage():
     assert err.value.code == "insufficient_coverage"
 
 
+def test_ontic_apply_rejects_non_car_moved_descriptor():
+    # a partial set skips the relation gate; the action must not substitute
+    # descriptors that no unitary produces
+    n_modes = 3
+    bent = (0.5 * fock.annihilator(n_modes, 0), fock.annihilator(n_modes, 1))
+    d = dsc.DescriptorSet(ModeSet((0, 1), n_modes), bent, fock.vacuum_state(n_modes))
+    w = tf.named_gate("tunneling", n_modes, modes=(0, 1), theta=0.3)
+    with pytest.raises(ValidationError) as err:
+        dsc.ontic_apply(w, d)
+    assert err.value.code == "descriptor_algebra"
+
+
+def substituted_basis_images(
+    desc: dict[int, np.ndarray], modes: tuple[int, ...], dim: int
+) -> np.ndarray:
+    """Images of the subsystem monomials with descriptors in place of ladders.
+
+    Returns an array indexed like the flat (l, p) label order of
+    ``monomial_basis``: entry l*2^m+p is  cre_d(l) . vac_d . ann_d(p)  where
+    vac_d is the product of d_j d_j^dag over the subsystem.
+    """
+    m = len(modes)
+    vac = np.eye(dim, dtype=complex)
+    for j in modes:
+        d = desc[j]
+        vac = vac @ (d @ d.conj().T)
+
+    left: dict[tuple[int, ...], np.ndarray] = {(): vac}
+
+    def left_of(occupied: tuple[int, ...]) -> np.ndarray:
+        if occupied in left:
+            return left[occupied]
+        out = desc[occupied[0]].conj().T @ left_of(occupied[1:])
+        left[occupied] = out
+        return out
+
+    right: dict[tuple[int, ...], np.ndarray] = {(): np.eye(dim, dtype=complex)}
+
+    def right_of(occupied: tuple[int, ...]) -> np.ndarray:
+        # annihilators in decreasing mode order
+        if occupied in right:
+            return right[occupied]
+        out = desc[occupied[-1]] @ right_of(occupied[:-1])
+        right[occupied] = out
+        return out
+
+    images = np.empty((4 ** m, dim, dim), dtype=complex)
+    k = 0
+    for l_bits in range(2 ** m):
+        l_occ = tuple(modes[i] for i in range(m) if (l_bits >> (m - 1 - i)) & 1)
+        li = left_of(l_occ)
+        for p_bits in range(2 ** m):
+            p_occ = tuple(modes[i] for i in range(m) if (p_bits >> (m - 1 - i)) & 1)
+            images[k] = li @ right_of(p_occ)
+            k += 1
+    return images
+
+
+def substitution_oracle(w: tf.PSUnitary, d: dsc.DescriptorSet) -> dict[int, np.ndarray]:
+    """The paper's group action, spelled out on the monomial basis.
+
+    Expands each moved mode's image w^dag f_a w over the moved modes'
+    ladder monomials and replaces every ladder factor by its descriptor.
+    """
+    moved = tf.invariance_support(w)
+    basis = algebra.monomial_basis(moved)
+    images = substituted_basis_images(d.matrices(), moved.indices, 2 ** d.n_modes)
+    out = d.matrices()
+    for a in moved.indices:
+        target = w.conjugate(fock.annihilator(w.n_modes, a))
+        coeffs = basis.expand(target).reshape(-1)
+        out[a] = np.tensordot(coeffs, images, axes=(0, 0))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_modes,n_moved",
+    [(n, k) for n in range(3, 7) for k in sorted({1, 2, 3, n})],
+)
+def test_ontic_apply_matches_substitution_oracle(n_modes, n_moved):
+    rng = np.random.default_rng(10 * n_modes + n_moved)
+    moved = ModeSet.of(rng.choice(n_modes, n_moved, replace=False), n_modes)
+    # track one unmoved mode too, where there is one
+    tracked = ModeSet.of(
+        list(moved) + list(rng.choice(moved.complement().indices, min(1, n_modes - n_moved))),
+        n_modes,
+    )
+    psi0 = random_sector_state(n_modes, n_modes + n_moved)
+    u = tf.random_ps_unitary(n_modes, 2 * n_modes + n_moved)
+    d = dsc.evolve_descriptors(u, tracked, psi0)
+    w = tf.local_random_ps_unitary(moved, 3 * n_modes + n_moved)
+    assert tf.invariance_support(w) == moved
+    applied = dsc.ontic_apply(w, d).matrices()
+    oracle = substitution_oracle(w, d)
+    assert applied.keys() == oracle.keys()
+    assert max(fock.frobenius(applied[a] - oracle[a]) for a in applied) <= 1e-12
+    algebra._basis_arrays.cache_clear()  # the full-set stacks reach 4^N x 4^N
+
+
 def test_ontic_project_composes():
     d = dsc.evolve_descriptors(
         tf.random_ps_unitary(4, 2), ModeSet.full(4), fock.vacuum_state(4)
@@ -210,19 +309,57 @@ def test_compatible_heisenberg_mismatch_is_an_error():
     assert err.value.code == "heisenberg_mismatch"
 
 
-def test_incompatible_descriptor_sets_detected():
+def incompatible_pairs():
     # a tunneling-entangled mode-0 descriptor cannot coexist with a canonical
     # mode-1 descriptor: their cross anticommutator cannot vanish
+    psi0 = fock.vacuum_state(3)
+    u = tf.named_gate("tunneling", 3, modes=(0, 1), theta=0.4)
+    yield (
+        "tunneling_vs_canonical",
+        dsc.evolve_descriptors(u, ModeSet((0,), 3), psi0),
+        dsc.canonical_descriptors(ModeSet((1,), 3), psi0),
+    )
+    # parts taken from two unrelated global unitaries, proper and full unions
+    for n_modes, part_a, part_b in ((3, (0,), (2,)), (4, (0, 1), (3,)), (3, (0,), (1, 2))):
+        psi0 = fock.vacuum_state(n_modes)
+        u = tf.random_ps_unitary(n_modes, 61)
+        v = tf.random_ps_unitary(n_modes, 62)
+        yield (
+            f"u_v_{n_modes}_{part_a}_{part_b}",
+            dsc.evolve_descriptors(u, ModeSet(part_a, n_modes), psi0),
+            dsc.evolve_descriptors(v, ModeSet(part_b, n_modes), psi0),
+        )
+    # the particle-hole family {f_0^dag, f_1} is CAR-valid, but its joint
+    # vacuum |10> is parity-odd, so no superselected unitary produces it
+    psi0 = fock.vacuum_state(2)
+    yield (
+        "particle_hole",
+        dsc.DescriptorSet(ModeSet((0,), 2), (fock.creator(2, 0),), psi0),
+        dsc.canonical_descriptors(ModeSet((1,), 2), psi0),
+    )
+
+
+def test_incompatible_descriptor_sets_detected():
+    for name, d_a, d_b in incompatible_pairs():
+        result = dsc.compatible(d_a, d_b)
+        assert not result.compatible, name
+        with pytest.raises(ValidationError) as err:
+            dsc.join(d_a, d_b)
+        assert err.value.code == "incompatible", name
+
+
+def test_particle_hole_descriptor_compatible_with_spare_mode():
+    # with a third mode to absorb the parity, {f_0^dag} and {f_1} do extend
     n_modes = 3
     psi0 = fock.vacuum_state(n_modes)
-    u = tf.named_gate("tunneling", n_modes, modes=(0, 1), theta=0.4)
-    d_a = dsc.evolve_descriptors(u, ModeSet((0,), n_modes), psi0)
+    d_a = dsc.DescriptorSet(ModeSet((0,), n_modes), (fock.creator(n_modes, 0),), psi0)
     d_b = dsc.canonical_descriptors(ModeSet((1,), n_modes), psi0)
     result = dsc.compatible(d_a, d_b)
-    assert not result.compatible
-    with pytest.raises(ValidationError) as err:
-        dsc.join(d_a, d_b)
-    assert err.value.code == "incompatible"
+    assert result.compatible
+    assert isinstance(result.witness, tf.PSUnitary)
+    merged = {**d_a.matrices(), **d_b.matrices()}
+    assert result.residual == dsc._witness_residual(result.witness, merged)
+    assert result.residual <= 1e-12
 
 
 def test_proper_union_join_round_trip():
@@ -312,7 +449,6 @@ def test_reconstruct_structured_unitaries(name, unitary):
 
 
 def test_proper_union_join_with_two_mode_part():
-    # the stacked intertwiner system here once broke the default SVD driver
     n_modes = 4
     psi0 = fock.vacuum_state(n_modes)
     for seed in range(3):
@@ -355,6 +491,16 @@ def test_reconstruct_rejects_degenerate_input():
     with pytest.raises(ValidationError) as err:
         dsc.DescriptorSet(ModeSet.full(n_modes), bent, fock.vacuum_state(n_modes))
     assert err.value.code == "descriptor_algebra"
+
+
+def test_reconstruct_rejects_particle_hole_family():
+    # passes the canonical-relation gate, but its vacuum has the wrong parity
+    n_modes = 2
+    family = (fock.creator(n_modes, 0), fock.annihilator(n_modes, 1))
+    d = dsc.DescriptorSet(ModeSet.full(n_modes), family, fock.vacuum_state(n_modes))
+    with pytest.raises(ValidationError) as err:
+        dsc.reconstruct_unitary(d)
+    assert err.value.code == "degenerate_reconstruction"
 
 
 def test_phenomenal_of_canonical_vacuum():

@@ -124,6 +124,14 @@ def test_ontic_property_negative_control_detects_nonlocal_action():
     assert result.name == "ontic_property_list_negative_control"
 
 
+def test_ontic_property_list_at_six_modes():
+    # the joins here need witnesses on 64-dimensional Fock spaces
+    result = vf.check_ontic_property_list(range(3), 6)
+    assert result.passed
+    control = vf.check_ontic_property_list(range(3), 6, negative_control=True)
+    assert control.passed  # every doctored instance was detected
+
+
 def test_checkers_can_fail_under_tolerance_squeeze():
     # no vacuous passes: a zero tolerance turns machine noise into a verdict
     rho = vf.random_phenomenal(3, 3)
