@@ -1,18 +1,29 @@
-"""Hilbert-Schmidt geometry and monomial operator bases.
+"""Hilbert-Schmidt geometry, locality and the monomial operator basis.
 
-The central object is the monomial basis of a subsystem: the 4^m operators
+A subsystem's local operators are the algebra generated by its own ladder
+operators.  Relabelling the modes so the subsystem's come first acts on the
+Fock basis as a signed permutation: each basis state goes to the state with
+the relabelled occupations, times the parity of the sort that restores
+increasing mode order.  In that reordered Jordan-Wigner frame every local
+operator is exactly ``A (x) I`` with ``A`` on the subsystem's own Fock space
+(Bravyi and Kitaev, quant-ph/0003137).  The reorder is one index array and
+one sign vector of length 2^N, so embedding a small matrix is a scatter of
+``A (x) I``, while compression and the locality test gather the reordered
+operator ``X``, take ``c = tr_rest(X) / 2^(N-m)`` and measure
+``||X - c (x) I||``.  Memory stays O(4^N).
+
+The monomial basis of a subsystem is the paper's own definition, the 4^m
+operators
 
     E(l, p) = (prod of creators over l) . (subsystem vacuum projector)
               . (prod of annihilators over p, reversed)
 
-for occupation patterns l, p over the subsystem, all built from the ambient
+for occupation patterns l, p over the subsystem, built from the ambient
 string-realized ladder operators.  The subsystem vacuum projector is the
-product of f_j f_j^dag over the subsystem's modes, which keeps every element
-expressible in the subsystem's own ladder operators alone.
-
-Spanning this family is what "local to the subsystem" means; the basis also
-drives the partial trace, operator embedding/compression between a subsystem
-and the ambient space, and the phenomenal-state assembly from descriptors.
+product of f_j f_j^dag over the subsystem's modes.  Each element maps to
+the matrix unit ``|l><p| (x) I`` under the reorder.  The dense
+``4^m x 2^N x 2^N`` stack is kept only as the reference that tests check
+the reorder against.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ class MonomialBasis:
         return len(self.elements)
 
     def stacked(self) -> np.ndarray:
-        return _stacked_elements(self.subsystem)
+        return _basis_arrays(self.subsystem.indices, self.subsystem.ambient_n)[0]
 
     def expand(self, op: FockOperator) -> np.ndarray:
         """Coefficients of ``op`` on this basis, as a (2^m, 2^m) array.
@@ -79,8 +90,9 @@ class MonomialBasis:
         if op.n_modes != self.subsystem.ambient_n:
             raise ValidationError("dimension_mismatch", "operator lives in a different ambient space")
         m = len(self.subsystem)
-        stacked = self.stacked()
-        coeffs = np.tensordot(stacked.conj(), op.matrix, axes=([1, 2], [0, 1])) / self.norm_sq
+        flat = self.stacked().reshape(4 ** m, -1)
+        # conj(E . conj(o)) == conj(E) . o, without copying the stack
+        coeffs = (flat @ op.matrix.reshape(-1).conj()).conj() / self.norm_sq
         return coeffs.reshape(2 ** m, 2 ** m)
 
     def synthesize(self, coeffs: np.ndarray) -> FockOperator:
@@ -102,7 +114,7 @@ def _occupied(modes: tuple[int, ...], pattern: tuple[int, ...]) -> tuple[int, ..
     return tuple(mode for mode, occ in zip(modes, pattern) if occ)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _basis_arrays(indices: tuple[int, ...], ambient_n: int):
     n = ambient_n
     dim = 2 ** n
@@ -123,7 +135,7 @@ def _basis_arrays(indices: tuple[int, ...], ambient_n: int):
         left[occupied] = out
         return out
 
-    elements = []
+    stacked = np.empty((4 ** len(indices), dim, dim), dtype=complex)
     labels = []
     for l_pat in _occ_subsets(indices):
         l_occ = _occupied(indices, l_pat)
@@ -131,16 +143,10 @@ def _basis_arrays(indices: tuple[int, ...], ambient_n: int):
             p_occ = _occupied(indices, p_pat)
             # annihilators reversed == adjoint of the creator string
             e = left_of(l_occ) @ left_of(p_occ).conj().T if p_occ else left_of(l_occ)
-            elements.append(np.ascontiguousarray(e))
+            stacked[len(labels)] = e
             labels.append((l_pat, p_pat))
-    stacked = np.stack(elements)
     stacked.setflags(write=False)
     return stacked, tuple(labels)
-
-
-def _stacked_elements(subsystem: ModeSet) -> np.ndarray:
-    stacked, _ = _basis_arrays(subsystem.indices, subsystem.ambient_n)
-    return stacked
 
 
 def monomial_basis(subsystem: ModeSet) -> MonomialBasis:
@@ -151,6 +157,57 @@ def monomial_basis(subsystem: ModeSet) -> MonomialBasis:
     n, m = subsystem.ambient_n, len(subsystem)
     elements = tuple(FockOperator(n, e) for e in stacked)
     return MonomialBasis(subsystem, elements, labels, float(2 ** (n - m)))
+
+
+@lru_cache(maxsize=256)
+def _mode_reorder(front: tuple[int, ...], n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutation moving the modes ``front`` (in that order) to the front.
+
+    Returns ``(src, sign)``, each of length 2^N: reordered basis state ``k``
+    is ``sign[k]`` times original basis state ``src[k]``, so an operator
+    ``o`` becomes ``sign[:, None] * o[src][:, src] * sign[None, :]``.  The
+    sign is the parity of the sort that puts a state's relabelled occupied
+    modes back in increasing order.
+    """
+    order = np.array(front + tuple(i for i in range(n_modes) if i not in front))
+    new_label = np.empty(n_modes, dtype=np.int64)
+    new_label[order] = np.arange(n_modes)
+    index = np.arange(2 ** n_modes)
+    occ = (index[:, None] >> (n_modes - 1 - np.arange(n_modes))[None, :]) & 1
+    new_index = occ @ (1 << (n_modes - 1 - new_label))
+    # occupied pairs (i < j) whose relabelled order is inverted
+    inverted = np.triu(new_label[:, None] > new_label[None, :], k=1).astype(np.int64)
+    inversions = np.einsum("bi,ij,bj->b", occ, inverted, occ)
+    src = np.argsort(new_index)
+    sign = np.where(inversions % 2, -1.0, 1.0)[src]
+    src.setflags(write=False)
+    sign.setflags(write=False)
+    return src, sign
+
+
+def _reorder_to_front(subsystem: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+    subsystem.require_nonempty()
+    _check_n_modes(subsystem.ambient_n)
+    return _mode_reorder(subsystem.indices, subsystem.ambient_n)
+
+
+def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float]:
+    """Coefficients ``c`` of the nearest local operator and the distance to it.
+
+    In the reordered frame ``c = tr_rest(X) / 2^(N-m)``, the HS projection
+    onto ``{A (x) I}``, and the residual is ``||X - c (x) I||_F``.
+    """
+    if o.n_modes != subsystem.ambient_n:
+        raise ValidationError("dimension_mismatch", "operator lives in a different ambient space")
+    src, sign = _reorder_to_front(subsystem)
+    dk = 2 ** len(subsystem)
+    dc = o.dim // dk
+    x = sign[:, None] * o.matrix[np.ix_(src, src)] * sign[None, :]
+    x4 = x.reshape(dk, dc, dk, dc)
+    coeffs = np.trace(x4, axis1=1, axis2=3) / dc
+    rest = np.arange(dc)
+    x4[:, rest, :, rest] -= coeffs
+    return coeffs, frobenius(x)
 
 
 def parity_grade(o: FockOperator, tol: float = LOCALITY_TOL) -> str:
@@ -167,16 +224,11 @@ def parity_grade(o: FockOperator, tol: float = LOCALITY_TOL) -> str:
 
 def locality_residual(o: FockOperator, subsystem: ModeSet) -> float:
     """Frobenius distance from ``o`` to the span of the subsystem's monomials."""
-    basis = monomial_basis(subsystem)
-    coeffs = basis.expand(o)
-    return frobenius(o.matrix - basis.synthesize(coeffs).matrix)
+    return _split_local(o, subsystem)[1]
 
 
 def is_local_to(o: FockOperator, subsystem: ModeSet, tol: float = LOCALITY_TOL) -> bool:
     """True iff ``o`` lies in the span of the subsystem's ladder monomials."""
-    if o.n_modes != subsystem.ambient_n:
-        raise ValidationError("dimension_mismatch", "operator lives in a different ambient space")
-    subsystem.require_nonempty()
     scale = max(1.0, frobenius(o.matrix))
     return locality_residual(o, subsystem) <= tol * scale
 
@@ -208,9 +260,10 @@ def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
 
     The lift substitutes the subsystem's ambient ladder monomials for the
     small-space matrix units, so it is a *-isomorphism onto the subsystem's
-    local operator algebra.
+    local operator algebra.  It is computed as ``small (x) I`` in the
+    reordered frame, scattered back through the signed reorder.
     """
-    subsystem.require_nonempty()
+    src, sign = _reorder_to_front(subsystem)
     m = len(subsystem)
     small = np.asarray(small, dtype=complex)
     if small.shape != (2 ** m, 2 ** m):
@@ -218,8 +271,9 @@ def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
             "dimension_mismatch",
             f"expected a {2 ** m} x {2 ** m} matrix for subsystem {subsystem.indices}",
         )
-    stacked = _stacked_elements(subsystem)
-    matrix = np.tensordot(small.reshape(4 ** m), stacked, axes=(0, 0))
+    lifted = np.kron(small, np.eye(2 ** (subsystem.ambient_n - m)))
+    matrix = np.empty_like(lifted)
+    matrix[np.ix_(src, src)] = sign[:, None] * lifted * sign[None, :]
     return FockOperator(subsystem.ambient_n, matrix)
 
 
@@ -227,9 +281,7 @@ def compress_local_operator(
     o: FockOperator, subsystem: ModeSet, tol: float = LOCALITY_TOL
 ) -> np.ndarray:
     """Inverse of :func:`embed_local_operator`; rejects non-local input."""
-    basis = monomial_basis(subsystem)
-    coeffs = basis.expand(o)
-    residual = frobenius(o.matrix - basis.synthesize(coeffs).matrix)
+    coeffs, residual = _split_local(o, subsystem)
     if residual > tol * max(1.0, frobenius(o.matrix)):
         raise ValidationError(
             "not_local",

@@ -27,12 +27,18 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _pairs_to_json(a: np.ndarray) -> list:
+    # tolist() yields Python floats, so the JSON text matches complex_to_json's
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    return _pairs_to_json(m)
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+    return _pairs_to_json(v)
 
 
 def _require(cond: bool, field: str, message: str):

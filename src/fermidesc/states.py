@@ -151,34 +151,18 @@ def partial_trace(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
         ) from exc
 
 
-def mode_sort_permutation(state_modes: int, front_positions: tuple[int, ...]) -> np.ndarray:
-    """Signed permutation matrix moving the given mode positions to the front.
+def mode_sort_permutation(
+    state_modes: int, front_positions: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutation moving the given mode positions to the front.
 
     Basis states map to basis states times the parity of the permutation
     restricted to their occupied modes, which is exactly how a relabelling
-    of fermionic modes acts on the Fock basis.
+    of fermionic modes acts on the Fock basis.  Returned as ``(src, sign)``:
+    reordered basis state ``k`` is ``sign[k]`` times original state
+    ``src[k]``.
     """
-    n = state_modes
-    order = list(front_positions) + [i for i in range(n) if i not in front_positions]
-    new_label = {old: new for new, old in enumerate(order)}
-    dim = 2 ** n
-    r = np.zeros((dim, dim), dtype=complex)
-    for old_index in range(dim):
-        occupied = [pos for pos in range(n) if (old_index >> (n - 1 - pos)) & 1]
-        mapped = [new_label[pos] for pos in occupied]
-        # parity of the sort that restores increasing label order
-        sign = 1
-        seq = list(mapped)
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                if seq[i] > seq[j]:
-                    sign = -sign
-        new_index = 0
-        occupied_new = set(mapped)
-        for pos in range(n):
-            new_index = (new_index << 1) | (1 if pos in occupied_new else 0)
-        r[new_index, old_index] = sign
-    return r
+    return algebra._mode_reorder(tuple(int(i) for i in front_positions), state_modes)
 
 
 def partial_trace_jw(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
@@ -194,8 +178,8 @@ def partial_trace_jw(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
     m = len(keep_pos)
     if m == n:
         return PhenomenalState(keep, state.matrix)
-    r = mode_sort_permutation(n, keep_pos)
-    reordered = r @ state.matrix @ r.conj().T
+    src, sign = mode_sort_permutation(n, keep_pos)
+    reordered = sign[:, None] * state.matrix[np.ix_(src, src)] * sign[None, :]
     dk, dc = 2 ** m, 2 ** (n - m)
     reduced = np.trace(reordered.reshape(dk, dc, dk, dc), axis1=1, axis2=3)
     return PhenomenalState(keep, reduced)

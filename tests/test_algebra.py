@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fermidesc import algebra, fock
+from fermidesc import algebra, fock, transformations as tf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
@@ -216,3 +216,79 @@ def test_qubit_vs_fermion_statistics():
     assert fock.frobenius(fock.anticommutator(f0, f1).matrix) == 0.0
     assert fock.frobenius(fock.anticommutator(q0, q1).matrix) != 0.0
     assert fock.frobenius(fock.commutator(f0, f1).matrix) != 0.0
+
+
+def _random_matrix(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@pytest.mark.parametrize("n_modes", range(1, 7))
+def test_reorder_kernel_agrees_with_monomial_oracle(n_modes):
+    rng = np.random.default_rng(40 + n_modes)
+    dim = 2 ** n_modes
+    for size in range(1, n_modes + 1):
+        for subset in itertools.combinations(range(n_modes), size):
+            subsystem = ModeSet(subset, n_modes)
+            basis = algebra.monomial_basis(subsystem)
+            small = _random_matrix(rng, 2 ** size)
+
+            lifted = algebra.embed_local_operator(small, subsystem)
+            oracle = basis.synthesize(small)
+            assert np.abs(lifted.matrix - oracle.matrix).max() <= 1e-12
+            assert np.abs(algebra.compress_local_operator(lifted, subsystem) - small).max() <= 1e-12
+            assert algebra.locality_residual(lifted, subsystem) <= 1e-12 * fock.frobenius(small)
+            assert algebra.is_local_to(lifted, subsystem)
+
+            generic = fock.FockOperator(n_modes, _random_matrix(rng, dim))
+            scale = fock.frobenius(generic.matrix)
+            projected = basis.synthesize(basis.expand(generic))
+            expected = fock.frobenius(generic.matrix - projected.matrix)
+            residual = algebra.locality_residual(generic, subsystem)
+            if subsystem.is_full:  # both residuals are rounding noise
+                assert max(residual, expected) <= 1e-12 * scale
+            else:
+                assert abs(residual - expected) <= 1e-12 * expected
+            oracle_local = expected <= algebra.LOCALITY_TOL * max(1.0, scale)
+            assert algebra.is_local_to(generic, subsystem) == oracle_local
+            # only the full set contains every operator
+            assert oracle_local == subsystem.is_full
+    algebra._basis_arrays.cache_clear()  # stacks reach 4^N x 2^N x 2^N
+
+
+def test_locality_error_codes():
+    op = fock.identity(3)
+    empty = ModeSet((), 3)
+    other = ModeSet((0,), 2)
+    hop = fock.creator(3, 0) @ fock.annihilator(3, 2)
+    checks = [
+        (lambda: algebra.embed_local_operator(np.eye(2), empty), "empty_subsystem"),
+        (lambda: algebra.embed_local_operator(np.eye(4), ModeSet((1,), 3)), "dimension_mismatch"),
+        (lambda: algebra.compress_local_operator(op, empty), "empty_subsystem"),
+        (lambda: algebra.compress_local_operator(op, other), "dimension_mismatch"),
+        (lambda: algebra.compress_local_operator(hop, ModeSet((0, 1), 3)), "not_local"),
+        (lambda: algebra.locality_residual(op, empty), "empty_subsystem"),
+        (lambda: algebra.locality_residual(op, other), "dimension_mismatch"),
+        (lambda: algebra.is_local_to(op, empty), "empty_subsystem"),
+        (lambda: algebra.is_local_to(op, other), "dimension_mismatch"),
+    ]
+    for call, code in checks:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == code
+
+
+def test_locality_at_mode_cap(monkeypatch):
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    # six of eight modes raised MemoryError when locality used dense monomial stacks
+    assert tf.local_random_ps_unitary(ModeSet((0, 2, 3, 5, 6, 7), 8), 0).n_modes == 8
+    n_modes = fock.DEFAULT_MODE_CAP
+    rng = np.random.default_rng(10)
+    for size in (5, 7, 9):
+        subsystem = ModeSet.of(rng.choice(n_modes, size, replace=False), n_modes)
+        u = tf.local_random_ps_unitary(subsystem, size)
+        assert tf.is_local_unitary(u, subsystem)
+        assert not tf.is_local_unitary(u, ModeSet(subsystem.indices[1:], n_modes))
+        small = algebra.compress_local_operator(u.as_operator(), subsystem)
+        back = algebra.embed_local_operator(small, subsystem)
+        assert np.abs(back.matrix - u.matrix).max() <= 1e-12
+        assert algebra.mode_support(u.as_operator()) == subsystem

@@ -21,6 +21,18 @@ def test_complex_round_trip_is_exact():
         assert back == z  # repr round-trip of doubles is lossless
 
 
+def test_matrix_encoding_text_matches_per_element_form():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    m[0, :4] = [-0.0, 1e-300, 1e300, complex(-0.0, -0.0)]
+    m[1, :3] = [complex(0.0, -1e-300), complex(-1e300, 1e300), complex(1.0, -0.0)]
+    per_element = [[serialize.complex_to_json(z) for z in row] for row in m]
+    assert json.dumps(serialize.matrix_to_json(m), indent=2) == json.dumps(per_element, indent=2)
+    assert json.dumps(serialize.vector_to_json(m[0]), indent=2) == json.dumps(
+        per_element[0], indent=2
+    )
+
+
 def test_state_round_trip():
     state = random_phenomenal(3, 4)
     data = round_trip(serialize.state_to_json(state))

@@ -91,6 +91,32 @@ def test_partial_trace_keep_everything_is_identity_map():
     assert np.array_equal(same.matrix, rho.matrix)
 
 
+def looped_mode_sort_permutation(n: int, front_positions: tuple[int, ...]) -> np.ndarray:
+    """Reference: the signed permutation matrix, one basis state at a time."""
+    order = list(front_positions) + [i for i in range(n) if i not in front_positions]
+    new_label = {old: new for new, old in enumerate(order)}
+    r = np.zeros((2 ** n, 2 ** n))
+    for old_index in range(2 ** n):
+        mapped = [new_label[pos] for pos in range(n) if (old_index >> (n - 1 - pos)) & 1]
+        inversions = sum(
+            1 for i in range(len(mapped)) for j in range(i + 1, len(mapped)) if mapped[i] > mapped[j]
+        )
+        new_index = sum(1 << (n - 1 - label) for label in mapped)
+        r[new_index, old_index] = -1 if inversions % 2 else 1
+    return r
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_mode_sort_permutation_matches_loop(n_modes):
+    rng = np.random.default_rng(n_modes)
+    for size in range(n_modes + 1):
+        front = tuple(int(i) for i in rng.permutation(n_modes)[:size])
+        src, sign = states.mode_sort_permutation(n_modes, front)
+        r = np.zeros((2 ** n_modes, 2 ** n_modes))
+        r[np.arange(2 ** n_modes), src] = sign
+        assert np.array_equal(r, looped_mode_sort_permutation(n_modes, front))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_partial_trace_routes_agree(seed):
     rng = np.random.default_rng(seed)
