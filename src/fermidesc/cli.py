@@ -197,9 +197,10 @@ def run_scenario(scenario: dict) -> dict:
     gates = [
         _build_gate(g, i, n_modes) for i, g in enumerate(scenario.get("gates") or [])
     ]
-    total = PSUnitary(n_modes, np.eye(2 ** n_modes, dtype=complex))
+    product = np.eye(2 ** n_modes, dtype=complex)
     for gate in gates:
-        total = gate @ total
+        product = gate.matrix @ product
+    total = PSUnitary(n_modes, product)
 
     full = ModeSet.full(n_modes)
     final_matrix = total.matrix @ psi0.projector().matrix @ total.matrix.conj().T

@@ -146,12 +146,12 @@ def evolve_descriptors(u: PSUnitary, subsystem: ModeSet, psi0: FockVector) -> De
     descriptors = tuple(
         u.conjugate(annihilator(u.n_modes, a)) for a in subsystem.indices
     )
-    return DescriptorSet(subsystem, descriptors, _check_heisenberg_state(psi0))
+    return DescriptorSet(subsystem, descriptors, psi0)
 
 
 def canonical_descriptors(subsystem: ModeSet, psi0: FockVector) -> DescriptorSet:
     descriptors = tuple(annihilator(subsystem.ambient_n, a) for a in subsystem.indices)
-    return DescriptorSet(subsystem, descriptors, _check_heisenberg_state(psi0))
+    return DescriptorSet(subsystem, descriptors, psi0)
 
 
 def equivalent_at(
@@ -351,12 +351,18 @@ def reconstruct_unitary(d: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> PSUni
 
 @dataclass(frozen=True)
 class CompatibilityResult:
-    """Outcome of the search for a common global extension of two local states."""
+    """Outcome of the search for a common global extension of two local states.
+
+    ``joined`` is the validated descriptor set on the union of the two
+    subsystems, the one ``join`` returns; it and ``witness`` are ``None``
+    when the states are incompatible.
+    """
 
     compatible: bool
     witness: PSUnitary | None
     residual: float
     reason: str
+    joined: DescriptorSet | None = None
 
     def __bool__(self) -> bool:
         return self.compatible
@@ -375,11 +381,11 @@ def compatible(
 ) -> CompatibilityResult:
     """Decide whether two local ontic states extend to a common global one.
 
-    Builds the witness of the merged descriptors: a unitary whose
-    descriptors restrict to both inputs, or an incompatible verdict when
-    none exists.  A full union must also pass the canonical-relation gate of
-    ``DescriptorSet``.  Mismatched Heisenberg states are a usage error, not
-    incompatibility, and raise instead.
+    Builds the merged descriptor set on the union, which for a full union
+    passes the canonical-relation gate of ``DescriptorSet``, and the witness
+    of its descriptors: a unitary whose descriptors restrict to both inputs.
+    Either failing gives an incompatible verdict.  Mismatched Heisenberg
+    states are a usage error, not incompatibility, and raise instead.
     """
     if not da.subsystem.is_disjoint(db.subsystem):
         raise ValidationError(
@@ -394,33 +400,27 @@ def compatible(
             "heisenberg_mismatch", "descriptor sets carry different Heisenberg states"
         )
 
-    n = da.n_modes
     union = da.subsystem.union(db.subsystem)
     merged = {**da.matrices(), **db.matrices()}
     try:
-        if union.is_full:
-            # built only for its canonical-relation gate
-            ordered = tuple(FockOperator(n, merged[a]) for a in union.indices)
-            DescriptorSet(union, ordered, da.heisenberg_state)
-        witness, residual = _intertwiner(merged, n, tol)
+        joined = DescriptorSet(
+            union,
+            tuple(FockOperator(da.n_modes, merged[a]) for a in union.indices),
+            da.heisenberg_state,
+        )
+        witness, residual = _intertwiner(merged, da.n_modes, tol)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))
-    return CompatibilityResult(True, witness, residual, "intertwiner")
+    return CompatibilityResult(True, witness, residual, "intertwiner", joined)
 
 
 def join(da: DescriptorSet, db: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> DescriptorSet:
     """Unique recombination of two compatible local ontic states.
 
-    ``compatible`` has already checked that its witness reproduces every
-    merged descriptor within ``tol``.
+    Returns the descriptor set ``compatible`` built and validated on the
+    union, whose witness reproduces every merged descriptor within ``tol``.
     """
     result = compatible(da, db, tol)
     if not result:
         raise ValidationError("incompatible", f"states cannot be joined: {result.reason}")
-    union = da.subsystem.union(db.subsystem)
-    merged = {**da.matrices(), **db.matrices()}
-    return DescriptorSet(
-        union,
-        tuple(FockOperator(da.n_modes, merged[a]) for a in union.indices),
-        da.heisenberg_state,
-    )
+    return result.joined

@@ -246,13 +246,15 @@ def check_ontic_property_list(
         # 3. join of restrictions, with witness uniqueness
         da = dsc.ontic_project(d_full, a)
         db = dsc.ontic_project(d_full, b)
-        joined = dsc.join(da, db)
+        result = dsc.compatible(da, db)
+        if not result:
+            raise ValidationError("incompatible", f"states cannot be joined: {result.reason}")
         reference = dsc.ontic_project(d_full, union)
         r3 = max(
             frobenius(x.matrix - y.matrix)
-            for x, y in zip(joined.descriptors, reference.descriptors)
+            for x, y in zip(result.joined.descriptors, reference.descriptors)
         )
-        witness = dsc.compatible(da, db).witness
+        witness = result.witness
         merged = {**da.matrices(), **db.matrices()}
         if union.is_full:
             other = PSUnitary(n_modes, np.exp(0.37j) * witness.matrix)

@@ -118,6 +118,27 @@ def test_hamiltonian_gate_rejects_parity_mixing(tmp_path):
     assert "ssr_violation" in proc.stderr
 
 
+def test_gate_fold_multiplies_matrices_not_unitaries(monkeypatch):
+    from fermidesc import cli, transformations as tf
+
+    products = []
+    matmul = tf.PSUnitary.__matmul__
+
+    def counting(self, other):
+        products.append(self.n_modes)
+        return matmul(self, other)
+
+    monkeypatch.setattr(tf.PSUnitary, "__matmul__", counting)
+    gates = [
+        {"kind": "tunneling", "modes": [0, 2], "theta": 0.4},
+        {"kind": "phase", "modes": [1], "theta": -1.2},
+        {"kind": "interaction", "modes": [1, 2], "theta": 2.5},
+    ]
+    report = cli.run_scenario({"n_modes": 3, "initial_state": [1, 0, 0], "gates": gates})
+    assert products == []
+    assert report["reconstruction"]["phase_blind_distance"] < 1e-8
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -348,6 +348,49 @@ def test_incompatible_descriptor_sets_detected():
         assert err.value.code == "incompatible", name
 
 
+def test_incompatible_result_has_no_joined_set():
+    name, d_a, d_b = next(p for p in incompatible_pairs() if p[0].startswith("u_v_"))
+    result = dsc.compatible(d_a, d_b)
+    assert not result.compatible, name
+    assert result.joined is None
+    assert result.witness is None
+
+
+@pytest.mark.parametrize("part_a, part_b", [((0,), (2,)), ((0, 2), (1, 3))])
+def test_compatible_joined_equals_join(part_a, part_b):
+    n_modes = 4
+    psi0 = random_sector_state(n_modes, 71)
+    u = tf.random_ps_unitary(n_modes, 72)
+    d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
+    d_a = dsc.ontic_project(d, ModeSet(part_a, n_modes))
+    d_b = dsc.ontic_project(d, ModeSet(part_b, n_modes))
+    result = dsc.compatible(d_a, d_b)
+    joined = dsc.join(d_a, d_b)
+    assert result.joined.subsystem == joined.subsystem
+    assert result.joined.heisenberg_state is d_a.heisenberg_state
+    for x, y in zip(result.joined.descriptors, joined.descriptors, strict=True):
+        assert np.array_equal(x.matrix, y.matrix)
+
+
+def test_full_union_join_runs_the_canonical_relation_gate_once(monkeypatch):
+    n_modes = 4
+    psi0 = fock.vacuum_state(n_modes)
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 73), ModeSet.full(n_modes), psi0)
+    d_a = dsc.ontic_project(d, ModeSet((0, 3), n_modes))
+    d_b = dsc.ontic_project(d, ModeSet((1, 2), n_modes))
+    calls = []
+    residual = dsc.descriptor_algebra_residual
+
+    def counting(descriptors, dim):
+        calls.append(dim)
+        return residual(descriptors, dim)
+
+    monkeypatch.setattr(dsc, "descriptor_algebra_residual", counting)
+    joined = dsc.join(d_a, d_b)
+    assert calls == [2 ** n_modes]
+    assert max_descriptor_distance(joined, d) == 0.0
+
+
 def test_particle_hole_descriptor_compatible_with_spare_mode():
     # with a third mode to absorb the parity, {f_0^dag} and {f_1} do extend
     n_modes = 3

@@ -118,6 +118,19 @@ def test_ontic_property_list_randomized(n_modes):
     assert result.residual < 1e-9
 
 
+def test_ontic_property_list_calls_compatible_once_per_seed(monkeypatch):
+    calls = []
+    compatible = dsc.compatible
+
+    def counting(da, db, *args):
+        calls.append((da.subsystem.indices, db.subsystem.indices))
+        return compatible(da, db, *args)
+
+    monkeypatch.setattr(dsc, "compatible", counting)
+    assert vf.check_ontic_property_list(range(4), 3).passed
+    assert len(calls) == 4
+
+
 def test_ontic_property_negative_control_detects_nonlocal_action():
     result = vf.check_ontic_property_list(range(5), 3, negative_control=True)
     assert result.passed  # i.e. the doctored property failed every time
