@@ -195,7 +195,9 @@ def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float
     """Coefficients ``c`` of the nearest local operator and the distance to it.
 
     In the reordered frame ``c = tr_rest(X) / 2^(N-m)``, the HS projection
-    onto ``{A (x) I}``, and the residual is ``||X - c (x) I||_F``.
+    onto ``{A (x) I}``, and the residual is ``||X - c (x) I||_F``.  The
+    partial trace adds its 2^(N-m) terms by pairwise halving, which is exact
+    when they are equal, so ``A (x) I`` compresses back to ``A`` bit for bit.
     """
     if o.n_modes != subsystem.ambient_n:
         raise ValidationError("dimension_mismatch", "operator lives in a different ambient space")
@@ -204,7 +206,10 @@ def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float
     dc = o.dim // dk
     x = sign[:, None] * o.matrix[np.ix_(src, src)] * sign[None, :]
     x4 = x.reshape(dk, dc, dk, dc)
-    coeffs = np.trace(x4, axis1=1, axis2=3) / dc
+    diag = np.diagonal(x4, axis1=1, axis2=3)
+    while diag.shape[-1] > 1:
+        diag = diag[..., 0::2] + diag[..., 1::2]
+    coeffs = diag[..., 0] / dc
     rest = np.arange(dc)
     x4[:, rest, :, rest] -= coeffs
     return coeffs, frobenius(x)

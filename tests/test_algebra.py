@@ -60,6 +60,20 @@ def test_completeness_reproduces_random_local_operator():
     assert residual < 1e-12
 
 
+@pytest.mark.parametrize(
+    "modes", [(0, 2, 5), (3,), (0, 1, 2, 3, 4, 5), (1, 4, 6), tuple(range(7))]
+)
+def test_compression_inverts_embedding_exactly(modes):
+    subsystem = ModeSet(modes, 7)
+    rng = np.random.default_rng(len(modes) + sum(modes))
+    dk = 2 ** len(modes)
+    for _ in range(5):
+        small = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
+        lifted = algebra.embed_local_operator(small, subsystem)
+        assert np.array_equal(algebra.compress_local_operator(lifted, subsystem), small)
+        assert algebra.locality_residual(lifted, subsystem) == 0.0
+
+
 def test_parity_grade_examples():
     f0 = fock.annihilator(2, 0)
     even = fock.creator(2, 0) @ fock.annihilator(2, 1)
