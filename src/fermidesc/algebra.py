@@ -195,9 +195,7 @@ def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float
     """Coefficients ``c`` of the nearest local operator and the distance to it.
 
     In the reordered frame ``c = tr_rest(X) / 2^(N-m)``, the HS projection
-    onto ``{A (x) I}``, and the residual is ``||X - c (x) I||_F``.  The
-    partial trace adds its 2^(N-m) terms by pairwise halving, which is exact
-    when they are equal, so ``A (x) I`` compresses back to ``A`` bit for bit.
+    onto ``{A (x) I}``, and the residual is ``||X - c (x) I||_F``.
     """
     if o.n_modes != subsystem.ambient_n:
         raise ValidationError("dimension_mismatch", "operator lives in a different ambient space")
@@ -207,7 +205,7 @@ def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float
     x = sign[:, None] * o.matrix[np.ix_(src, src)] * sign[None, :]
     x4 = x.reshape(dk, dc, dk, dc)
     diag = np.diagonal(x4, axis1=1, axis2=3)
-    while diag.shape[-1] > 1:
+    while diag.shape[-1] > 1:  # pairwise sums: exact when the 2^(N-m) terms are equal
         diag = diag[..., 0::2] + diag[..., 1::2]
     coeffs = diag[..., 0] / dc
     rest = np.arange(dc)

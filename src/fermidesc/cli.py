@@ -18,7 +18,7 @@ import numpy as np
 from . import descriptors as dsc
 from . import serialize, verification as vf
 from .errors import ScenarioParseError, ValidationError
-from .fock import FockVector, ModeSet, basis_index, fock_basis_state, mode_cap
+from .fock import FockOperator, FockVector, ModeSet, basis_index, fock_basis_state, mode_cap
 from .states import PhenomenalState, partial_trace
 from .transformations import (
     PSUnitary,
@@ -78,8 +78,6 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
     try:
         if kind == "hamiltonian":
             matrix = serialize.json_to_matrix(entry.get("matrix"), f"{field}.matrix")
-            from .fock import FockOperator
-
             return exp_hamiltonian(FockOperator(n_modes, matrix))
         modes = entry.get("modes")
         if not isinstance(modes, list) or not all(isinstance(m, int) for m in modes):
@@ -94,14 +92,21 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
         raise
 
 
-def _parse_partitions(entry, n_modes: int) -> list[ModeSet]:
+def _list_field(scenario: dict, key: str) -> list:
+    entry = scenario.get(key)
     if entry is None:
         return []
+    if not isinstance(entry, list):
+        _fail("bad_schema", f"{key} must be a list", key)
+    return entry
+
+
+def _parse_partitions(scenario: dict, n_modes: int) -> list[ModeSet]:
     out = []
-    for i, part in enumerate(entry):
+    for i, part in enumerate(_list_field(scenario, "partitions")):
         field = f"partitions[{i}]"
-        if not isinstance(part, list) or not part:
-            _fail("bad_schema", "partitions are non-empty mode lists", field)
+        if not isinstance(part, list) or not part or any(type(m) is not int for m in part):
+            _fail("bad_schema", "partitions are non-empty lists of mode indices", field)
         try:
             out.append(ModeSet.of(part, n_modes))
         except ValidationError as exc:
@@ -109,39 +114,56 @@ def _parse_partitions(entry, n_modes: int) -> list[ModeSet]:
     return out
 
 
+CHECK_TOLERANCES = {
+    "diagram": 1e-9, "no_signalling": 1e-9, "locality_invariance": 1e-10, "ontic_properties": 1e-9
+}
+
+
+def _parse_checks(scenario: dict) -> list[tuple[str, int, int, float, str]]:
+    """Validated ``(name, seed, count, tolerance, field)`` of each requested check."""
+    tolerances = scenario.get("tolerances") or {}
+    if not isinstance(tolerances, dict):
+        _fail("bad_schema", "tolerances must be an object", "tolerances")
+    for key, tol in tolerances.items():
+        if type(tol) not in (int, float) or not 0 <= tol < np.inf:
+            _fail("bad_schema", "tolerances are finite numbers >= 0", f"tolerances.{key}")
+    out = []
+    for i, entry in enumerate(_list_field(scenario, "checks")):
+        field = f"checks[{i}]"
+        if not isinstance(entry, dict) or "name" not in entry:
+            _fail("bad_schema", "check entries are objects with a name", field)
+        name = entry["name"]
+        if not isinstance(name, str) or name not in CHECK_TOLERANCES:
+            _fail("bad_schema", f"unknown check name {name!r}", f"{field}.name")
+        seed, count = entry.get("seed", 0), entry.get("count", 10)
+        if type(seed) is not int or seed < 0:
+            _fail("bad_schema", "seed must be an integer >= 0", f"{field}.seed")
+        if type(count) is not int or count < 1:
+            _fail("bad_schema", "count must be an integer >= 1", f"{field}.count")
+        out.append((name, seed, count, float(tolerances.get(name, CHECK_TOLERANCES[name])), field))
+    return out
+
+
 def _scenario_checks(
-    scenario: dict,
+    checks: list[tuple[str, int, int, float, str]],
     n_modes: int,
     final_state: PhenomenalState,
     global_descriptors,
     partitions: list[ModeSet],
 ) -> list[vf.CheckResult]:
-    tolerances = scenario.get("tolerances") or {}
-    if not isinstance(tolerances, dict):
-        _fail("bad_schema", "tolerances must be an object", "tolerances")
     results: list[vf.CheckResult] = []
-    for i, entry in enumerate(scenario.get("checks") or []):
-        field = f"checks[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            _fail("bad_schema", "check entries are objects with a name", field)
-        name = entry["name"]
-        seed = int(entry.get("seed", 0))
-        count = int(entry.get("count", 10))
+    for name, seed, count, tol, field in checks:
         if name == "diagram":
-            tol = float(tolerances.get(name, 1e-9))
             sub = [vf.check_diagram(global_descriptors, p, tol) for p in partitions]
             if not sub:
                 _fail("bad_schema", "diagram check needs at least one partition", field)
             results.append(vf._merge("diagram", sub, tol))
         elif name == "no_signalling":
-            tol = float(tolerances.get(name, 1e-9))
             pairs = [
                 (a, b)
                 for a in partitions
                 for b in partitions
-                if a.indices != b.indices
-                and a.is_disjoint(b)
-                and a.union(b).is_full
+                if a.is_disjoint(b) and a.union(b).is_full
             ]
             if not pairs:
                 _fail(
@@ -159,7 +181,6 @@ def _scenario_checks(
                 )
             results.append(vf._merge("no_signalling", sub, tol))
         elif name == "locality_invariance":
-            tol = float(tolerances.get(name, 1e-10))
             proper = [p for p in partitions if not p.is_full]
             if not proper:
                 _fail("bad_schema", "locality_invariance needs a proper partition", field)
@@ -170,13 +191,10 @@ def _scenario_checks(
                 for j in part.complement().indices:
                     sub.append(vf.check_locality_invariance(u, part, j, tol))
             results.append(vf._merge("locality_invariance", sub, tol))
-        elif name == "ontic_properties":
-            tol = float(tolerances.get(name, 1e-9))
+        else:
             results.append(
                 vf.check_ontic_property_list(range(seed, seed + count), n_modes, tol)
             )
-        else:
-            _fail("bad_schema", f"unknown check name {name!r}", f"{field}.name")
     return results
 
 
@@ -194,9 +212,9 @@ def run_scenario(scenario: dict) -> dict:
         _fail("bad_schema", "missing initial_state", "initial_state")
 
     psi0 = _build_initial_state(scenario["initial_state"], n_modes)
-    gates = [
-        _build_gate(g, i, n_modes) for i, g in enumerate(scenario.get("gates") or [])
-    ]
+    gates = [_build_gate(g, i, n_modes) for i, g in enumerate(_list_field(scenario, "gates"))]
+    partitions = _parse_partitions(scenario, n_modes)
+    checks = _parse_checks(scenario)
     product = np.eye(2 ** n_modes, dtype=complex)
     for gate in gates:
         product = gate.matrix @ product
@@ -215,22 +233,18 @@ def run_scenario(scenario: dict) -> dict:
         "phase_blind_distance": phase_distance(reconstructed.matrix, total.matrix),
     }
 
-    partitions = _parse_partitions(scenario.get("partitions"), n_modes)
-    partition_blocks = []
-    for part in partitions:
-        partition_blocks.append(
-            {
-                "modes": list(part.indices),
-                "phenomenal": serialize.state_to_json(partial_trace(final_state, part)),
-                "descriptors": serialize.descriptor_set_to_json(
-                    dsc.ontic_project(global_descriptors, part)
-                ),
-            }
-        )
+    partition_blocks = [
+        {
+            "modes": list(part.indices),
+            "phenomenal": serialize.state_to_json(partial_trace(final_state, part)),
+            "descriptors": serialize.descriptor_set_to_json(
+                dsc.ontic_project(global_descriptors, part)
+            ),
+        }
+        for part in partitions
+    ]
 
-    checks = _scenario_checks(
-        scenario, n_modes, final_state, global_descriptors, partitions
-    )
+    results = _scenario_checks(checks, n_modes, final_state, global_descriptors, partitions)
 
     report = {
         "schema_version": serialize.SCHEMA_VERSION,
@@ -241,7 +255,7 @@ def run_scenario(scenario: dict) -> dict:
         "global_descriptors": serialize.descriptor_set_to_json(global_descriptors),
         "reconstruction": recon,
         "partitions": partition_blocks,
-        "checks": [c.to_json() for c in checks],
+        "checks": [c.to_json() for c in results],
         "timings": {"total_seconds": time.monotonic() - started},
     }
     return report
@@ -271,22 +285,22 @@ def _emit(data: dict, out_path: str | None):
         print(text)
 
 
-def _checks_passed(checks: list[dict]) -> bool:
-    return all(c["passed"] for c in checks)
-
-
-def _cmd_simulate(args) -> int:
-    scenario = _read_json(args.scenario)
-    report = run_scenario(scenario)
-    _emit(report, args.output)
-    for check in report["checks"]:
+def _summarize(checks: list[dict]) -> int:
+    """Print one line per check to stderr; the exit code of the verdicts."""
+    for check in checks:
         status = "pass" if check["passed"] else "FAIL"
         print(
             f"{status} {check['name']}: residual {check['residual']:.3e}"
             f" (tolerance {check['tolerance']:g})",
             file=sys.stderr,
         )
-    return EXIT_OK if _checks_passed(report["checks"]) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_CHECK_FAILED
+
+
+def _cmd_simulate(args) -> int:
+    report = run_scenario(_read_json(args.scenario))
+    _emit(report, args.output)
+    return _summarize(report["checks"])
 
 
 def _cmd_verify(args) -> int:
@@ -299,26 +313,15 @@ def _cmd_verify(args) -> int:
         "timings": {"total_seconds": time.monotonic() - started},
     }
     _emit(report, args.output)
-    ok = True
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        ok = ok and r.passed
-        print(
-            f"{status} {r.name}: residual {r.residual:.3e} (tolerance {r.tolerance:g})",
-            file=sys.stderr,
-        )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _summarize(report["checks"])
 
 
 def _cmd_reconstruct(args) -> int:
     data = _read_json(args.input)
     if isinstance(data, dict) and "global_descriptors" in data:
-        payload = data["global_descriptors"]
-        field = "global_descriptors"
+        d = serialize.json_to_descriptor_set(data["global_descriptors"], "global_descriptors")
     else:
-        payload = data
-        field = "descriptor_set"
-    d = serialize.json_to_descriptor_set(payload, field)
+        d = serialize.json_to_descriptor_set(data)
     u = dsc.reconstruct_unitary(d)
     residual = dsc._witness_residual(u, d.matrices())
     out = {

@@ -60,20 +60,6 @@ RECONSTRUCT_TOL = 1e-8
 EQUIV_TOL = 1e-10
 
 
-def _check_heisenberg_state(psi0: FockVector) -> FockVector:
-    psi0.require_normalized()
-    diag = parity_diagonal(psi0.n_modes)
-    v = psi0.amplitudes
-    even = frobenius(v - diag * v)
-    odd = frobenius(v + diag * v)
-    if min(even, odd) > 1e-10:
-        raise ValidationError(
-            "ssr_violation",
-            "Heisenberg state must live in a single parity sector",
-        )
-    return psi0
-
-
 def descriptor_algebra_residual(descriptors: Sequence[np.ndarray], dim: int) -> float:
     """Worst-case deviation of a descriptor family from the canonical relations."""
     eye = np.eye(dim)
@@ -116,7 +102,13 @@ class DescriptorSet:
             raise ValidationError(
                 "dimension_mismatch", "Heisenberg state must live in the ambient space"
             )
-        _check_heisenberg_state(self.heisenberg_state)
+        self.heisenberg_state.require_normalized()
+        v = self.heisenberg_state.amplitudes
+        pv = parity_diagonal(n) * v
+        if min(frobenius(v - pv), frobenius(v + pv)) > 1e-10:
+            raise ValidationError(
+                "ssr_violation", "Heisenberg state must live in a single parity sector"
+            )
         if self.subsystem.is_full:
             residual = descriptor_algebra_residual(
                 [d.matrix for d in self.descriptors], 2 ** n
@@ -140,7 +132,6 @@ class DescriptorSet:
 
 def evolve_descriptors(u: PSUnitary, subsystem: ModeSet, psi0: FockVector) -> DescriptorSet:
     """Descriptor set of the subsystem after the unitary u (Heisenberg picture)."""
-    subsystem.require_nonempty()
     if subsystem.ambient_n != u.n_modes:
         raise ValidationError("dimension_mismatch", "subsystem/unitary mode counts differ")
     descriptors = tuple(
@@ -174,6 +165,14 @@ def equivalent_at(
     return True
 
 
+def _joint_vacuum(desc: dict[int, np.ndarray], dim: int) -> np.ndarray:
+    """Product of the d_a d_a^dag: for CAR descriptors, the projector onto V_d."""
+    vac = np.eye(dim, dtype=complex)
+    for a in sorted(desc):
+        vac = vac @ (desc[a] @ desc[a].conj().T)
+    return vac
+
+
 def _intertwiner(
     desc: dict[int, np.ndarray], n_modes: int, tol: float
 ) -> tuple[PSUnitary, float]:
@@ -185,11 +184,7 @@ def _intertwiner(
     """
     dim = 2 ** n_modes
     modes = sorted(desc)
-    # joint vacuum projector of the family; for CAR descriptors the factors
-    # are commuting projectors and the product projects onto V_d
-    vac = np.eye(dim, dtype=complex)
-    for a in modes:
-        vac = vac @ (desc[a] @ desc[a].conj().T)
+    vac = _joint_vacuum(desc, dim)
 
     # J sends an orthonormal basis of V_d, sector by sector, onto the Fock
     # states with every mode of the family empty, in increasing index order
@@ -280,7 +275,6 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
     """Restriction of an ontic state to a subsystem: keep those modes' descriptors."""
-    subsystem.require_nonempty()
     if not subsystem.is_subset_of(d.subsystem):
         raise ValidationError(
             "not_subset",
@@ -302,10 +296,7 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
     desc = d.matrices()
     psi = d.heisenberg_state.amplitudes
 
-    vac = np.eye(2 ** d.n_modes, dtype=complex)
-    for j in modes:
-        dm = desc[j]
-        vac = vac @ (dm @ dm.conj().T)
+    vac = _joint_vacuum(desc, 2 ** d.n_modes)
 
     # y[S] = (annihilators of S, decreasing order) |psi0>; doubles as the
     # adjoint of the creator string applied to |psi0>.
@@ -401,14 +392,10 @@ def compatible(
         )
 
     union = da.subsystem.union(db.subsystem)
-    merged = {**da.matrices(), **db.matrices()}
+    ops = dict(zip(da.subsystem.indices + db.subsystem.indices, da.descriptors + db.descriptors))
     try:
-        joined = DescriptorSet(
-            union,
-            tuple(FockOperator(da.n_modes, merged[a]) for a in union.indices),
-            da.heisenberg_state,
-        )
-        witness, residual = _intertwiner(merged, da.n_modes, tol)
+        joined = DescriptorSet(union, tuple(ops[a] for a in union.indices), da.heisenberg_state)
+        witness, residual = _intertwiner(joined.matrices(), da.n_modes, tol)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))
     return CompatibilityResult(True, witness, residual, "intertwiner", joined)

@@ -74,12 +74,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def rel_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Frobenius-norm closeness, relative to the larger operand."""
-    scale = max(1.0, frobenius(a), frobenius(b))
-    return frobenius(a - b) <= tol * scale
-
-
 @dataclass(frozen=True)
 class ModeSet:
     """An ordered subset of the modes of an N-mode system.

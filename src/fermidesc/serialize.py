@@ -83,11 +83,19 @@ def state_to_json(state: PhenomenalState) -> dict:
     }
 
 
+def _json_to_subsystem(data: dict, field: str) -> ModeSet:
+    modes, ambient_n = data["modes"], data["ambient_n"]
+    mode_list = isinstance(modes, list) and all(type(m) is int for m in modes)
+    _require(mode_list, f"{field}.modes", "modes must be a list of integers")
+    _require(type(ambient_n) is int, f"{field}.ambient_n", "ambient_n must be an integer")
+    return ModeSet(tuple(modes), ambient_n)
+
+
 def json_to_state(data: dict, field: str = "state") -> PhenomenalState:
     _require(isinstance(data, dict), field, "state must be an object")
     for key in ("modes", "ambient_n", "matrix"):
         _require(key in data, f"{field}.{key}", f"missing {key}")
-    subsystem = ModeSet(tuple(data["modes"]), int(data["ambient_n"]))
+    subsystem = _json_to_subsystem(data, field)
     return PhenomenalState(subsystem, json_to_matrix(data["matrix"], f"{field}.matrix"))
 
 
@@ -115,7 +123,8 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
     _require(isinstance(data, dict), field, "descriptor set must be an object")
     for key in ("modes", "ambient_n", "descriptors", "heisenberg_state"):
         _require(key in data, f"{field}.{key}", f"missing {key}")
-    subsystem = ModeSet(tuple(data["modes"]), int(data["ambient_n"]))
+    subsystem = _json_to_subsystem(data, field)
+    _require(isinstance(data["descriptors"], list), f"{field}.descriptors", "must be a list")
     n = subsystem.ambient_n
     descriptors = tuple(
         FockOperator(n, json_to_matrix(m, f"{field}.descriptors[{i}]"))
@@ -204,15 +213,15 @@ SCENARIO_SCHEMA = {
                             "ontic_properties",
                         ]
                     },
-                    "seed": {"type": "integer", "default": 0},
-                    "count": {"type": "integer", "default": 10},
+                    "seed": {"type": "integer", "minimum": 0, "default": 0},
+                    "count": {"type": "integer", "minimum": 1, "default": 10},
                 },
             },
         },
         "tolerances": {
             "type": "object",
             "description": "optional per-check tolerance overrides keyed by check name",
-            "additionalProperties": {"type": "number"},
+            "additionalProperties": {"type": "number", "minimum": 0},
         },
     },
     "definitions": {

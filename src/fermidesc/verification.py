@@ -255,7 +255,7 @@ def check_ontic_property_list(
             for x, y in zip(result.joined.descriptors, reference.descriptors)
         )
         witness = result.witness
-        merged = {**da.matrices(), **db.matrices()}
+        merged = result.joined.matrices()
         if union.is_full:
             other = PSUnitary(n_modes, np.exp(0.37j) * witness.matrix)
         else:

@@ -170,6 +170,46 @@ def test_validation_error_names_offending_field(tmp_path):
     assert "gates[0]" in proc.stderr
 
 
+def _with_check(**fields):
+    return {"checks": [dict({"name": "no_signalling", "seed": 1, "count": 2}, **fields)]}
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        (_with_check(seed="x"), "checks[0].seed"),
+        (_with_check(seed=True), "checks[0].seed"),
+        (_with_check(seed=-1), "checks[0].seed"),
+        (_with_check(count=-3), "checks[0].count"),
+        (_with_check(count=0), "checks[0].count"),
+        (_with_check(count=False), "checks[0].count"),
+        (_with_check(count=2.5), "checks[0].count"),
+        ({"tolerances": {"diagram": "big"}}, "tolerances.diagram"),
+        ({"tolerances": {"diagram": -1e-9}}, "tolerances.diagram"),
+        ({"tolerances": {"no_signalling": True}}, "tolerances.no_signalling"),
+        ({"partitions": [["a"]]}, "partitions[0]"),
+        ({"partitions": 5}, "partitions"),
+        ({"checks": 5}, "checks"),
+        ({"checks": [{"name": ["diagram"]}]}, "checks[0].name"),
+        ({"gates": 5}, "gates"),
+    ],
+)
+def test_bad_scenario_fields_exit_3_with_field_path(tmp_path, override, field):
+    path = write_scenario(tmp_path, dict(EXAMPLE_SCENARIO, **override))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert f"[bad_schema] at {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_tolerance_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(EXAMPLE_SCENARIO)[:-1] + ', "tolerances": {"diagram": NaN}}')
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 3
+    assert "[bad_schema] at tolerances.diagram:" in proc.stderr
+
+
 def test_failing_check_exits_1(tmp_path):
     scenario = dict(EXAMPLE_SCENARIO)
     scenario["tolerances"] = {"no_signalling": 1e-30}
@@ -212,6 +252,35 @@ def test_reconstruct_rejects_bad_descriptor_algebra(tmp_path):
     bad.write_text(json.dumps(payload))
     proc = run_cli("reconstruct", str(bad))
     assert proc.returncode == 3
+
+
+@pytest.fixture(scope="module")
+def simulate_report(tmp_path_factory):
+    path = write_scenario(tmp_path_factory.mktemp("report"), EXAMPLE_SCENARIO)
+    return json.loads(run_cli("simulate", str(path)).stdout)
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"modes": 5}, "global_descriptors.modes"),
+        ({"modes": ["0", 1]}, "global_descriptors.modes"),
+        ({"ambient_n": "two"}, "global_descriptors.ambient_n"),
+        ({"ambient_n": 2.0}, "global_descriptors.ambient_n"),
+        ({"descriptors": {"0": []}}, "global_descriptors.descriptors"),
+    ],
+)
+def test_reconstruct_rejects_malformed_descriptor_set_fields(
+    tmp_path, simulate_report, override, field
+):
+    report = dict(simulate_report)
+    report["global_descriptors"] = dict(report["global_descriptors"], **override)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    proc = run_cli("reconstruct", str(bad))
+    assert proc.returncode == 3, proc.stderr
+    assert f"[bad_schema] at {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_schema_output_stable():

@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from fermidesc import descriptors as dsc, fock, serialize, transformations as tf
+from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 from fermidesc.verification import random_phenomenal
 
@@ -39,6 +41,23 @@ def test_state_round_trip():
     back = serialize.json_to_state(data)
     assert back.subsystem.indices == state.subsystem.indices
     assert np.array_equal(back.matrix, state.matrix)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("modes", 5), ("modes", [0, "1"]), ("modes", [True]), ("ambient_n", "two"), ("ambient_n", 3.0)],
+)
+def test_subsystem_fields_rejected_with_field_path(key, value):
+    state = round_trip(serialize.state_to_json(random_phenomenal(3, 4)))
+    d = dsc.canonical_descriptors(ModeSet((0, 2), 3), fock.vacuum_state(3))
+    dset = round_trip(serialize.descriptor_set_to_json(d))
+    for decode, data, field in (
+        (serialize.json_to_state, state, "state"),
+        (serialize.json_to_descriptor_set, dset, "descriptor_set"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            decode(dict(data, **{key: value}))
+        assert (err.value.code, err.value.field) == ("bad_schema", f"{field}.{key}")
 
 
 def test_unitary_round_trip():
