@@ -93,9 +93,7 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
 
 
 def _list_field(scenario: dict, key: str) -> list:
-    entry = scenario.get(key)
-    if entry is None:
-        return []
+    entry = scenario.get(key) or []
     if not isinstance(entry, list):
         _fail("bad_schema", f"{key} must be a list", key)
     return entry
@@ -233,16 +231,17 @@ def run_scenario(scenario: dict) -> dict:
         "phase_blind_distance": phase_distance(reconstructed.matrix, total.matrix),
     }
 
-    partition_blocks = [
-        {
-            "modes": list(part.indices),
-            "phenomenal": serialize.state_to_json(partial_trace(final_state, part)),
-            "descriptors": serialize.descriptor_set_to_json(
-                dsc.ontic_project(global_descriptors, part)
-            ),
-        }
-        for part in partitions
-    ]
+    partition_blocks = []
+    for part in partitions:
+        partition_blocks.append(
+            {
+                "modes": list(part.indices),
+                "phenomenal": serialize.state_to_json(partial_trace(final_state, part)),
+                "descriptors": serialize.descriptor_set_to_json(
+                    dsc.ontic_project(global_descriptors, part)
+                ),
+            }
+        )
 
     results = _scenario_checks(checks, n_modes, final_state, global_descriptors, partitions)
 
@@ -319,9 +318,12 @@ def _cmd_verify(args) -> int:
 def _cmd_reconstruct(args) -> int:
     data = _read_json(args.input)
     if isinstance(data, dict) and "global_descriptors" in data:
-        d = serialize.json_to_descriptor_set(data["global_descriptors"], "global_descriptors")
+        payload = data["global_descriptors"]
+        field = "global_descriptors"
     else:
-        d = serialize.json_to_descriptor_set(data)
+        payload = data
+        field = "descriptor_set"
+    d = serialize.json_to_descriptor_set(payload, field)
     u = dsc.reconstruct_unitary(d)
     residual = dsc._witness_residual(u, d.matrices())
     out = {

@@ -383,7 +383,7 @@ def compatible(
             "overlapping_subsystems",
             f"subsystems {da.subsystem.indices} and {db.subsystem.indices} overlap",
         )
-    da.subsystem._check_same_ambient(db.subsystem)
+    union = da.subsystem.union(db.subsystem)  # also checks that the ambient sizes agree
     pa = da.heisenberg_state.projector().matrix
     pb = db.heisenberg_state.projector().matrix
     if frobenius(pa - pb) > 1e-10:
@@ -391,7 +391,6 @@ def compatible(
             "heisenberg_mismatch", "descriptor sets carry different Heisenberg states"
         )
 
-    union = da.subsystem.union(db.subsystem)
     ops = dict(zip(da.subsystem.indices + db.subsystem.indices, da.descriptors + db.descriptors))
     try:
         joined = DescriptorSet(union, tuple(ops[a] for a in union.indices), da.heisenberg_state)

@@ -249,18 +249,17 @@ def check_ontic_property_list(
         result = dsc.compatible(da, db)
         if not result:
             raise ValidationError("incompatible", f"states cannot be joined: {result.reason}")
+        joined, witness = result.joined, result.witness
         reference = dsc.ontic_project(d_full, union)
         r3 = max(
             frobenius(x.matrix - y.matrix)
-            for x, y in zip(result.joined.descriptors, reference.descriptors)
+            for x, y in zip(joined.descriptors, reference.descriptors)
         )
-        witness = result.witness
-        merged = result.joined.matrices()
         if union.is_full:
             other = PSUnitary(n_modes, np.exp(0.37j) * witness.matrix)
         else:
             other = local_random_ps_unitary(union.complement(), int(seed) * 7 + 6) @ witness
-        r3 = max(r3, dsc._witness_residual(other, merged))
+        r3 = max(r3, dsc._witness_residual(other, joined.matrices()))
 
         # 4. disjoint-local actions are trivial
         if negative_control:
