@@ -213,16 +213,34 @@ def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float
     return coeffs, frobenius(x)
 
 
-def parity_grade(o: FockOperator, tol: float = LOCALITY_TOL) -> str:
-    """Classify an operator as even, odd, or mixed under parity conjugation."""
-    diag = parity_diagonal(o.n_modes)
-    conj = diag[:, None] * o.matrix * diag[None, :]
-    scale = max(1.0, frobenius(o.matrix))
-    if frobenius(conj - o.matrix) <= tol * scale:
+def parity_grade(o: FockOperator | np.ndarray, tol: float = LOCALITY_TOL) -> str:
+    """Classify an operator, matrix or vector as even, odd, or mixed under parity.
+
+    The one superselection test: a matrix is conjugated by the parity
+    operator, a vector multiplied by it, and the image is compared with
+    plus and minus the input at ``tol * max(1, |input|)``.
+    """
+    m = o.matrix if isinstance(o, FockOperator) else o
+    diag = parity_diagonal(m.shape[0].bit_length() - 1)
+    conj = diag * m if m.ndim == 1 else diag[:, None] * m * diag[None, :]
+    scale = max(1.0, frobenius(m))
+    if frobenius(conj - m) <= tol * scale:
         return GRADE_EVEN
-    if frobenius(conj + o.matrix) <= tol * scale:
+    if frobenius(conj + m) <= tol * scale:
         return GRADE_ODD
     return GRADE_MIXED
+
+
+def require_even(o: FockOperator | np.ndarray, what: str) -> None:
+    """Superselection of a state or transformation; ``ssr_violation`` otherwise."""
+    if parity_grade(o) != GRADE_EVEN:
+        raise ValidationError("ssr_violation", f"{what} must commute with the parity operator")
+
+
+def require_hermitian(m: np.ndarray, what: str) -> None:
+    """The one Hermiticity test, relative to ``max(1, |m|)``; ``not_hermitian`` otherwise."""
+    if frobenius(m - m.conj().T) > LOCALITY_TOL * max(1.0, frobenius(m)):
+        raise ValidationError("not_hermitian", f"{what} must be Hermitian")
 
 
 def locality_residual(o: FockOperator, subsystem: ModeSet) -> float:

@@ -38,11 +38,16 @@ def _fail(code: str, message: str, field: str):
     raise ValidationError(code, message, field=field)
 
 
+def _is_finite_number(x) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def _build_initial_state(entry, n_modes: int) -> FockVector:
     field = "initial_state"
     if not isinstance(entry, list) or not entry:
         _fail("bad_schema", "initial_state must be a non-empty list", field)
-    if all(isinstance(x, int) for x in entry):
+    if all(type(x) is int for x in entry):
         if len(entry) != n_modes:
             _fail("bad_schema", f"occupation list must have length {n_modes}", field)
         return fock_basis_state(n_modes, entry)
@@ -51,9 +56,13 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
     for i, term in enumerate(entry):
         tfield = f"{field}[{i}]"
         if not isinstance(term, dict) or "occupation" not in term or "amplitude" not in term:
-            _fail("bad_schema", "superposition terms need occupation and amplitude", tfield)
+            _fail("bad_schema", "entries are 0/1 occupations or occupation/amplitude terms", tfield)
         occ = term["occupation"]
-        if not isinstance(occ, list) or len(occ) != n_modes or any(o not in (0, 1) for o in occ):
+        if (
+            not isinstance(occ, list)
+            or len(occ) != n_modes
+            or any(type(o) is not int or o not in (0, 1) for o in occ)
+        ):
             _fail("bad_schema", f"occupation must be a 0/1 list of length {n_modes}", tfield)
         amp = serialize.json_to_complex(term["amplitude"], f"{tfield}.amplitude")
         parities.add(sum(occ) % 2)
@@ -80,11 +89,11 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
             matrix = serialize.json_to_matrix(entry.get("matrix"), f"{field}.matrix")
             return exp_hamiltonian(FockOperator(n_modes, matrix))
         modes = entry.get("modes")
-        if not isinstance(modes, list) or not all(isinstance(m, int) for m in modes):
+        if not isinstance(modes, list) or not all(type(m) is int for m in modes):
             _fail("bad_schema", "gate modes must be a list of integers", f"{field}.modes")
         theta = entry.get("theta")
-        if not isinstance(theta, (int, float)):
-            _fail("bad_schema", "gate theta must be a number", f"{field}.theta")
+        if not _is_finite_number(theta):
+            _fail("bad_schema", "gate theta must be a finite number", f"{field}.theta")
         return named_gate(kind, n_modes, modes=tuple(modes), theta=float(theta))
     except ValidationError as exc:
         if exc.field is None:
@@ -112,18 +121,13 @@ def _parse_partitions(scenario: dict, n_modes: int) -> list[ModeSet]:
     return out
 
 
-CHECK_TOLERANCES = {
-    "diagram": 1e-9, "no_signalling": 1e-9, "locality_invariance": 1e-10, "ontic_properties": 1e-9
-}
-
-
 def _parse_checks(scenario: dict) -> list[tuple[str, int, int, float, str]]:
     """Validated ``(name, seed, count, tolerance, field)`` of each requested check."""
     tolerances = scenario.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         _fail("bad_schema", "tolerances must be an object", "tolerances")
     for key, tol in tolerances.items():
-        if type(tol) not in (int, float) or not 0 <= tol < np.inf:
+        if not _is_finite_number(tol) or tol < 0:
             _fail("bad_schema", "tolerances are finite numbers >= 0", f"tolerances.{key}")
     out = []
     for i, entry in enumerate(_list_field(scenario, "checks")):
@@ -131,14 +135,15 @@ def _parse_checks(scenario: dict) -> list[tuple[str, int, int, float, str]]:
         if not isinstance(entry, dict) or "name" not in entry:
             _fail("bad_schema", "check entries are objects with a name", field)
         name = entry["name"]
-        if not isinstance(name, str) or name not in CHECK_TOLERANCES:
+        if not isinstance(name, str) or name not in vf.CHECK_TOLERANCES:
             _fail("bad_schema", f"unknown check name {name!r}", f"{field}.name")
         seed, count = entry.get("seed", 0), entry.get("count", 10)
         if type(seed) is not int or seed < 0:
             _fail("bad_schema", "seed must be an integer >= 0", f"{field}.seed")
         if type(count) is not int or count < 1:
             _fail("bad_schema", "count must be an integer >= 1", f"{field}.count")
-        out.append((name, seed, count, float(tolerances.get(name, CHECK_TOLERANCES[name])), field))
+        tol = float(tolerances.get(name, vf.CHECK_TOLERANCES[name]))
+        out.append((name, seed, count, tol, field))
     return out
 
 
@@ -223,11 +228,9 @@ def run_scenario(scenario: dict) -> dict:
     final_state = PhenomenalState(full, final_matrix)
     global_descriptors = dsc.evolve_descriptors(total, full, psi0)
 
-    reconstructed = dsc.reconstruct_unitary(global_descriptors)
+    reconstructed, residual = dsc.reconstruct_with_residual(global_descriptors)
     recon = {
-        "round_trip_residual": dsc._witness_residual(
-            reconstructed, global_descriptors.matrices()
-        ),
+        "round_trip_residual": residual,
         "phase_blind_distance": phase_distance(reconstructed.matrix, total.matrix),
     }
 
@@ -324,8 +327,7 @@ def _cmd_reconstruct(args) -> int:
         payload = data
         field = "descriptor_set"
     d = serialize.json_to_descriptor_set(payload, field)
-    u = dsc.reconstruct_unitary(d)
-    residual = dsc._witness_residual(u, d.matrices())
+    u, residual = dsc.reconstruct_with_residual(d)
     out = {
         "schema_version": serialize.SCHEMA_VERSION,
         "unitary": serialize.unitary_to_json(u),

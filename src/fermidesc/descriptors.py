@@ -45,7 +45,7 @@ from .fock import (
     annihilator,
     creator,
     frobenius,
-    parity_diagonal,
+    parity_sectors,
 )
 from .states import PhenomenalState
 from .transformations import (
@@ -103,9 +103,7 @@ class DescriptorSet:
                 "dimension_mismatch", "Heisenberg state must live in the ambient space"
             )
         self.heisenberg_state.require_normalized()
-        v = self.heisenberg_state.amplitudes
-        pv = parity_diagonal(n) * v
-        if min(frobenius(v - pv), frobenius(v + pv)) > 1e-10:
+        if algebra.parity_grade(self.heisenberg_state.amplitudes) == algebra.GRADE_MIXED:
             raise ValidationError(
                 "ssr_violation", "Heisenberg state must live in a single parity sector"
             )
@@ -189,14 +187,13 @@ def _intertwiner(
     # J sends an orthonormal basis of V_d, sector by sector, onto the Fock
     # states with every mode of the family empty, in increasing index order
     mask = sum(1 << (n_modes - 1 - a) for a in modes)
-    targets = np.flatnonzero((np.arange(dim) & mask) == 0)
-    parity = parity_diagonal(n_modes).real
-    x_d = np.zeros((dim, len(targets)), dtype=complex)
-    for sector, name in ((1.0, "even"), (-1.0, "odd")):
-        idx = np.flatnonzero(parity == sector)
+    empty = (np.arange(dim) & mask) == 0
+    column = np.cumsum(empty) - 1  # column of each family-empty state in x_d
+    x_d = np.zeros((dim, np.count_nonzero(empty)), dtype=complex)
+    for idx, name in zip(parity_sectors(n_modes), ("even", "odd")):
         evals, evecs = np.linalg.eigh(vac[np.ix_(idx, idx)])
         kept = evecs[:, evals > 0.5]
-        slots = np.flatnonzero(parity[targets] == sector)
+        slots = column[idx[empty[idx]]]
         if kept.shape[1] != len(slots):
             raise ValidationError(
                 "degenerate_reconstruction",
@@ -207,7 +204,7 @@ def _intertwiner(
 
     # columns d^dag_S J^dag e and f^dag_S e over every subset S of the modes,
     # creators in increasing mode order; W maps the first set onto the second
-    x_f = np.eye(dim, dtype=complex)[:, targets]
+    x_f = np.eye(dim, dtype=complex)[:, empty]
     for a in reversed(modes):
         x_d = np.hstack([x_d, desc[a].conj().T @ x_d])
         x_f = np.hstack([x_f, creator(n_modes, a).matrix @ x_f])
@@ -324,20 +321,27 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
         ) from exc
 
 
-def reconstruct_unitary(d: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> PSUnitary:
+def reconstruct_with_residual(
+    d: DescriptorSet, tol: float = RECONSTRUCT_TOL
+) -> tuple[PSUnitary, float]:
     """Recover the unique (up to phase) unitary behind a full descriptor set.
 
     The full-set case of the witness construction: the joint vacuum of a
     full set is one vector, which must be even, so the witness is fixed up
     to the global phase that ``canonical_phase`` removes.  The set already
-    passed the canonical-relation gate when it was built.
+    passed the canonical-relation gate when it was built.  Returns the
+    unitary U and its round-trip residual max_a |U^dag f_a U - d_a|.
     """
     if not d.subsystem.is_full:
         raise ValidationError(
             "not_full", "reconstruction requires descriptors for every mode"
         )
-    witness, _ = _intertwiner(d.matrices(), d.n_modes, tol)
-    return witness
+    return _intertwiner(d.matrices(), d.n_modes, tol)
+
+
+def reconstruct_unitary(d: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> PSUnitary:
+    """The unitary of :func:`reconstruct_with_residual` alone."""
+    return reconstruct_with_residual(d, tol)[0]
 
 
 @dataclass(frozen=True)

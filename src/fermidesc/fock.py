@@ -70,6 +70,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def checked_array(a, n_modes: int, ndim: int) -> np.ndarray:
+    """The array rule of every value class, returning a read-only complex array.
+
+    ``a`` must be a vector (``ndim=1``) or a square matrix (``ndim=2``) on
+    the Fock space of ``n_modes`` modes, with finite entries.
+    """
+    m = np.asarray(a, dtype=complex)
+    shape = (2 ** n_modes,) * ndim
+    if m.shape != shape:
+        raise ValidationError(
+            "dimension_mismatch",
+            f"expected shape {shape} for {n_modes} modes, got {m.shape}",
+        )
+    if not np.isfinite(m).all():
+        raise ValidationError("not_finite", "entries must be finite")
+    return _freeze(m)
+
+
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -173,16 +191,7 @@ class FockOperator:
 
     def __post_init__(self):
         _check_n_modes(self.n_modes)
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** self.n_modes
-        if m.shape != (dim, dim):
-            raise ValidationError(
-                "dimension_mismatch",
-                f"expected a {dim} x {dim} matrix for {self.n_modes} modes, got {m.shape}",
-            )
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("not_finite", "operator entries must be finite")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", checked_array(self.matrix, self.n_modes, 2))
 
     @property
     def dim(self) -> int:
@@ -228,16 +237,7 @@ class FockVector:
 
     def __post_init__(self):
         _check_n_modes(self.n_modes)
-        v = np.asarray(self.amplitudes, dtype=complex)
-        dim = 2 ** self.n_modes
-        if v.shape != (dim,):
-            raise ValidationError(
-                "dimension_mismatch",
-                f"expected a length-{dim} vector for {self.n_modes} modes, got {v.shape}",
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("not_finite", "amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", _freeze(v))
+        object.__setattr__(self, "amplitudes", checked_array(self.amplitudes, self.n_modes, 1))
 
     @property
     def dim(self) -> int:
@@ -306,6 +306,12 @@ def _parity_diagonal(n_modes: int) -> np.ndarray:
 def parity_diagonal(n_modes: int) -> np.ndarray:
     _check_n_modes(n_modes)
     return _parity_diagonal(n_modes)
+
+
+def parity_sectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing Fock basis indices of the even and of the odd sector."""
+    diag = parity_diagonal(n_modes).real
+    return np.flatnonzero(diag == 1.0), np.flatnonzero(diag == -1.0)
 
 
 def parity_operator(n_modes: int) -> FockOperator:

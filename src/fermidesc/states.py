@@ -24,12 +24,10 @@ import numpy as np
 
 from . import algebra
 from .errors import ValidationError
-from .fock import FockOperator, ModeSet, frobenius, parity_diagonal
+from .fock import FockOperator, ModeSet, checked_array
 
-HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-SSR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,16 +39,8 @@ class PhenomenalState:
 
     def __post_init__(self):
         self.subsystem.require_nonempty()
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** len(self.subsystem)
-        if m.shape != (dim, dim):
-            raise ValidationError(
-                "dimension_mismatch",
-                f"expected a {dim} x {dim} matrix for modes {self.subsystem.indices}, got {m.shape}",
-            )
-        scale = max(1.0, frobenius(m))
-        if frobenius(m - m.conj().T) > HERMITIAN_TOL * scale:
-            raise ValidationError("not_hermitian", "density matrix must be Hermitian")
+        m = checked_array(self.matrix, len(self.subsystem), 2)
+        algebra.require_hermitian(m, "density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError("not_trace_one", f"trace is {tr:.6g}, expected 1")
@@ -59,14 +49,7 @@ class PhenomenalState:
             raise ValidationError(
                 "not_positive", f"minimum eigenvalue {eigs.min():.3e} below tolerance"
             )
-        diag = parity_diagonal(len(self.subsystem))
-        if frobenius(diag[:, None] * m * diag[None, :] - m) > SSR_TOL * scale:
-            raise ValidationError(
-                "ssr_violation",
-                "density matrix does not commute with the subsystem parity operator",
-            )
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
+        algebra.require_even(m, "density matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -209,13 +192,8 @@ def expectation(state: PhenomenalState, observable: FockOperator) -> float:
             "dimension_mismatch",
             f"observable acts on {observable.n_modes} modes, state has {state.n_modes}",
         )
-    scale = max(1.0, frobenius(observable.matrix))
-    if frobenius(observable.matrix - observable.matrix.conj().T) > HERMITIAN_TOL * scale:
-        raise ValidationError("not_hermitian", "observable must be Hermitian")
-    if algebra.parity_grade(observable) != algebra.GRADE_EVEN:
-        raise ValidationError(
-            "ssr_violation", "observable must commute with the parity operator"
-        )
+    algebra.require_hermitian(observable.matrix, "observable")
+    algebra.require_even(observable, "observable")
     value = complex(np.trace(observable.matrix @ state.matrix))
     if abs(value.imag) > 1e-10:
         raise ValidationError(

@@ -21,13 +21,13 @@ from .fock import (
     ModeSet,
     _check_n_modes,
     annihilator,
+    checked_array,
     creator,
     frobenius,
-    parity_diagonal,
+    parity_sectors,
 )
 
 UNITARY_TOL = 1e-10
-SSR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,22 +39,11 @@ class PSUnitary:
 
     def __post_init__(self):
         _check_n_modes(self.n_modes)
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** self.n_modes
-        if m.shape != (dim, dim):
-            raise ValidationError(
-                "dimension_mismatch",
-                f"expected a {dim} x {dim} matrix for {self.n_modes} modes, got {m.shape}",
-            )
-        if frobenius(m.conj().T @ m - np.eye(dim)) > UNITARY_TOL * dim:
+        m = checked_array(self.matrix, self.n_modes, 2)
+        if frobenius(m.conj().T @ m - np.eye(self.dim)) > UNITARY_TOL * self.dim:
             raise ValidationError("not_unitary", "matrix is not unitary within tolerance")
-        diag = parity_diagonal(self.n_modes)
-        if frobenius(diag[:, None] * m * diag[None, :] - m) > SSR_TOL * frobenius(m):
-            raise ValidationError(
-                "ssr_violation", "unitary does not commute with the parity operator"
-            )
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
+        # unitarity makes |m| = 2^(N/2) > 1, so the grade's max(1, |m|) scale is |m|
+        algebra.require_even(m, "unitary")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -105,13 +94,8 @@ def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
 
 def exp_hamiltonian(h: FockOperator) -> PSUnitary:
     """exp(i h) for a Hermitian, parity-even generator."""
-    scale = max(1.0, frobenius(h.matrix))
-    if frobenius(h.matrix - h.matrix.conj().T) > 1e-10 * scale:
-        raise ValidationError("not_hermitian", "generator must be Hermitian")
-    if algebra.parity_grade(h) != algebra.GRADE_EVEN:
-        raise ValidationError(
-            "ssr_violation", "generator must commute with the parity operator"
-        )
+    algebra.require_hermitian(h.matrix, "generator")
+    algebra.require_even(h, "generator")
     return PSUnitary(h.n_modes, scipy.linalg.expm(1.0j * h.matrix))
 
 
@@ -179,10 +163,8 @@ def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:
     _check_n_modes(n_modes)
     rng = np.random.default_rng(seed)
     dim = 2 ** n_modes
-    diag = parity_diagonal(n_modes).real
     u = np.zeros((dim, dim), dtype=complex)
-    for sector in (1.0, -1.0):
-        idx = np.where(diag == sector)[0]
+    for idx in parity_sectors(n_modes):
         u[np.ix_(idx, idx)] = _haar(len(idx), rng)
     return PSUnitary(n_modes, u)
 
@@ -212,9 +194,7 @@ def local_random_ps_unitary(subsystem: ModeSet, seed: int) -> PSUnitary:
 
 def canonical_phase(matrix: np.ndarray, n_modes: int) -> np.ndarray:
     """Rotate a global phase so the first sizeable parity-block entry is real positive."""
-    diag = parity_diagonal(n_modes).real
-    for sector in (1.0, -1.0):
-        idx = np.where(diag == sector)[0]
+    for idx in parity_sectors(n_modes):
         block = matrix[np.ix_(idx, idx)]
         flat = block.reshape(-1)
         nonzero = np.where(np.abs(flat) > 1e-12)[0]

@@ -29,7 +29,7 @@ from .fock import (
     fock_basis_state,
     frobenius,
     identity,
-    parity_diagonal,
+    parity_sectors,
     vacuum_state,
 )
 from .states import PhenomenalState, partial_trace, partial_trace_jw
@@ -44,6 +44,11 @@ from .transformations import (
 )
 
 TRACE_CROSS_TOL = 1e-10
+
+# default tolerance of each check family a scenario can request
+CHECK_TOLERANCES = {
+    "diagram": 1e-9, "no_signalling": 1e-9, "locality_invariance": 1e-10, "ontic_properties": 1e-9
+}
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,7 @@ def random_phenomenal(n_modes: int, seed: int) -> PhenomenalState:
 def random_sector_state(n_modes: int, seed: int) -> FockVector:
     """Random pure state supported on a single parity sector."""
     rng = np.random.default_rng(seed)
-    diag = parity_diagonal(n_modes).real
-    sector = 1.0 if seed % 2 == 0 else -1.0
-    idx = np.where(diag == sector)[0]
+    idx = parity_sectors(n_modes)[seed % 2]
     v = np.zeros(2 ** n_modes, dtype=complex)
     v[idx] = rng.standard_normal(len(idx)) + 1.0j * rng.standard_normal(len(idx))
     v /= np.linalg.norm(v)
@@ -94,7 +97,7 @@ def check_no_signalling(
     v_b: PSUnitary,
     part_a: ModeSet,
     part_b: ModeSet,
-    tol: float = 1e-9,
+    tol: float = CHECK_TOLERANCES["no_signalling"],
 ) -> CheckResult:
     """Operations local to B cannot change the reduction to A, in both forms."""
     part_a.require_nonempty()
@@ -139,7 +142,10 @@ def check_no_signalling(
 
 
 def check_locality_invariance(
-    u_local: PSUnitary, inside: ModeSet, outside_mode: int, tol: float = 1e-10
+    u_local: PSUnitary,
+    inside: ModeSet,
+    outside_mode: int,
+    tol: float = CHECK_TOLERANCES["locality_invariance"],
 ) -> CheckResult:
     """A unitary local to some modes leaves every other mode's annihilator alone."""
     inside.require_nonempty()
@@ -156,7 +162,7 @@ def check_locality_invariance(
 
 
 def check_diagram(
-    d: dsc.DescriptorSet, j_subset: ModeSet, tol: float = 1e-9
+    d: dsc.DescriptorSet, j_subset: ModeSet, tol: float = CHECK_TOLERANCES["diagram"]
 ) -> CheckResult:
     """Reduce-then-map equals map-then-reduce for any subset of modes.
 
@@ -198,7 +204,10 @@ def _random_disjoint_pair(rng: np.random.Generator, n_modes: int):
 
 
 def check_ontic_property_list(
-    seeds, n_modes: int, tol: float = 1e-9, negative_control: bool = False
+    seeds,
+    n_modes: int,
+    tol: float = CHECK_TOLERANCES["ontic_properties"],
+    negative_control: bool = False,
 ) -> CheckResult:
     """The four structural properties of ontic states, randomized.
 
@@ -429,9 +438,8 @@ def check_reconstruction(runs, tol: float = 1e-8) -> CheckResult:
         u = random_ps_unitary(n_modes, int(seed))
         psi0 = vacuum_state(n_modes)
         d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
-        rec = dsc.reconstruct_unitary(d, tol)
+        rec, round_trip = dsc.reconstruct_with_residual(d, tol)
         dist = phase_distance(rec.matrix, u.matrix)
-        round_trip = dsc._witness_residual(rec, d.matrices())
         worst = max(worst, dist, round_trip)
         details.append(
             {
@@ -527,6 +535,8 @@ def run_sweep(n_modes: int, base_seed: int, count: int) -> list[CheckResult]:
         )
     if count < 1:
         raise ValidationError("bad_schema", "count must be at least 1")
+    if base_seed < 0:
+        raise ValidationError("bad_schema", "the base seed must be >= 0")
     seeds = [base_seed + i for i in range(count)]
     out = [
         check_canonical_algebra(n_modes, seeds),
@@ -540,7 +550,7 @@ def run_sweep(n_modes: int, base_seed: int, count: int) -> list[CheckResult]:
             u = local_random_ps_unitary(subset, seed)
             for j in subset.complement().indices:
                 loc.append(check_locality_invariance(u, subset, j))
-    out.append(_merge("locality_invariance", loc, 1e-10))
+    out.append(_merge("locality_invariance", loc, CHECK_TOLERANCES["locality_invariance"]))
 
     nosig = []
     pairs = list(bipartitions(n_modes))
@@ -550,7 +560,7 @@ def run_sweep(n_modes: int, base_seed: int, count: int) -> list[CheckResult]:
         u_a = local_random_ps_unitary(part_a, seed * 2 + 1)
         v_b = local_random_ps_unitary(part_b, seed * 2 + 2)
         nosig.append(check_no_signalling(rho, u_a, v_b, part_a, part_b))
-    out.append(_merge("no_signalling", nosig, 1e-9))
+    out.append(_merge("no_signalling", nosig, CHECK_TOLERANCES["no_signalling"]))
 
     out.append(check_descriptor_equivalence(n_modes, seeds))
     out.append(check_reconstruction([(n_modes, s) for s in seeds]))
@@ -563,7 +573,7 @@ def run_sweep(n_modes: int, base_seed: int, count: int) -> list[CheckResult]:
         d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
         for subset in proper_subsets(n_modes):
             diag.append(check_diagram(d, subset))
-    out.append(_merge("diagram", diag, 1e-9))
+    out.append(_merge("diagram", diag, CHECK_TOLERANCES["diagram"]))
 
     out.append(check_ontic_property_list(seeds, n_modes))
     out.append(

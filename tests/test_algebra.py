@@ -82,6 +82,22 @@ def test_parity_grade_examples():
     assert algebra.parity_grade(f0 + even) == algebra.GRADE_MIXED
 
 
+def test_parity_grade_of_raw_matrices_and_vectors():
+    f0 = fock.annihilator(2, 0)
+    assert algebra.parity_grade(f0.matrix) == algebra.GRADE_ODD
+    assert algebra.parity_grade(fock.parity_operator(2).matrix) == algebra.GRADE_EVEN
+    even, odd = fock.basis_index(2, [1, 1]), fock.basis_index(2, [0, 1])
+    for amplitudes, grade in (
+        ({even: 1.0}, algebra.GRADE_EVEN),
+        ({odd: 1.0}, algebra.GRADE_ODD),
+        ({even: 0.6, odd: 0.8}, algebra.GRADE_MIXED),
+    ):
+        v = np.zeros(4, dtype=complex)
+        for index, amplitude in amplitudes.items():
+            v[index] = amplitude
+        assert algebra.parity_grade(v) == grade
+
+
 def test_is_local_examples():
     n0 = fock.creator(3, 0) @ fock.annihilator(3, 0)
     assert algebra.is_local_to(n0, ModeSet((0,), 3))

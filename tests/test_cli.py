@@ -139,6 +139,22 @@ def test_gate_fold_multiplies_matrices_not_unitaries(monkeypatch):
     assert report["reconstruction"]["phase_blind_distance"] < 1e-8
 
 
+def test_reconstruction_residual_is_computed_once(monkeypatch):
+    from fermidesc import cli, descriptors as dsc
+
+    calls = []
+    witness_residual = dsc._witness_residual
+
+    def counting(w, merged):
+        calls.append(w.n_modes)
+        return witness_residual(w, merged)
+
+    monkeypatch.setattr(dsc, "_witness_residual", counting)
+    report = cli.run_scenario(dict(EXAMPLE_SCENARIO, checks=[]))
+    assert calls == [2]
+    assert report["reconstruction"]["round_trip_residual"] < 1e-8
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -192,6 +208,14 @@ def _with_check(**fields):
         ({"checks": 5}, "checks"),
         ({"checks": [{"name": ["diagram"]}]}, "checks[0].name"),
         ({"gates": 5}, "gates"),
+        ({"gates": [{"kind": "tunneling", "modes": [True, 1], "theta": 0.1}]}, "gates[0].modes"),
+        ({"gates": [{"kind": "phase", "modes": [0], "theta": True}]}, "gates[0].theta"),
+        ({"gates": [{"kind": "phase", "modes": [0], "theta": "0.1"}]}, "gates[0].theta"),
+        ({"initial_state": [True, False]}, "initial_state[0]"),
+        (
+            {"initial_state": [{"occupation": [True, False], "amplitude": [1.0, 0.0]}]},
+            "initial_state[0]",
+        ),
     ],
 )
 def test_bad_scenario_fields_exit_3_with_field_path(tmp_path, override, field):
@@ -210,6 +234,29 @@ def test_non_finite_tolerance_rejected(tmp_path):
     assert "[bad_schema] at tolerances.diagram:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "huge"]
+)
+def test_non_finite_theta_rejected(tmp_path, text):
+    gate = {"kind": "tunneling", "modes": [0, 1], "theta": "THETA"}
+    scenario = json.dumps(dict(EXAMPLE_SCENARIO, gates=[gate]))
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario.replace('"THETA"', text))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert "[bad_schema] at gates[0].theta:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_integer_tolerance_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    huge = "1" + "0" * 400
+    path.write_text(json.dumps(EXAMPLE_SCENARIO)[:-1] + f', "tolerances": {{"diagram": {huge}}}}}')
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert "[bad_schema] at tolerances.diagram:" in proc.stderr
+
+
 def test_failing_check_exits_1(tmp_path):
     scenario = dict(EXAMPLE_SCENARIO)
     scenario["tolerances"] = {"no_signalling": 1e-30}
@@ -222,6 +269,13 @@ def test_verify_rejects_single_mode_sweep():
     proc = run_cli("verify", "--modes", "1", "--count", "2")
     assert proc.returncode == 3
     assert "mode" in proc.stderr
+
+
+def test_verify_rejects_negative_base_seed():
+    proc = run_cli("verify", "--modes", "2", "--count", "1", "--seeds", "-1")
+    assert proc.returncode == 3, proc.stderr
+    assert "[bad_schema]" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_small_sweep(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidesc import fock
+from fermidesc import fock, serialize, states, transformations
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
@@ -163,10 +163,49 @@ def test_empty_modeset_only_from_complement():
 
 
 def test_operator_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         fock.FockOperator(2, np.eye(3))
-    with pytest.raises(ValidationError):
-        fock.FockOperator(1, np.array([[np.nan, 0], [0, 0]]))
+    assert err.value.code == "dimension_mismatch"
+
+
+def _with_entry(a, value):
+    a = np.array(a, dtype=complex)
+    a.flat[0] = value
+    return a
+
+
+# each value class and JSON entry point, given one non-finite entry
+_NON_FINITE_CASES = {
+    "FockOperator": lambda x: fock.FockOperator(1, _with_entry(np.eye(2), x)),
+    "FockVector": lambda x: fock.FockVector(1, _with_entry([1, 0], x)),
+    "PSUnitary": lambda x: transformations.PSUnitary(1, _with_entry(np.eye(2), x)),
+    "validate_ps_unitary": lambda x: transformations.validate_ps_unitary(
+        _with_entry(np.eye(2), x)
+    ),
+    "PhenomenalState": lambda x: states.PhenomenalState(
+        ModeSet.full(1), _with_entry(np.diag([1, 0]), x)
+    ),
+    "json_to_state": lambda x: serialize.json_to_state(
+        {"modes": [0], "ambient_n": 1, "matrix": [[[x, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("build", _NON_FINITE_CASES.values(), ids=_NON_FINITE_CASES.keys())
+def test_non_finite_entries_rejected(build, value):
+    with pytest.raises(ValidationError) as err:
+        build(value)
+    assert err.value.code == "not_finite"
+
+
+def test_parity_sectors_split_the_basis():
+    for n in range(1, 6):
+        even, odd = fock.parity_sectors(n)
+        assert sorted([*even, *odd]) == list(range(2 ** n))
+        assert list(even) == sorted(even) and list(odd) == sorted(odd)
+        assert all(sum(fock.occupation_of(n, int(i))) % 2 == 0 for i in even)
+        assert all(sum(fock.occupation_of(n, int(i))) % 2 == 1 for i in odd)
 
 
 def test_operators_are_immutable():
