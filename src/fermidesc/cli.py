@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import descriptors as dsc
 from . import serialize, verification as vf
 from .errors import ScenarioParseError, ValidationError
-from .fock import FockOperator, FockVector, ModeSet, basis_index, fock_basis_state, mode_cap
+from .fock import FockOperator, FockVector, ModeSet, _check_n_modes, basis_index, fock_basis_state
 from .states import PhenomenalState, partial_trace
 from .transformations import (
     PSUnitary,
@@ -38,9 +39,25 @@ def _fail(code: str, message: str, field: str):
     raise ValidationError(code, message, field=field)
 
 
-def _is_finite_number(x) -> bool:
-    """An int or float, not a bool, that converts to a finite float."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+@contextmanager
+def _at(field: str):
+    """Attach ``field`` to a library ``ValidationError`` that names no field."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.field is None:
+            raise ValidationError(exc.code, exc.args[0], field=field) from exc
+        raise
+
+
+def _occupation(occ, n_modes: int, field: str) -> list[int]:
+    if (
+        not isinstance(occ, list)
+        or len(occ) != n_modes
+        or any(type(o) is not int or o not in (0, 1) for o in occ)
+    ):
+        _fail("bad_schema", f"occupation must be a 0/1 list of length {n_modes}", field)
+    return occ
 
 
 def _build_initial_state(entry, n_modes: int) -> FockVector:
@@ -48,22 +65,14 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
     if not isinstance(entry, list) or not entry:
         _fail("bad_schema", "initial_state must be a non-empty list", field)
     if all(type(x) is int for x in entry):
-        if len(entry) != n_modes:
-            _fail("bad_schema", f"occupation list must have length {n_modes}", field)
-        return fock_basis_state(n_modes, entry)
+        return fock_basis_state(n_modes, _occupation(entry, n_modes, field))
     amplitudes = np.zeros(2 ** n_modes, dtype=complex)
     parities = set()
     for i, term in enumerate(entry):
         tfield = f"{field}[{i}]"
         if not isinstance(term, dict) or "occupation" not in term or "amplitude" not in term:
             _fail("bad_schema", "entries are 0/1 occupations or occupation/amplitude terms", tfield)
-        occ = term["occupation"]
-        if (
-            not isinstance(occ, list)
-            or len(occ) != n_modes
-            or any(type(o) is not int or o not in (0, 1) for o in occ)
-        ):
-            _fail("bad_schema", f"occupation must be a 0/1 list of length {n_modes}", tfield)
+        occ = _occupation(term["occupation"], n_modes, tfield)
         amp = serialize.json_to_complex(term["amplitude"], f"{tfield}.amplitude")
         parities.add(sum(occ) % 2)
         amplitudes[basis_index(n_modes, occ)] += amp
@@ -84,7 +93,7 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
     if not isinstance(entry, dict) or "kind" not in entry:
         _fail("bad_schema", "gate entries are objects with a kind", field)
     kind = entry["kind"]
-    try:
+    with _at(field):
         if kind == "hamiltonian":
             matrix = serialize.json_to_matrix(entry.get("matrix"), f"{field}.matrix")
             return exp_hamiltonian(FockOperator(n_modes, matrix))
@@ -92,13 +101,9 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
         if not isinstance(modes, list) or not all(type(m) is int for m in modes):
             _fail("bad_schema", "gate modes must be a list of integers", f"{field}.modes")
         theta = entry.get("theta")
-        if not _is_finite_number(theta):
+        if not serialize.is_finite_number(theta):
             _fail("bad_schema", "gate theta must be a finite number", f"{field}.theta")
         return named_gate(kind, n_modes, modes=tuple(modes), theta=float(theta))
-    except ValidationError as exc:
-        if exc.field is None:
-            raise ValidationError(exc.code, str(exc), field=field) from exc
-        raise
 
 
 def _list_field(scenario: dict, key: str) -> list:
@@ -114,10 +119,8 @@ def _parse_partitions(scenario: dict, n_modes: int) -> list[ModeSet]:
         field = f"partitions[{i}]"
         if not isinstance(part, list) or not part or any(type(m) is not int for m in part):
             _fail("bad_schema", "partitions are non-empty lists of mode indices", field)
-        try:
+        with _at(field):
             out.append(ModeSet.of(part, n_modes))
-        except ValidationError as exc:
-            raise ValidationError(exc.code, str(exc), field=field) from exc
     return out
 
 
@@ -127,7 +130,7 @@ def _parse_checks(scenario: dict) -> list[tuple[str, int, int, float, str]]:
     if not isinstance(tolerances, dict):
         _fail("bad_schema", "tolerances must be an object", "tolerances")
     for key, tol in tolerances.items():
-        if not _is_finite_number(tol) or tol < 0:
+        if not serialize.is_finite_number(tol) or tol < 0:
             _fail("bad_schema", "tolerances are finite numbers >= 0", f"tolerances.{key}")
     out = []
     for i, entry in enumerate(_list_field(scenario, "checks")):
@@ -207,10 +210,10 @@ def run_scenario(scenario: dict) -> dict:
     if not isinstance(scenario, dict):
         _fail("bad_schema", "scenario must be a JSON object", "$")
     n_modes = scenario.get("n_modes")
-    if not isinstance(n_modes, int) or n_modes < 1:
+    if type(n_modes) is not int or n_modes < 1:
         _fail("bad_schema", "n_modes must be a positive integer", "n_modes")
-    if n_modes > mode_cap():
-        _fail("cap_exceeded", f"n_modes={n_modes} exceeds the mode cap {mode_cap()}", "n_modes")
+    with _at("n_modes"):
+        _check_n_modes(n_modes)
     if "initial_state" not in scenario:
         _fail("bad_schema", "missing initial_state", "initial_state")
 

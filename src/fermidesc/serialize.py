@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -46,19 +47,22 @@ def _require(cond: bool, field: str, message: str):
         raise ValidationError("bad_schema", message, field=field)
 
 
+def is_finite_number(x) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def json_to_complex(data, field: str) -> complex:
     _require(
-        isinstance(data, (list, tuple)) and len(data) == 2,
+        isinstance(data, (list, tuple))
+        and len(data) == 2
+        and all(type(x) in (int, float) for x in data),
         field,
-        "complex numbers are [re, im] pairs",
+        "complex numbers are [re, im] pairs of numbers",
     )
-    re, im = data
-    _require(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
-        field,
-        "complex parts must be numbers",
-    )
-    return complex(re, im)
+    if not all(is_finite_number(x) for x in data):
+        raise ValidationError("not_finite", "complex parts must be finite", field=field)
+    return complex(*data)
 
 
 def json_to_matrix(data, field: str) -> np.ndarray:

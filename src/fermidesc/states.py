@@ -64,10 +64,6 @@ class PhenomenalState:
         """The matrix as an operator on the subsystem's own Fock space."""
         return FockOperator(self.n_modes, self.matrix)
 
-    def embedded(self) -> FockOperator:
-        """The state lifted to the ambient space as a local operator."""
-        return algebra.embed_local_operator(self.matrix, self.subsystem)
-
 
 def validate_phenomenal(subsystem: ModeSet, matrix: np.ndarray) -> PhenomenalState:
     """Validate a candidate density matrix; raises with the violated invariant's code."""
@@ -171,8 +167,9 @@ def partial_trace_jw(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
 def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
     """Un-entangled composition of states on disjoint subsystems.
 
-    Computed definitionally: embed both into the ambient space, multiply,
-    and compress onto the union.  Marginals recover the inputs.
+    Each state is lifted into the union's own Fock space, at its modes'
+    positions in the union, by the local embedding; the product of the two
+    lifts is the joint state.  Marginals recover the inputs.
     """
     if not a.subsystem.is_disjoint(b.subsystem):
         raise ValidationError(
@@ -180,9 +177,12 @@ def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
             f"subsystems {a.subsystem.indices} and {b.subsystem.indices} overlap",
         )
     union = a.subsystem.union(b.subsystem)
-    joint = algebra.wedge(a.embedded(), a.subsystem, b.embedded(), b.subsystem)
-    small = algebra.compress_local_operator(joint, union)
-    return PhenomenalState(union, small)
+
+    def lifted(s: PhenomenalState) -> np.ndarray:
+        at = ModeSet(s.subsystem.positions_in(union), len(union))
+        return algebra.embed_local_operator(s.matrix, at).matrix
+
+    return PhenomenalState(union, lifted(a) @ lifted(b))
 
 
 def expectation(state: PhenomenalState, observable: FockOperator) -> float:

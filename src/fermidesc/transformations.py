@@ -99,43 +99,42 @@ def exp_hamiltonian(h: FockOperator) -> PSUnitary:
     return PSUnitary(h.n_modes, scipy.linalg.expm(1.0j * h.matrix))
 
 
+_GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}
+
+
 def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float) -> PSUnitary:
     """Convenience gates with the sign conventions fixed once and for all.
 
     tunneling(i,j):   exp(theta (f_i^dag f_j - f_j^dag f_i))
     phase(i):         exp(i theta f_i^dag f_i)
     interaction(i,j): exp(i theta f_i^dag f_i f_j^dag f_j)
+
+    The generator is written on the gate's own modes, exponentiated there,
+    and lifted to the ambient space by the local embedding.
     """
-    _check_n_modes(n_modes)
-    for m in modes:
-        if not 0 <= m < n_modes:
-            raise ValidationError("mode_out_of_range", f"mode {m} out of range for {n_modes}")
+    arity = _GATE_ARITY.get(kind)
+    if arity is None:
+        raise ValidationError(
+            "bad_kind", f"unknown gate kind {kind!r} (expected tunneling, phase, or interaction)"
+        )
+    if len(modes) != arity:
+        raise ValidationError(
+            "bad_schema", f"a {kind} gate takes {arity} mode(s), got {len(modes)}"
+        )
+    sub = ModeSet.of(modes, n_modes)
+    if len(sub) != arity:
+        raise ValidationError("mode_out_of_range", f"{kind} needs two distinct modes")
+    c = {m: creator(arity, p) for p, m in enumerate(sub)}
+    a = {m: annihilator(arity, p) for p, m in enumerate(sub)}
+    i, j = modes[0], modes[-1]
     if kind == "phase":
-        (i,) = modes
-        h = theta * (creator(n_modes, i) @ annihilator(n_modes, i))
-        return exp_hamiltonian(h)
-    if kind == "tunneling":
-        i, j = modes
-        if i == j:
-            raise ValidationError("mode_out_of_range", "tunneling needs two distinct modes")
-        k = creator(n_modes, i) @ annihilator(n_modes, j) - creator(n_modes, j) @ annihilator(
-            n_modes, i
-        )
-        return PSUnitary(n_modes, scipy.linalg.expm(theta * k.matrix))
-    if kind == "interaction":
-        i, j = modes
-        if i == j:
-            raise ValidationError("mode_out_of_range", "interaction needs two distinct modes")
-        h = theta * (
-            creator(n_modes, i)
-            @ annihilator(n_modes, i)
-            @ creator(n_modes, j)
-            @ annihilator(n_modes, j)
-        )
-        return exp_hamiltonian(h)
-    raise ValidationError(
-        "bad_kind", f"unknown gate kind {kind!r} (expected tunneling, phase, or interaction)"
-    )
+        h = theta * (c[i] @ a[i])
+    elif kind == "tunneling":
+        h = -1.0j * theta * (c[i] @ a[j] - c[j] @ a[i])
+    else:
+        h = theta * (c[i] @ a[i] @ c[j] @ a[j])
+    small = exp_hamiltonian(h)
+    return PSUnitary(n_modes, algebra.embed_local_operator(small.matrix, sub).matrix)
 
 
 def is_local_unitary(u: PSUnitary, subsystem: ModeSet, tol: float = 1e-10) -> bool:

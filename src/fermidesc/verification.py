@@ -192,6 +192,11 @@ def check_diagram(
     return CheckResult("diagram", residual <= tol, residual, tol, (detail,))
 
 
+def _descriptor_distance(a: dsc.DescriptorSet, b: dsc.DescriptorSet) -> float:
+    """Largest Frobenius distance between corresponding descriptors of two sets."""
+    return max(frobenius(x.matrix - y.matrix) for x, y in zip(a.descriptors, b.descriptors))
+
+
 def _random_disjoint_pair(rng: np.random.Generator, n_modes: int):
     """Two disjoint non-empty mode sets; their union may or may not be everything."""
     modes = list(range(n_modes))
@@ -239,18 +244,12 @@ def check_ontic_property_list(
         # 1. V * [U] = [VU], compared after restriction to a
         applied = dsc.ontic_project(dsc.ontic_apply(v, d_full), a)
         composed = dsc.ontic_project(dsc.evolve_descriptors(v @ u, full, psi0), a)
-        r1 = max(
-            frobenius(x.matrix - y.matrix)
-            for x, y in zip(applied.descriptors, composed.descriptors)
-        )
+        r1 = _descriptor_distance(applied, composed)
 
         # 2. restriction composes
         two_step = dsc.ontic_project(dsc.ontic_project(d_full, union), a)
         one_step = dsc.ontic_project(d_full, a)
-        r2 = max(
-            frobenius(x.matrix - y.matrix)
-            for x, y in zip(two_step.descriptors, one_step.descriptors)
-        )
+        r2 = _descriptor_distance(two_step, one_step)
 
         # 3. join of restrictions, with witness uniqueness
         da = dsc.ontic_project(d_full, a)
@@ -260,10 +259,7 @@ def check_ontic_property_list(
             raise ValidationError("incompatible", f"states cannot be joined: {result.reason}")
         joined, witness = result.joined, result.witness
         reference = dsc.ontic_project(d_full, union)
-        r3 = max(
-            frobenius(x.matrix - y.matrix)
-            for x, y in zip(joined.descriptors, reference.descriptors)
-        )
+        r3 = _descriptor_distance(joined, reference)
         if union.is_full:
             other = PSUnitary(n_modes, np.exp(0.37j) * witness.matrix)
         else:
@@ -275,10 +271,7 @@ def check_ontic_property_list(
             w_bad = random_ps_unitary(n_modes, int(seed) * 7 + 7)
             acted = dsc.evolve_descriptors(w_bad @ v, b, psi0)
             base = dsc.ontic_project(dsc.evolve_descriptors(v, full, psi0), b)
-            r4 = max(
-                frobenius(x.matrix - y.matrix)
-                for x, y in zip(acted.descriptors, base.descriptors)
-            )
+            r4 = _descriptor_distance(acted, base)
             if r4 > tol:
                 control_violations += 1
             details.append({"seed": int(seed), "control_residual": r4})
@@ -286,10 +279,7 @@ def check_ontic_property_list(
         w_a = local_random_ps_unitary(a, int(seed) * 7 + 7)
         db_v = dsc.ontic_project(dsc.evolve_descriptors(v, full, psi0), b)
         acted = dsc.ontic_apply(w_a, db_v)
-        r4 = max(
-            frobenius(x.matrix - y.matrix)
-            for x, y in zip(acted.descriptors, db_v.descriptors)
-        )
+        r4 = _descriptor_distance(acted, db_v)
 
         worst = max(worst, r1, r2, r3, r4)
         details.append(

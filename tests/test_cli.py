@@ -155,6 +155,19 @@ def test_reconstruction_residual_is_computed_once(monkeypatch):
     assert report["reconstruction"]["round_trip_residual"] < 1e-8
 
 
+def test_mode_cap_refusal_is_the_library_message_at_n_modes(monkeypatch):
+    from fermidesc import cli, fock
+    from fermidesc.errors import ValidationError
+
+    monkeypatch.setenv("FERMIDESC_MODE_CAP", "3")
+    with pytest.raises(ValidationError) as lib:
+        fock.identity(4)
+    with pytest.raises(ValidationError) as err:
+        cli.run_scenario({"n_modes": 4, "initial_state": [0, 0, 0, 0]})
+    assert (err.value.code, err.value.field) == ("cap_exceeded", "n_modes")
+    assert err.value.args[0] == lib.value.args[0]
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -216,6 +229,14 @@ def _with_check(**fields):
             {"initial_state": [{"occupation": [True, False], "amplitude": [1.0, 0.0]}]},
             "initial_state[0]",
         ),
+        ({"gates": [{"kind": "phase", "modes": [0, 1], "theta": 0.1}]}, "gates[0]"),
+        ({"gates": [{"kind": "tunneling", "modes": [0], "theta": 0.1}]}, "gates[0]"),
+        ({"n_modes": True}, "n_modes"),
+        (
+            {"initial_state": [{"occupation": [1, 0], "amplitude": [True, 0]}]},
+            "initial_state[0].amplitude",
+        ),
+        ({"initial_state": [2, 0]}, "initial_state"),
     ],
 )
 def test_bad_scenario_fields_exit_3_with_field_path(tmp_path, override, field):
@@ -245,6 +266,20 @@ def test_non_finite_theta_rejected(tmp_path, text):
     proc = run_cli("simulate", str(path))
     assert proc.returncode == 3, proc.stderr
     assert "[bad_schema] at gates[0].theta:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text", ["NaN", "Infinity", "1" + "0" * 400], ids=["nan", "inf", "huge"]
+)
+def test_non_finite_amplitude_rejected(tmp_path, text):
+    term = {"occupation": [1, 0], "amplitude": ["RE", 0]}
+    scenario = json.dumps(dict(EXAMPLE_SCENARIO, initial_state=[term]))
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario.replace('"RE"', text))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert "[not_finite] at initial_state[0].amplitude:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,5 +1,7 @@
 """State validation, the two partial-trace routes, products, expectations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,30 @@ def test_product_state_marginals_round_trip(seed):
     back_b = states.partial_trace(prod, sub_b)
     assert fock.frobenius(back_a.matrix - a.matrix) < 1e-10
     assert fock.frobenius(back_b.matrix - b.matrix) < 1e-10
+
+
+def ambient_product_oracle(a: states.PhenomenalState, b: states.PhenomenalState) -> np.ndarray:
+    """The ambient construction: lift both states, wedge them, compress onto the union."""
+    lift_a = algebra.embed_local_operator(a.matrix, a.subsystem)
+    lift_b = algebra.embed_local_operator(b.matrix, b.subsystem)
+    joint = algebra.wedge(lift_a, a.subsystem, lift_b, b.subsystem)
+    return algebra.compress_local_operator(joint, a.subsystem.union(b.subsystem))
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
+def test_product_state_matches_ambient_construction(n_modes):
+    subsets = [
+        ModeSet(s, n_modes)
+        for size in range(1, n_modes)
+        for s in itertools.combinations(range(n_modes), size)
+    ]
+    pairs = [(x, y) for x in subsets for y in subsets if x.is_disjoint(y)]
+    for k, (sub_a, sub_b) in enumerate(pairs):
+        a = states.PhenomenalState(sub_a, random_phenomenal(len(sub_a), 2 * k).matrix)
+        b = states.PhenomenalState(sub_b, random_phenomenal(len(sub_b), 2 * k + 1).matrix)
+        prod = states.product_state(a, b)
+        assert prod.subsystem == sub_a.union(sub_b)
+        assert np.abs(prod.matrix - ambient_product_oracle(a, b)).max() <= 1e-14
 
 
 def test_product_state_rejects_overlap():

@@ -1,7 +1,10 @@
 """Superselected unitaries: validation, generators, gates, locality, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fermidesc import fock, transformations as tf
 from fermidesc.errors import ValidationError
@@ -95,6 +98,41 @@ def test_named_gate_index_errors():
         tf.named_gate("phase", 2, modes=(2,), theta=0.1)
     with pytest.raises(ValidationError):
         tf.named_gate("tunneling", 2, modes=(0, 0), theta=0.1)
+    for kind, modes in (("phase", (0, 1)), ("tunneling", (0,)), ("interaction", (0, 1, 2))):
+        with pytest.raises(ValidationError) as err:
+            tf.named_gate(kind, 3, modes=modes, theta=0.1)
+        assert err.value.code == "bad_schema"
+    with pytest.raises(ValidationError) as err:
+        tf.named_gate("hopping", 3, modes=(0, 1), theta=0.1)
+    assert err.value.code == "bad_kind"
+
+
+def ambient_gate_oracle(kind: str, n_modes: int, modes: tuple[int, ...], theta: float):
+    """The ambient construction: dense 2^N ladder products, then scipy's expm."""
+    c = [fock.creator(n_modes, m).matrix for m in range(n_modes)]
+    a = [fock.annihilator(n_modes, m).matrix for m in range(n_modes)]
+    i, j = modes[0], modes[-1]
+    if kind == "phase":
+        return scipy.linalg.expm(1.0j * (theta * (c[i] @ a[i])))
+    if kind == "tunneling":
+        return scipy.linalg.expm(theta * (c[i] @ a[j] - c[j] @ a[i]))
+    return scipy.linalg.expm(1.0j * (theta * (c[i] @ a[i] @ c[j] @ a[j])))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_named_gates_match_ambient_construction(n_modes):
+    # every kind on every ordered mode tuple, reversed ones such as (3, 0) included
+    tuples = {
+        "phase": [(i,) for i in range(n_modes)],
+        "tunneling": list(itertools.permutations(range(n_modes), 2)),
+        "interaction": list(itertools.permutations(range(n_modes), 2)),
+    }
+    for kind, all_modes in tuples.items():
+        for modes in all_modes:
+            for theta in (0.3, -2.1, np.pi):
+                new = tf.named_gate(kind, n_modes, modes=modes, theta=theta).matrix
+                old = ambient_gate_oracle(kind, n_modes, modes, theta)
+                assert np.abs(new - old).max() <= 1e-14, (kind, modes, theta)
 
 
 def test_is_local_unitary_examples():
