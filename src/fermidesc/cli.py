@@ -2,23 +2,26 @@
 
 Exit codes: 0 all requested checks passed; 1 a check failed; 2 the input was
 not valid JSON; 3 a validation error (including superselection violations),
-reported with the offending field path.  Reports are deterministic for a
-fixed scenario and seeds except for the ``timings`` block.
+reported with the offending field path.  A reader that closes standard
+output early does not change the exit code.  Reports are deterministic for
+a fixed scenario and seeds except for the ``timings`` block; their text is
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written as
+a stream (see :func:`fermidesc.serialize.write_json`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import descriptors as dsc
 from . import serialize, verification as vf
-from .errors import ScenarioParseError, ValidationError
+from .errors import ScenarioParseError, ValidationError, at_field
 from .fock import FockOperator, FockVector, ModeSet, _check_n_modes, basis_index, fock_basis_state
 from .states import PhenomenalState, partial_trace
 from .transformations import (
@@ -37,17 +40,6 @@ EXIT_VALIDATION = 3
 
 def _fail(code: str, message: str, field: str):
     raise ValidationError(code, message, field=field)
-
-
-@contextmanager
-def _at(field: str):
-    """Attach ``field`` to a library ``ValidationError`` that names no field."""
-    try:
-        yield
-    except ValidationError as exc:
-        if exc.field is None:
-            raise ValidationError(exc.code, exc.args[0], field=field) from exc
-        raise
 
 
 def _occupation(occ, n_modes: int, field: str) -> list[int]:
@@ -93,7 +85,7 @@ def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
     if not isinstance(entry, dict) or "kind" not in entry:
         _fail("bad_schema", "gate entries are objects with a kind", field)
     kind = entry["kind"]
-    with _at(field):
+    with at_field(field):
         if kind == "hamiltonian":
             matrix = serialize.json_to_matrix(entry.get("matrix"), f"{field}.matrix")
             return exp_hamiltonian(FockOperator(n_modes, matrix))
@@ -119,7 +111,7 @@ def _parse_partitions(scenario: dict, n_modes: int) -> list[ModeSet]:
         field = f"partitions[{i}]"
         if not isinstance(part, list) or not part or any(type(m) is not int for m in part):
             _fail("bad_schema", "partitions are non-empty lists of mode indices", field)
-        with _at(field):
+        with at_field(field):
             out.append(ModeSet.of(part, n_modes))
     return out
 
@@ -212,7 +204,7 @@ def run_scenario(scenario: dict) -> dict:
     n_modes = scenario.get("n_modes")
     if type(n_modes) is not int or n_modes < 1:
         _fail("bad_schema", "n_modes must be a positive integer", "n_modes")
-    with _at("n_modes"):
+    with at_field("n_modes"):
         _check_n_modes(n_modes)
     if "initial_state" not in scenario:
         _fail("bad_schema", "missing initial_state", "initial_state")
@@ -282,12 +274,19 @@ def _read_json(path: str):
 
 
 def _emit(data: dict, out_path: str | None):
-    text = json.dumps(data, sort_keys=True, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+            serialize.write_json(data, fh.write)
+        return
+    try:
+        serialize.write_json(data, sys.stdout.write)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Send what is left, and the flush at exit,
+        # to the null device; the command still returns its own verdict.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _summarize(checks: list[dict]) -> int:

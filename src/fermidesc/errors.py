@@ -7,6 +7,8 @@ shape mismatch without parsing messages.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class FermionicError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,3 +40,14 @@ class ValidationError(FermionicError):
 
 class ScenarioParseError(FermionicError):
     """Scenario text is not well-formed JSON."""
+
+
+@contextmanager
+def at_field(field: str):
+    """Attach ``field`` to a ``ValidationError`` that names no field."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.field is None:
+            raise ValidationError(exc.code, exc.args[0], field=field) from exc
+        raise

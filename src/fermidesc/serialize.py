@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .descriptors import DescriptorSet
-from .errors import ValidationError
-from .fock import FockOperator, FockVector, ModeSet
+from .errors import ValidationError, at_field
+from .fock import FockOperator, FockVector, ModeSet, _check_n_modes
 from .states import PhenomenalState
 from .transformations import PSUnitary
 
@@ -28,10 +28,20 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+class DenseJson(list):
+    """A nested list made from a non-empty numpy array by ``_pairs_to_json``.
+
+    It compares, copies and encodes as a plain list.  The type tells
+    :func:`write_json` that every level is non-empty and regular and every
+    leaf a float, so the whole nest can be encoded in one C-encoder call.
+    """
+
+
 def _pairs_to_json(a: np.ndarray) -> list:
     # tolist() yields Python floats, so the JSON text matches complex_to_json's
     a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+    nested = np.stack((a.real, a.imag), axis=-1).tolist()
+    return DenseJson(nested) if a.size else nested
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -92,7 +102,10 @@ def _json_to_subsystem(data: dict, field: str) -> ModeSet:
     mode_list = isinstance(modes, list) and all(type(m) is int for m in modes)
     _require(mode_list, f"{field}.modes", "modes must be a list of integers")
     _require(type(ambient_n) is int, f"{field}.ambient_n", "ambient_n must be an integer")
-    return ModeSet(tuple(modes), ambient_n)
+    with at_field(f"{field}.ambient_n"):
+        _check_n_modes(ambient_n)  # before anything of that size is allocated
+    with at_field(f"{field}.modes"):
+        return ModeSet(tuple(modes), ambient_n)
 
 
 def json_to_state(data: dict, field: str = "state") -> PhenomenalState:
@@ -136,6 +149,77 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
     )
     psi0 = FockVector(n, json_to_vector(data["heisenberg_state"], f"{field}.heisenberg_state"))
     return DescriptorSet(subsystem, descriptors, psi0)
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _dense_text(value: DenseJson, depth: int) -> str:
+    """``json.dumps(value, indent=2)``, placed at ``depth``, from one compact C encoding.
+
+    The compact text holds only brackets, commas and numbers.  A run of
+    ``j`` closing brackets, a comma and ``j`` opening brackets is the one
+    boundary between neighbours ``j`` levels up, so a fixed set of
+    replacements, longest run first, gives every bracket and leaf its line.
+    """
+    rank, first = 0, value
+    while isinstance(first, list):
+        rank, first = rank + 1, first[0]
+    pad = ["\n" + "  " * (depth + t) for t in range(rank + 1)]
+    text = _COMPACT.encode(value)[rank:-rank].replace(",", "," + pad[rank])
+    for j in range(rank - 1, 0, -1):
+        closes = "".join(pad[rank - t] + "]" for t in range(1, j + 1))
+        opens = "".join(pad[rank - t] + "[" for t in range(j, 0, -1))
+        text = text.replace("]" * j + "," + pad[rank] + "[" * j, closes + "," + opens + pad[rank])
+    head = "".join("[" + pad[t] for t in range(1, rank + 1))
+    tail = "".join(pad[rank - t] + "]" for t in range(1, rank + 1))
+    return head + text + tail
+
+
+def _holds_dense(container) -> bool:
+    if isinstance(container, DenseJson):
+        return True
+    for item in container.values() if isinstance(container, dict) else container:
+        if isinstance(item, (dict, list)) and _holds_dense(item):
+            return True
+    return False
+
+
+def _write_json(value, depth: int, write) -> None:
+    if isinstance(value, DenseJson):
+        write(_dense_text(value, depth))
+        return
+    # json.dumps turns keys of other types into strings; such dicts stay whole
+    if isinstance(value, dict) and all(type(k) is str for k in value) and _holds_dense(value):
+        opening, closing = "{", "}"
+        items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
+    elif isinstance(value, list) and _holds_dense(value):
+        opening, closing = "[", "]"
+        items = [("", v) for v in value]
+    else:
+        text = json.dumps(value, sort_keys=True, indent=2)
+        write(text.replace("\n", "\n" + "  " * depth) if depth else text)
+        return
+    # not empty, since it holds a dense array
+    pad = "\n" + "  " * (depth + 1)
+    write(opening)
+    for i, (key, item) in enumerate(items):
+        write(("," if i else "") + pad + key)
+        _write_json(item, depth + 1, write)
+    write("\n" + "  " * depth + closing)
+
+
+def write_json(data, write) -> None:
+    """Write ``json.dumps(data, sort_keys=True, indent=2) + "\\n"`` through ``write``.
+
+    The text is the same byte for byte, but it is written piece by piece:
+    each array from ``matrix_to_json``/``vector_to_json`` is encoded by the C
+    encoder and re-indented, and every subtree that holds no such array is
+    one ``json.dumps`` call.  Peak memory is one array's text, not the
+    whole document's.
+    """
+    _write_json(data, 0, write)
+    write("\n")
 
 
 def canonical_json(data) -> str:

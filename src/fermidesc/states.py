@@ -70,14 +70,21 @@ def validate_phenomenal(subsystem: ModeSet, matrix: np.ndarray) -> PhenomenalSta
     return PhenomenalState(subsystem, matrix)
 
 
-def _merge_sign(keep_occupied: tuple[int, ...], comp_occupied: tuple[int, ...]) -> int:
-    """Sign from reordering creators (kept modes first) into increasing mode order."""
-    inversions = sum(1 for k in keep_occupied for c in comp_occupied if k > c)
-    return -1 if inversions % 2 else 1
+def _occupation_bits(count: int) -> np.ndarray:
+    """Row ``u`` holds the bits of ``u`` over ``count`` modes, most significant first."""
+    return (np.arange(2 ** count)[:, None] >> np.arange(count - 1, -1, -1)) & 1
 
 
 def partial_trace(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
-    """Fermionic reduction of a state to the kept modes (monomial-matching rule)."""
+    """Fermionic reduction of a state to the kept modes (monomial-matching rule).
+
+    Kept pattern ``l`` and complement pattern ``u`` together occupy global
+    basis state ``g[l, u]``.  Reordering the creators (kept modes first) into
+    increasing mode order gives the sign ``(-1)^c[l, u]``, where ``c`` counts
+    the (kept occupied, lower complement occupied) pairs.  Then
+    ``out[l, p] = sum_u s[l, u] s[p, u] rho[g[l, u], g[p, u]]``, summed in
+    order of ``u``.
+    """
     keep.require_nonempty()
     if not keep.is_subset_of(state.subsystem):
         raise ValidationError(
@@ -85,42 +92,22 @@ def partial_trace(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
             f"keep set {keep.indices} is not contained in {state.subsystem.indices}",
         )
     n = state.n_modes
-    keep_pos = keep.positions_in(state.subsystem)
-    comp_pos = tuple(i for i in range(n) if i not in keep_pos)
+    positions = keep.positions_in(state.subsystem)
+    keep_pos = np.array(positions)
+    comp_pos = np.array([i for i in range(n) if i not in positions], dtype=int)
     m, s = len(keep_pos), len(comp_pos)
     if s == 0:
         return PhenomenalState(keep, state.matrix)
 
+    kept_bits, comp_bits = _occupation_bits(m), _occupation_bits(s)
+    g = (kept_bits @ (1 << (n - 1 - keep_pos)))[:, None] + comp_bits @ (1 << (n - 1 - comp_pos))
+    pairs = kept_bits @ (keep_pos[:, None] > comp_pos[None, :]) @ comp_bits.T
+    sign = 1 - 2 * (pairs & 1)
+
     rho = state.matrix
     out = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    comp_patterns = [
-        tuple(pos for i, pos in enumerate(comp_pos) if (u >> (s - 1 - i)) & 1)
-        for u in range(2 ** s)
-    ]
-    keep_patterns = [
-        tuple(pos for i, pos in enumerate(keep_pos) if (l >> (m - 1 - i)) & 1)
-        for l in range(2 ** m)
-    ]
-
-    def global_index(keep_occ: tuple[int, ...], comp_occ: tuple[int, ...]) -> int:
-        idx = 0
-        occupied = set(keep_occ) | set(comp_occ)
-        for pos in range(n):
-            idx = (idx << 1) | (1 if pos in occupied else 0)
-        return idx
-
-    for l in range(2 ** m):
-        for p in range(2 ** m):
-            acc = 0.0 + 0.0j
-            for u in range(2 ** s):
-                sign = _merge_sign(keep_patterns[l], comp_patterns[u]) * _merge_sign(
-                    keep_patterns[p], comp_patterns[u]
-                )
-                acc += sign * rho[
-                    global_index(keep_patterns[l], comp_patterns[u]),
-                    global_index(keep_patterns[p], comp_patterns[u]),
-                ]
-            out[l, p] = acc
+    for u in range(2 ** s):
+        out += (sign[:, u, None] * sign[None, :, u]) * rho[np.ix_(g[:, u], g[:, u])]
     try:
         return PhenomenalState(keep, out)
     except ValidationError as exc:

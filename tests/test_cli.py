@@ -349,18 +349,24 @@ def simulate_report(tmp_path_factory):
     return json.loads(run_cli("simulate", str(path)).stdout)
 
 
+MALFORMED_DESCRIPTOR_SET_FIELDS = [
+    ({"modes": 5}, "global_descriptors.modes", "bad_schema"),
+    ({"modes": ["0", 1]}, "global_descriptors.modes", "bad_schema"),
+    ({"ambient_n": "two"}, "global_descriptors.ambient_n", "bad_schema"),
+    ({"ambient_n": 2.0}, "global_descriptors.ambient_n", "bad_schema"),
+    ({"descriptors": {"0": []}}, "global_descriptors.descriptors", "bad_schema"),
+    ({"modes": [0], "ambient_n": 11}, "global_descriptors.ambient_n", "cap_exceeded"),
+    ({"modes": [5], "ambient_n": 2}, "global_descriptors.modes", "mode_out_of_range"),
+]
+
+
 @pytest.mark.parametrize(
-    "override, field",
-    [
-        ({"modes": 5}, "global_descriptors.modes"),
-        ({"modes": ["0", 1]}, "global_descriptors.modes"),
-        ({"ambient_n": "two"}, "global_descriptors.ambient_n"),
-        ({"ambient_n": 2.0}, "global_descriptors.ambient_n"),
-        ({"descriptors": {"0": []}}, "global_descriptors.descriptors"),
-    ],
+    "override, field, code",
+    MALFORMED_DESCRIPTOR_SET_FIELDS,
+    ids=[f"override{i}-{row[1]}" for i, row in enumerate(MALFORMED_DESCRIPTOR_SET_FIELDS)],
 )
 def test_reconstruct_rejects_malformed_descriptor_set_fields(
-    tmp_path, simulate_report, override, field
+    tmp_path, simulate_report, override, field, code
 ):
     report = dict(simulate_report)
     report["global_descriptors"] = dict(report["global_descriptors"], **override)
@@ -368,8 +374,45 @@ def test_reconstruct_rejects_malformed_descriptor_set_fields(
     bad.write_text(json.dumps(report))
     proc = run_cli("reconstruct", str(bad))
     assert proc.returncode == 3, proc.stderr
-    assert f"[bad_schema] at {field}:" in proc.stderr
+    assert f"[{code}] at {field}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_output_file_and_stdout_bytes_identical(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from fermidesc import cli
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    path = write_scenario(tmp_path, EXAMPLE_SCENARIO)
+    out = tmp_path / "report.json"
+    assert cli.main(["simulate", str(path), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_reader_closing_early_exits_quietly(tmp_path):
+    """A reader that stops after a few bytes leaves the verdict as the exit code."""
+    scenario = {
+        "n_modes": 5,
+        "initial_state": [1, 0, 1, 0, 0],
+        "gates": [{"kind": "tunneling", "modes": [0, 3], "theta": 0.4}],
+        "partitions": [[0, 1], [2, 3, 4]],
+        "checks": [{"name": "diagram"}],
+    }
+    path = write_scenario(tmp_path, scenario)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fermidesc.cli", "simulate", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()  # about 750 kB are still to come, beyond any pipe buffer
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 0, stderr
+    assert "Traceback" not in stderr
+    assert "pass diagram" in stderr
 
 
 def test_schema_output_stable():

@@ -119,6 +119,52 @@ def test_mode_sort_permutation_matches_loop(n_modes):
         assert np.array_equal(r, looped_mode_sort_permutation(n_modes, front))
 
 
+def looped_partial_trace(state: states.PhenomenalState, keep: ModeSet) -> np.ndarray:
+    """Reference: the monomial-matching rule one matrix entry at a time."""
+    n = state.n_modes
+    keep_pos = keep.positions_in(state.subsystem)
+    comp_pos = tuple(i for i in range(n) if i not in keep_pos)
+    m, s = len(keep_pos), len(comp_pos)
+    comp_patterns = [
+        tuple(pos for i, pos in enumerate(comp_pos) if (u >> (s - 1 - i)) & 1) for u in range(2 ** s)
+    ]
+    keep_patterns = [
+        tuple(pos for i, pos in enumerate(keep_pos) if (l >> (m - 1 - i)) & 1) for l in range(2 ** m)
+    ]
+
+    def merge_sign(keep_occ, comp_occ) -> int:
+        inversions = sum(1 for k in keep_occ for c in comp_occ if k > c)
+        return -1 if inversions % 2 else 1
+
+    def global_index(keep_occ, comp_occ) -> int:
+        occupied = set(keep_occ) | set(comp_occ)
+        return sum(1 << (n - 1 - pos) for pos in occupied)
+
+    out = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    for l in range(2 ** m):
+        for p in range(2 ** m):
+            acc = 0.0 + 0.0j
+            for u in range(2 ** s):
+                sign = merge_sign(keep_patterns[l], comp_patterns[u]) * merge_sign(
+                    keep_patterns[p], comp_patterns[u]
+                )
+                acc += sign * state.matrix[
+                    global_index(keep_patterns[l], comp_patterns[u]),
+                    global_index(keep_patterns[p], comp_patterns[u]),
+                ]
+            out[l, p] = acc
+    return out
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
+def test_partial_trace_matches_loop_bitwise(n_modes):
+    rho = random_phenomenal(n_modes, 40 + n_modes)
+    for size in range(1, n_modes):
+        for keep in itertools.combinations(range(n_modes), size):
+            reduced = states.partial_trace(rho, ModeSet(keep, n_modes))
+            assert reduced.matrix.tobytes() == looped_partial_trace(rho, ModeSet(keep, n_modes)).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_partial_trace_routes_agree(seed):
     rng = np.random.default_rng(seed)

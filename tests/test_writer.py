@@ -1,0 +1,137 @@
+"""The streaming report writer: the text of json.dumps(sort_keys=True, indent=2)."""
+
+import io
+import json
+import math
+import os
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fermidesc import cli, descriptors as dsc, fock, serialize, transformations as tf
+from fermidesc.fock import ModeSet
+from fermidesc.verification import random_phenomenal, run_sweep
+
+
+def seeded_scenario(seed: int) -> dict:
+    """The benchmark's N=7 simulate scenario for ``seed``: 60 gates, two partitions, three checks."""
+    rng = random.Random(seed)
+    n = 7
+    gates = []
+    for _ in range(60):
+        kind = rng.choice(("tunneling", "phase", "interaction"))
+        modes = [rng.randrange(n)] if kind == "phase" else rng.sample(range(n), 2)
+        gates.append({"kind": kind, "modes": modes, "theta": rng.uniform(-math.pi, math.pi)})
+    return {
+        "n_modes": n,
+        "initial_state": [rng.randint(0, 1) for _ in range(n)],
+        "gates": gates,
+        "partitions": [list(range(3)), list(range(3, n))],
+        "checks": [
+            {"name": "diagram"},
+            {"name": "no_signalling", "seed": rng.randrange(10**6), "count": 10},
+            {"name": "locality_invariance", "seed": rng.randrange(10**6), "count": 10},
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def report_901():
+    return cli.run_scenario(seeded_scenario(901))
+
+
+def assert_writes_json_dumps_text(data):
+    out = io.StringIO()
+    serialize.write_json(data, out.write)
+    got, want = out.getvalue(), json.dumps(data, sort_keys=True, indent=2) + "\n"
+    if got != want:  # report the first difference, not a diff of megabytes
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"text differs at offset {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+def test_simulate_report_text(report_901):
+    assert isinstance(report_901["final_state"]["matrix"], serialize.DenseJson)
+    assert_writes_json_dumps_text(report_901)
+
+
+def test_verify_report_text():
+    checks = [r.to_json() for r in run_sweep(3, 0, 5)]
+    report = {"schema_version": "1", "sweep": {"modes": 3}, "checks": checks, "timings": {}}
+    assert_writes_json_dumps_text(report)
+
+
+def test_reconstruct_output_text():
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(3, 4), ModeSet.full(3), fock.vacuum_state(3))
+    u, residual = dsc.reconstruct_with_residual(d)
+    out = {"schema_version": "1", "unitary": serialize.unitary_to_json(u), "round_trip_residual": residual}
+    assert_writes_json_dumps_text(out)
+
+
+def test_schema_document_text():
+    assert_writes_json_dumps_text(serialize.schema_document())
+
+
+EXTREMES = np.array([[-0.0, 1e-300], [1e300, complex(-0.0, -1e300)]])
+HOSTILE = {
+    "int and bool hamiltonian echo": {
+        "scenario": {"gates": [{"kind": "hamiltonian", "matrix": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}]},
+        "final_state": serialize.state_to_json(random_phenomenal(1, 3)),
+    },
+    "empty lists and dicts": {
+        "a": [],
+        "b": {},
+        "c": [[], {}, [[]]],
+        "empty matrix": serialize.matrix_to_json(np.zeros((0, 0))),
+        "m": serialize.matrix_to_json(np.eye(2)),
+    },
+    "ragged nests": {"r": [[1, [2, 3]], [4], [[[5.5]]], [[0.5, -1], []]], "v": serialize.vector_to_json([1j])},
+    "strings with brackets and commas": {
+        "s": ["[1,2]", "a,b", "]],[[", {"k]": "[,"}],
+        "m": serialize.matrix_to_json(np.eye(2)),
+    },
+    "non-ASCII keys": {"ψ": serialize.vector_to_json([1, 1j]), "ключ": {"ü": [1.5, "é"]}},
+    "extreme floats": {"m": serialize.matrix_to_json(EXTREMES), "x": [-0.0, 1e-300, 1e300]},
+    "1x1 matrix and length-1 vector": {
+        "m": serialize.matrix_to_json(np.array([[-0.5 + 2j]])),
+        "v": serialize.vector_to_json(np.array([0.25])),
+    },
+    "non-string keys": {1: serialize.matrix_to_json(np.eye(2)), 2: [1]},
+    "tuples": (serialize.vector_to_json([1, 2]), ("a", 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_inputs_text(name):
+    obj = HOSTILE[name]
+    for nested in (obj, [obj], {"outer": [{"inner": obj}, 1]}):
+        assert_writes_json_dumps_text(nested)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 1), (2, 2), (1, 4), (4, 1), (2, 3, 2)])
+def test_dense_arrays_at_every_depth(shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dense = serialize.matrix_to_json(a)
+    for depth in range(4):
+        nested = dense
+        for _ in range(depth):
+            nested = {"k": nested}
+        assert_writes_json_dumps_text(nested)
+
+
+def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
+    """Writing the 17.5 MB seed-901 report peaks at a few matrices' text.
+
+    ``json.dumps`` of the same report allocates about 79 MB.
+    """
+    with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            serialize.write_json(report_901, fh.write)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "report.json").stat().st_size > 16_000_000
+    assert peak < 16_000_000
