@@ -40,6 +40,7 @@ from .fock import (
     _annihilator_matrix,
     _check_n_modes,
     frobenius,
+    ladder_columns,
     parity_diagonal,
 )
 
@@ -337,21 +338,14 @@ def wedge(a: FockOperator, sub_a: ModeSet, b: FockOperator, sub_b: ModeSet) -> F
     return a @ b
 
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-
 def qubit_ladder(n_qubits: int, j: int) -> FockOperator:
     """Stringless lowering operator (sigma_x + i sigma_y)/2 on qubit j.
 
     Unlike the fermionic annihilators these commute across sites; the
     single-site relations q^2 = 0 and {q, q^dag} = I still hold exactly.
+    It is the annihilator's column map with the string signs dropped.
     """
-    _check_n_modes(n_qubits)
-    if not 0 <= j < n_qubits:
-        raise ValidationError("mode_out_of_range", f"qubit {j} out of range for {n_qubits}")
-    q = 0.5 * (_SX + 1.0j * _SY)
-    out = np.eye(1, dtype=complex)
-    for site in range(n_qubits):
-        out = np.kron(out, q if site == j else np.eye(2, dtype=complex))
-    return FockOperator(n_qubits, out)
+    partner, sign = ladder_columns(n_qubits, j)
+    q = np.zeros((2 ** n_qubits,) * 2, dtype=complex)
+    q[partner, np.arange(2 ** n_qubits)] = np.abs(sign)
+    return FockOperator(n_qubits, q)

@@ -43,8 +43,8 @@ from .fock import (
     FockVector,
     ModeSet,
     annihilator,
-    creator,
     frobenius,
+    ladder_columns,
     parity_sectors,
 )
 from .states import PhenomenalState
@@ -132,9 +132,7 @@ def evolve_descriptors(u: PSUnitary, subsystem: ModeSet, psi0: FockVector) -> De
     """Descriptor set of the subsystem after the unitary u (Heisenberg picture)."""
     if subsystem.ambient_n != u.n_modes:
         raise ValidationError("dimension_mismatch", "subsystem/unitary mode counts differ")
-    descriptors = tuple(
-        u.conjugate(annihilator(u.n_modes, a)) for a in subsystem.indices
-    )
+    descriptors = tuple(FockOperator(u.n_modes, u.heisenberg(a)) for a in subsystem.indices)
     return DescriptorSet(subsystem, descriptors, psi0)
 
 
@@ -154,13 +152,12 @@ def equivalent_at(
     subsystem.require_nonempty()
     if u.n_modes != v.n_modes or subsystem.ambient_n != u.n_modes:
         raise ValidationError("dimension_mismatch", "mode counts differ")
-    for a in subsystem.indices:
-        f = annihilator(u.n_modes, a)
-        da = u.conjugate(f).matrix
-        db = v.conjugate(f).matrix
-        if frobenius(da - db) > tol * max(1.0, frobenius(da)):
-            return False
-    return True
+    return all(same_image(u.heisenberg(a), v.heisenberg(a), tol) for a in subsystem.indices)
+
+
+def same_image(da: np.ndarray, db: np.ndarray, tol: float = EQUIV_TOL) -> bool:
+    """Whether two Heisenberg images agree, relative to the first one's norm."""
+    return frobenius(da - db) <= tol * max(1.0, frobenius(da))
 
 
 def _joint_vacuum(desc: dict[int, np.ndarray], dim: int) -> np.ndarray:
@@ -203,11 +200,14 @@ def _intertwiner(
         x_d[np.ix_(idx, slots)] = kept
 
     # columns d^dag_S J^dag e and f^dag_S e over every subset S of the modes,
-    # creators in increasing mode order; W maps the first set onto the second
+    # creators in increasing mode order; W maps the first set onto the second.
+    # A creator is a signed row gather; + 0.0 turns its -0.0 entries into the
+    # +0.0 a dense product gives, which the printed witness shows.
     x_f = np.eye(dim, dtype=complex)[:, empty]
     for a in reversed(modes):
+        partner, sign = ladder_columns(n_modes, a)
         x_d = np.hstack([x_d, desc[a].conj().T @ x_d])
-        x_f = np.hstack([x_f, creator(n_modes, a).matrix @ x_f])
+        x_f = np.hstack([x_f, x_f[partner] * sign[:, None] + 0.0])
     w = canonical_phase(x_f @ x_d.conj().T, n_modes)
     try:
         witness = validate_ps_unitary(w)
@@ -264,7 +264,7 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
         ) from exc
     frame = w @ witness
     new_descriptors = tuple(
-        d.descriptor_for(a) if keep else frame.conjugate(annihilator(d.n_modes, a))
+        d.descriptor_for(a) if keep else FockOperator(d.n_modes, frame.heisenberg(a))
         for a, keep in zip(d.subsystem.indices, untouched)
     )
     return DescriptorSet(d.subsystem, new_descriptors, d.heisenberg_state)
@@ -272,12 +272,7 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
     """Restriction of an ontic state to a subsystem: keep those modes' descriptors."""
-    if not subsystem.is_subset_of(d.subsystem):
-        raise ValidationError(
-            "not_subset",
-            f"{subsystem.indices} is not a subset of {d.subsystem.indices}",
-        )
-    kept = tuple(d.descriptor_for(a) for a in subsystem.indices)
+    kept = tuple(d.descriptors[i] for i in subsystem.positions_in(d.subsystem))
     return DescriptorSet(subsystem, kept, d.heisenberg_state)
 
 
@@ -364,11 +359,7 @@ class CompatibilityResult:
 
 
 def _witness_residual(w: PSUnitary, merged: dict[int, np.ndarray]) -> float:
-    worst = 0.0
-    for a, target in merged.items():
-        f = annihilator(w.n_modes, a)
-        worst = max(worst, frobenius(w.conjugate(f).matrix - target))
-    return worst
+    return max(frobenius(w.heisenberg(a) - target) for a, target in merged.items())
 
 
 def compatible(

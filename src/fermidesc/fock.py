@@ -31,10 +31,6 @@ from .errors import ValidationError
 MODE_CAP_ENV = "FERMIDESC_MODE_CAP"
 DEFAULT_MODE_CAP = 10
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
 
 def mode_cap() -> int:
     """Largest allowed mode count (resource guard, env-overridable)."""
@@ -258,12 +254,43 @@ class FockVector:
         return FockOperator(self.n_modes, np.outer(v, v.conj()))
 
 
-@lru_cache(maxsize=None)
+def _check_mode(n_modes: int, mode: int) -> None:
+    _check_n_modes(n_modes)
+    if not 0 <= mode < n_modes:
+        raise ValidationError(
+            "mode_out_of_range", f"mode {mode} out of range for {n_modes} modes"
+        )
+
+
+def ladder_columns(n_modes: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """The annihilator of one mode as a signed column map ``(partner, sign)``.
+
+    Column ``j`` holds ``sign[j]`` in row ``partner[j] = j ^ bit`` and nothing
+    else; ``sign[j]`` is the string parity of the modes before ``mode``, or 0
+    when ``mode`` is empty in ``j``.  So ``A @ f`` is ``A[:, partner] * sign``.
+    """
+    _check_mode(n_modes, mode)
+    return _ladder_columns(n_modes, mode)
+
+
+@lru_cache(maxsize=64)
+def _ladder_columns(n_modes: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    j = np.arange(2 ** n_modes)
+    bit = 1 << (n_modes - 1 - mode)
+    before = sum((j >> (n_modes - 1 - b)) & 1 for b in range(mode))
+    partner, sign = j ^ bit, np.where(j & bit, (-1.0) ** before, 0.0)
+    for a in (partner, sign):
+        a.setflags(write=False)
+    return partner, sign
+
+
+# one workload touches about ten (n_modes, mode) keys; an entry is 16 MB at N=10
+@lru_cache(maxsize=16)
 def _annihilator_matrix(n_modes: int, mode: int) -> np.ndarray:
-    factors = [_Z] * mode + [_LOWER] + [_ID2] * (n_modes - mode - 1)
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
+    """The dense annihilator: the scatter of :func:`ladder_columns`."""
+    partner, sign = _ladder_columns(n_modes, mode)
+    out = np.zeros((2 ** n_modes, 2 ** n_modes), dtype=complex)
+    out[partner, np.arange(2 ** n_modes)] = sign
     return _freeze(out)
 
 
@@ -274,11 +301,7 @@ def build_ladder(n_modes: int, mode: int, kind: str) -> FockOperator:
     all modes of a system satisfies the canonical anticommutation relations
     with exactly zero residual.
     """
-    _check_n_modes(n_modes)
-    if not 0 <= mode < n_modes:
-        raise ValidationError(
-            "mode_out_of_range", f"mode {mode} out of range for {n_modes} modes"
-        )
+    _check_mode(n_modes, mode)
     m = _annihilator_matrix(n_modes, mode)
     if kind == "annihilator":
         return FockOperator(n_modes, m)

@@ -113,7 +113,8 @@ def json_to_state(data: dict, field: str = "state") -> PhenomenalState:
     for key in ("modes", "ambient_n", "matrix"):
         _require(key in data, f"{field}.{key}", f"missing {key}")
     subsystem = _json_to_subsystem(data, field)
-    return PhenomenalState(subsystem, json_to_matrix(data["matrix"], f"{field}.matrix"))
+    with at_field(f"{field}.matrix"):
+        return PhenomenalState(subsystem, json_to_matrix(data["matrix"], f"{field}.matrix"))
 
 
 def unitary_to_json(u: PSUnitary) -> dict:
@@ -123,8 +124,14 @@ def unitary_to_json(u: PSUnitary) -> dict:
 def json_to_unitary(data: dict, field: str = "unitary") -> PSUnitary:
     _require(isinstance(data, dict), field, "unitary must be an object")
     _require("matrix" in data, f"{field}.matrix", "missing matrix")
+    n = data.get("n_modes")
+    if "n_modes" in data:
+        _require(type(n) is int, f"{field}.n_modes", "n_modes must be an integer")
+        with at_field(f"{field}.n_modes"):
+            _check_n_modes(n)  # before a matrix of that size is parsed
     matrix = json_to_matrix(data["matrix"], f"{field}.matrix")
-    return PSUnitary(int(data.get("n_modes", round(np.log2(matrix.shape[0])))), matrix)
+    with at_field(f"{field}.matrix"):
+        return PSUnitary(round(np.log2(matrix.shape[0])) if n is None else n, matrix)
 
 
 def descriptor_set_to_json(d: DescriptorSet) -> dict:
@@ -143,12 +150,14 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
     subsystem = _json_to_subsystem(data, field)
     _require(isinstance(data["descriptors"], list), f"{field}.descriptors", "must be a list")
     n = subsystem.ambient_n
-    descriptors = tuple(
-        FockOperator(n, json_to_matrix(m, f"{field}.descriptors[{i}]"))
-        for i, m in enumerate(data["descriptors"])
-    )
-    psi0 = FockVector(n, json_to_vector(data["heisenberg_state"], f"{field}.heisenberg_state"))
-    return DescriptorSet(subsystem, descriptors, psi0)
+    descriptors = []
+    for i, m in enumerate(data["descriptors"]):
+        with at_field(f"{field}.descriptors[{i}]"):
+            descriptors.append(FockOperator(n, json_to_matrix(m, f"{field}.descriptors[{i}]")))
+    with at_field(f"{field}.heisenberg_state"):
+        psi0 = FockVector(n, json_to_vector(data["heisenberg_state"], f"{field}.heisenberg_state"))
+    with at_field(field):
+        return DescriptorSet(subsystem, tuple(descriptors), psi0)
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))

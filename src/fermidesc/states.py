@@ -86,11 +86,6 @@ def partial_trace(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
     order of ``u``.
     """
     keep.require_nonempty()
-    if not keep.is_subset_of(state.subsystem):
-        raise ValidationError(
-            "not_subset",
-            f"keep set {keep.indices} is not contained in {state.subsystem.indices}",
-        )
     n = state.n_modes
     positions = keep.positions_in(state.subsystem)
     keep_pos = np.array(positions)
@@ -134,11 +129,6 @@ def mode_sort_permutation(
 def partial_trace_jw(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
     """Independent reduction: signed mode reordering + tensor-factor trace."""
     keep.require_nonempty()
-    if not keep.is_subset_of(state.subsystem):
-        raise ValidationError(
-            "not_subset",
-            f"keep set {keep.indices} is not contained in {state.subsystem.indices}",
-        )
     n = state.n_modes
     keep_pos = keep.positions_in(state.subsystem)
     m = len(keep_pos)

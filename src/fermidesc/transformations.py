@@ -24,6 +24,7 @@ from .fock import (
     checked_array,
     creator,
     frobenius,
+    ladder_columns,
     parity_sectors,
 )
 
@@ -63,11 +64,10 @@ class PSUnitary:
             )
         return PSUnitary(self.n_modes, self.matrix @ other.matrix)
 
-    def conjugate(self, o: FockOperator) -> FockOperator:
-        """Heisenberg action U^dag o U."""
-        if o.n_modes != self.n_modes:
-            raise ValidationError("dimension_mismatch", "operator/unitary mode counts differ")
-        return FockOperator(self.n_modes, self.matrix.conj().T @ o.matrix @ self.matrix)
+    def heisenberg(self, mode: int) -> np.ndarray:
+        """Heisenberg image U^dag f_mode U: a signed column gather, then one product."""
+        partner, sign = ladder_columns(self.n_modes, mode)
+        return (self.matrix.conj().T[:, partner] * sign) @ self.matrix
 
     def apply(self, v: FockVector) -> FockVector:
         """Schroedinger action U|v>."""
@@ -151,8 +151,8 @@ def invariance_support(u: PSUnitary, tol: float = 1e-10) -> ModeSet:
     """
     moved = []
     for j in range(u.n_modes):
-        f = annihilator(u.n_modes, j)
-        if frobenius(u.conjugate(f).matrix - f.matrix) > tol * max(1.0, frobenius(f.matrix)):
+        f = annihilator(u.n_modes, j).matrix
+        if frobenius(u.heisenberg(j) - f) > tol * max(1.0, frobenius(f)):
             moved.append(j)
     return ModeSet(tuple(moved), u.n_modes)
 

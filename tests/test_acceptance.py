@@ -97,7 +97,7 @@ def test_criterion_3_locality_invariance():
                     u = tf.local_random_ps_unitary(subset, seed)
                     for j in outside:
                         f = fock.annihilator(n_modes, j)
-                        worst = max(worst, fock.frobenius(u.conjugate(f).matrix - f.matrix))
+                        worst = max(worst, fock.frobenius(u.heisenberg(j) - f.matrix))
                         checked += 1
         c.finish(worst < 1e-10, f"{checked} conjugations, worst residual {worst:.3e} < 1e-10")
 

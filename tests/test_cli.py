@@ -349,6 +349,10 @@ def simulate_report(tmp_path_factory):
     return json.loads(run_cli("simulate", str(path)).stdout)
 
 
+IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+# the canonical annihilator of mode 0 on two modes, twice: odd, but not canonical
+ANNIHILATOR_0_OF_2 = [[[float((i, j) in ((0, 2), (1, 3))), 0.0] for j in range(4)] for i in range(4)]
+
 MALFORMED_DESCRIPTOR_SET_FIELDS = [
     ({"modes": 5}, "global_descriptors.modes", "bad_schema"),
     ({"modes": ["0", 1]}, "global_descriptors.modes", "bad_schema"),
@@ -357,6 +361,14 @@ MALFORMED_DESCRIPTOR_SET_FIELDS = [
     ({"descriptors": {"0": []}}, "global_descriptors.descriptors", "bad_schema"),
     ({"modes": [0], "ambient_n": 11}, "global_descriptors.ambient_n", "cap_exceeded"),
     ({"modes": [5], "ambient_n": 2}, "global_descriptors.modes", "mode_out_of_range"),
+    ({"descriptors": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 2},
+     "global_descriptors.descriptors[0]", "dimension_mismatch"),
+    ({"heisenberg_state": [[1, 0], [0, 0]]}, "global_descriptors.heisenberg_state",
+     "dimension_mismatch"),
+    ({"descriptors": [IDENTITY_4] * 2}, "global_descriptors", "not_odd"),
+    ({"heisenberg_state": [[2, 0], [0, 0], [0, 0], [0, 0]]}, "global_descriptors",
+     "not_normalized"),
+    ({"descriptors": [ANNIHILATOR_0_OF_2] * 2}, "global_descriptors", "descriptor_algebra"),
 ]
 
 

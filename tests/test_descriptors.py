@@ -231,7 +231,7 @@ def substitution_oracle(w: tf.PSUnitary, d: dsc.DescriptorSet) -> dict[int, np.n
     images = substituted_basis_images(d.matrices(), moved.indices, 2 ** d.n_modes)
     out = d.matrices()
     for a in moved.indices:
-        target = w.conjugate(fock.annihilator(w.n_modes, a))
+        target = fock.FockOperator(w.n_modes, w.heisenberg(a))
         coeffs = basis.expand(target).reshape(-1)
         out[a] = np.tensordot(coeffs, images, axes=(0, 0))
     return out
@@ -449,8 +449,7 @@ def test_reconstruct_phase_gate():
     rec = dsc.reconstruct_unitary(d)
     assert tf.phase_distance(rec.matrix, u.matrix) < 1e-9
     for a in range(2):
-        f = fock.annihilator(2, a)
-        assert fock.frobenius(rec.conjugate(f).matrix - d.descriptors[a].matrix) < 1e-9
+        assert fock.frobenius(rec.heisenberg(a) - d.descriptors[a].matrix) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -461,8 +460,7 @@ def test_reconstruct_random_round_trip(seed):
     rec = dsc.reconstruct_unitary(d)
     assert tf.phase_distance(rec.matrix, u.matrix) < 1e-8
     for a in range(n_modes):
-        f = fock.annihilator(n_modes, a)
-        assert fock.frobenius(rec.conjugate(f).matrix - d.descriptors[a].matrix) < 1e-8
+        assert fock.frobenius(rec.heisenberg(a) - d.descriptors[a].matrix) < 1e-8
 
 
 def structured_cases():
@@ -584,3 +582,16 @@ def test_phenomenal_homomorphism(seed):
     rho = dsc.phenomenal_of(d).matrix
     rhs = w.matrix @ rho @ w.matrix.conj().T
     assert fock.frobenius(lhs - rhs) < 1e-9
+
+
+def test_images_at_the_mode_cap_build_no_dense_ladder(monkeypatch):
+    """Evolving and reconstructing at N=10 fills no 16 MB entry of the ladder cache."""
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    # the O(N^2) canonical-relation gate (about 35 s at N=10 on 2 vCPUs) is not under test
+    monkeypatch.setattr(dsc, "descriptor_algebra_residual", lambda descriptors, dim: 0.0)
+    n_modes = fock.DEFAULT_MODE_CAP
+    u = tf.random_ps_unitary(n_modes, 5)
+    fock._annihilator_matrix.cache_clear()
+    d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), fock.vacuum_state(n_modes))
+    assert dsc.reconstruct_with_residual(d)[1] <= dsc.RECONSTRUCT_TOL
+    assert fock._annihilator_matrix.cache_info().currsize == 0

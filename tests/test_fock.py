@@ -36,6 +36,42 @@ def test_ladder_matches_bit_arithmetic_oracle(n_modes):
         )
 
 
+def string_annihilator(n_modes: int, mode: int) -> np.ndarray:
+    """The string construction Z^(mode) (x) lower (x) I^(N-mode-1) as Kronecker products."""
+    z, lower = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    out = np.eye(1)
+    for factor in [z] * mode + [lower] + [np.eye(2)] * (n_modes - mode - 1):
+        out = np.kron(out, factor)
+    return out
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_ladder_columns_scatter_to_the_string_construction(n_modes):
+    dim = 2 ** n_modes
+    for mode in range(n_modes):
+        partner, sign = fock.ladder_columns(n_modes, mode)
+        scattered = np.zeros((dim, dim), dtype=complex)
+        scattered[partner, np.arange(dim)] = sign
+        assert np.array_equal(scattered, string_annihilator(n_modes, mode))
+        assert np.array_equal(fock._annihilator_matrix(n_modes, mode), scattered)
+        assert not partner.flags.writeable and not sign.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "n_modes, mode, code",
+    [(3, 3, "mode_out_of_range"), (3, -1, "mode_out_of_range"), (11, 0, "cap_exceeded")],
+)
+def test_ladder_columns_reject_bad_modes(monkeypatch, n_modes, mode, code):
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    with pytest.raises(ValidationError) as err:
+        fock.ladder_columns(n_modes, mode)
+    assert err.value.code == code
+
+
+def test_dense_ladder_cache_is_bounded():
+    assert fock._annihilator_matrix.cache_info().maxsize is not None
+
+
 def test_single_mode_annihilator_shape():
     m = fock.annihilator(1, 0).matrix
     assert np.array_equal(m, np.array([[0, 1], [0, 0]], dtype=complex))

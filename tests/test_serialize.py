@@ -66,6 +66,36 @@ def test_unitary_round_trip():
     assert np.array_equal(back.matrix, u.matrix)
 
 
+@pytest.mark.parametrize(
+    "n_modes, code",
+    [("x", "bad_schema"), (True, "bad_schema"), (1.0, "bad_schema"), (None, "bad_schema"),
+     (11, "cap_exceeded")],
+)
+def test_unitary_n_modes_rejected_with_field_path(monkeypatch, n_modes, code):
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    data = round_trip(serialize.unitary_to_json(tf.random_ps_unitary(1, 8)))
+    with pytest.raises(ValidationError) as err:
+        serialize.json_to_unitary(dict(data, n_modes=n_modes))
+    assert (err.value.code, err.value.field) == (code, "unitary.n_modes")
+
+
+def test_unitary_matrix_errors_carry_field_path():
+    data = round_trip(serialize.unitary_to_json(tf.random_ps_unitary(1, 8)))
+    with pytest.raises(ValidationError) as err:
+        serialize.json_to_unitary(dict(data, n_modes=2))
+    assert (err.value.code, err.value.field) == ("dimension_mismatch", "unitary.matrix")
+    del data["n_modes"]  # then the matrix size sets the mode count
+    assert serialize.json_to_unitary(data).n_modes == 1
+
+
+def test_state_matrix_errors_carry_field_path():
+    data = round_trip(serialize.state_to_json(random_phenomenal(2, 4)))
+    data["matrix"] = serialize.matrix_to_json(np.eye(2))
+    with pytest.raises(ValidationError) as err:
+        serialize.json_to_state(data)
+    assert (err.value.code, err.value.field) == ("dimension_mismatch", "state.matrix")
+
+
 def test_descriptor_set_round_trip():
     u = tf.random_ps_unitary(3, 9)
     d = dsc.evolve_descriptors(u, ModeSet((0, 2), 3), fock.vacuum_state(3))

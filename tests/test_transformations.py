@@ -178,13 +178,49 @@ def test_random_ps_unitary_seed_separation():
     assert min(distances) > 0.1
 
 
+def heisenberg_cases(n_modes: int):
+    """Haar, lifted-local and named-gate-product unitaries on ``n_modes`` modes."""
+    yield tf.random_ps_unitary(n_modes, n_modes)
+    yield tf.PSUnitary(n_modes, np.eye(2 ** n_modes))
+    if n_modes == 1:
+        yield tf.named_gate("phase", 1, modes=(0,), theta=0.8)
+        return
+    yield tf.local_random_ps_unitary(ModeSet((0, n_modes - 1), n_modes), 2)
+    yield tf.local_random_ps_unitary(ModeSet((n_modes // 2,), n_modes), 3)
+    rng = np.random.default_rng(n_modes)
+    product = tf.PSUnitary(n_modes, np.eye(2 ** n_modes))
+    for k in range(12):
+        kind = ("tunneling", "phase", "interaction")[k % 3]
+        modes = tuple(int(m) for m in rng.choice(n_modes, 1 + (kind != "phase"), replace=False))
+        product = tf.named_gate(kind, n_modes, modes=modes, theta=rng.uniform(-3, 3)) @ product
+        if k in (0, 1, 11):
+            yield product
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_heisenberg_image_is_the_explicit_product_bit_for_bit(n_modes):
+    for u in heisenberg_cases(n_modes):
+        for a in range(n_modes):
+            f = fock.annihilator(n_modes, a)
+            explicit = u.matrix.conj().T @ f.matrix @ u.matrix
+            assert u.heisenberg(a).tobytes() == explicit.tobytes()
+
+
+def test_heisenberg_rejects_bad_modes():
+    u = tf.random_ps_unitary(3, 0)
+    for mode in (3, -1):
+        with pytest.raises(ValidationError) as err:
+            u.heisenberg(mode)
+        assert err.value.code == "mode_out_of_range"
+
+
 def test_local_random_embedding_contracts():
     sub = ModeSet((1, 2), 4)
     u = tf.local_random_ps_unitary(sub, 3)
     assert tf.is_local_unitary(u, sub)
     for j in (0, 3):
         f = fock.annihilator(4, j)
-        assert fock.frobenius(u.conjugate(f).matrix - f.matrix) < 1e-12
+        assert fock.frobenius(u.heisenberg(j) - f.matrix) < 1e-12
     # the embedding of the identity is the ambient identity
     from fermidesc.algebra import embed_local_operator
 
