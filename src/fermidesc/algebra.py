@@ -295,7 +295,8 @@ def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
         )
     lifted = np.kron(small, np.eye(2 ** (subsystem.ambient_n - m)))
     matrix = np.empty_like(lifted)
-    matrix[np.ix_(src, src)] = sign[:, None] * lifted * sign[None, :]
+    # + 0.0 turns the -0.0 entries of the kron and the signed scatter into +0.0
+    matrix[np.ix_(src, src)] = sign[:, None] * lifted * sign[None, :] + 0.0
     return FockOperator(subsystem.ambient_n, matrix)
 
 

@@ -31,7 +31,7 @@ wrong order and is deliberately not what this module does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ from .transformations import (
     PSUnitary,
     canonical_phase,
     invariance_support,
+    unitarity_defect,
     validate_ps_unitary,
 )
 
@@ -80,6 +81,11 @@ class DescriptorSet:
     subsystem: ModeSet
     descriptors: tuple[FockOperator, ...]
     heisenberg_state: FockVector
+    # a full set's reconstruction witness and round-trip residual, when the
+    # canonical-relation gate could build one within RECONSTRUCT_TOL
+    _witness: tuple[PSUnitary, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.subsystem.require_nonempty()
@@ -108,14 +114,35 @@ class DescriptorSet:
                 "ssr_violation", "Heisenberg state must live in a single parity sector"
             )
         if self.subsystem.is_full:
-            residual = descriptor_algebra_residual(
-                [d.matrix for d in self.descriptors], 2 ** n
+            self._require_canonical_relations()
+
+    def _require_canonical_relations(self) -> None:
+        """The canonical-relation gate of a full set, witness first.
+
+        With the reconstruction witness W, its unitarity defect
+        delta = |W^dag W - I| and eps = max_a |d_a - W^dag f_a W|, every
+        anticommutator residual is at most
+        3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2.  The set passes
+        when that bound is within CAR_TOL; otherwise, or when no witness
+        exists, the exact O(N^2) residual decides.
+        """
+        try:
+            witness = _intertwiner(self.matrices(), self.n_modes, RECONSTRUCT_TOL)
+        except (ValidationError, np.linalg.LinAlgError):
+            pass
+        else:
+            object.__setattr__(self, "_witness", witness)
+            delta, eps = unitarity_defect(witness[0].matrix), witness[1]
+            if 3 * delta + 2 * delta**2 + 4 * (1 + delta) * eps + 2 * eps**2 <= CAR_TOL:
+                return
+        residual = descriptor_algebra_residual(
+            [d.matrix for d in self.descriptors], 2 ** self.n_modes
+        )
+        if residual > CAR_TOL:
+            raise ValidationError(
+                "descriptor_algebra",
+                f"full descriptor set violates the canonical relations ({residual:.3e})",
             )
-            if residual > CAR_TOL:
-                raise ValidationError(
-                    "descriptor_algebra",
-                    f"full descriptor set violates the canonical relations ({residual:.3e})",
-                )
 
     @property
     def n_modes(self) -> int:
@@ -216,12 +243,24 @@ def _intertwiner(
             "degenerate_reconstruction", f"assembled witness failed validation ({exc})"
         ) from exc
     residual = _witness_residual(witness, desc)
+    _require_round_trip(residual, tol)
+    return witness, residual
+
+
+def _require_round_trip(residual: float, tol: float) -> None:
     if residual > tol:
         raise ValidationError(
             "degenerate_reconstruction",
             f"assembled witness fails the round trip (residual {residual:.3e})",
         )
-    return witness, residual
+
+
+def _witness_of(d: DescriptorSet, tol: float) -> tuple[PSUnitary, float]:
+    """Witness of a set's descriptors: the one its gate stored, else a fresh one."""
+    if d._witness is None:
+        return _intertwiner(d.matrices(), d.n_modes, tol)
+    _require_round_trip(d._witness[1], tol)
+    return d._witness
 
 
 def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
@@ -324,14 +363,15 @@ def reconstruct_with_residual(
     The full-set case of the witness construction: the joint vacuum of a
     full set is one vector, which must be even, so the witness is fixed up
     to the global phase that ``canonical_phase`` removes.  The set already
-    passed the canonical-relation gate when it was built.  Returns the
-    unitary U and its round-trip residual max_a |U^dag f_a U - d_a|.
+    passed the canonical-relation gate when it was built, which stored the
+    witness whenever it could build one.  Returns the unitary U and its
+    round-trip residual max_a |U^dag f_a U - d_a|.
     """
     if not d.subsystem.is_full:
         raise ValidationError(
             "not_full", "reconstruction requires descriptors for every mode"
         )
-    return _intertwiner(d.matrices(), d.n_modes, tol)
+    return _witness_of(d, tol)
 
 
 def reconstruct_unitary(d: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> PSUnitary:
@@ -369,7 +409,8 @@ def compatible(
 
     Builds the merged descriptor set on the union, which for a full union
     passes the canonical-relation gate of ``DescriptorSet``, and the witness
-    of its descriptors: a unitary whose descriptors restrict to both inputs.
+    of its descriptors (for a full union, the one the gate stored): a
+    unitary whose descriptors restrict to both inputs.
     Either failing gives an incompatible verdict.  Mismatched Heisenberg
     states are a usage error, not incompatibility, and raise instead.
     """
@@ -389,7 +430,7 @@ def compatible(
     ops = dict(zip(da.subsystem.indices + db.subsystem.indices, da.descriptors + db.descriptors))
     try:
         joined = DescriptorSet(union, tuple(ops[a] for a in union.indices), da.heisenberg_state)
-        witness, residual = _intertwiner(joined.matrices(), da.n_modes, tol)
+        witness, residual = _witness_of(joined, tol)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))
     return CompatibilityResult(True, witness, residual, "intertwiner", joined)

@@ -41,7 +41,7 @@ class PSUnitary:
     def __post_init__(self):
         _check_n_modes(self.n_modes)
         m = checked_array(self.matrix, self.n_modes, 2)
-        if frobenius(m.conj().T @ m - np.eye(self.dim)) > UNITARY_TOL * self.dim:
+        if unitarity_defect(m) > UNITARY_TOL * self.dim:
             raise ValidationError("not_unitary", "matrix is not unitary within tolerance")
         # unitarity makes |m| = 2^(N/2) > 1, so the grade's max(1, |m|) scale is |m|
         algebra.require_even(m, "unitary")
@@ -77,6 +77,11 @@ class PSUnitary:
 
     def as_operator(self) -> FockOperator:
         return FockOperator(self.n_modes, self.matrix)
+
+
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """|M^dag M - I| in the Frobenius norm."""
+    return frobenius(matrix.conj().T @ matrix - np.eye(len(matrix)))
 
 
 def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
@@ -150,9 +155,12 @@ def invariance_support(u: PSUnitary, tol: float = 1e-10) -> ModeSet:
     than span projections.
     """
     moved = []
+    columns = np.arange(u.dim)
     for j in range(u.n_modes):
-        f = annihilator(u.n_modes, j).matrix
-        if frobenius(u.heisenberg(j) - f) > tol * max(1.0, frobenius(f)):
+        partner, sign = ladder_columns(u.n_modes, j)
+        image = u.heisenberg(j)
+        image[partner, columns] -= sign  # U^dag f_j U - f_j, with no dense f_j
+        if frobenius(image) > tol * max(1.0, frobenius(sign)):
             moved.append(j)
     return ModeSet(tuple(moved), u.n_modes)
 

@@ -1,5 +1,7 @@
 """Descriptor evolution, equivalence, ontic action, join, reconstruction."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,19 @@ def max_descriptor_distance(a: dsc.DescriptorSet, b: dsc.DescriptorSet) -> float
     return max(
         fock.frobenius(x.matrix - y.matrix) for x, y in zip(a.descriptors, b.descriptors)
     )
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``descriptors.<name>`` so every call appends its arguments to the returned list."""
+    calls = []
+    original = getattr(dsc, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dsc, name, counting)
+    return calls
 
 
 def test_identity_gives_canonical_descriptors():
@@ -378,16 +393,12 @@ def test_full_union_join_runs_the_canonical_relation_gate_once(monkeypatch):
     d = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 73), ModeSet.full(n_modes), psi0)
     d_a = dsc.ontic_project(d, ModeSet((0, 3), n_modes))
     d_b = dsc.ontic_project(d, ModeSet((1, 2), n_modes))
-    calls = []
-    residual = dsc.descriptor_algebra_residual
-
-    def counting(descriptors, dim):
-        calls.append(dim)
-        return residual(descriptors, dim)
-
-    monkeypatch.setattr(dsc, "descriptor_algebra_residual", counting)
+    residuals = count_calls(monkeypatch, "descriptor_algebra_residual")
+    intertwiners = count_calls(monkeypatch, "_intertwiner")
     joined = dsc.join(d_a, d_b)
-    assert calls == [2 ** n_modes]
+    # the gate's witness is the join's witness; the exact residual never runs
+    assert [args[1] for args in intertwiners] == [n_modes]
+    assert residuals == []
     assert max_descriptor_distance(joined, d) == 0.0
 
 
@@ -544,6 +555,109 @@ def test_reconstruct_rejects_particle_hole_family():
     assert err.value.code == "degenerate_reconstruction"
 
 
+@pytest.mark.parametrize("n_modes", range(2, 9))
+def test_genuine_full_sets_pass_the_gate_on_their_witness(monkeypatch, n_modes):
+    residuals = count_calls(monkeypatch, "descriptor_algebra_residual")
+    full = ModeSet.full(n_modes)
+    psi0 = random_sector_state(n_modes, n_modes)
+    unitaries = (
+        tf.random_ps_unitary(n_modes, 60 + n_modes),
+        tf.named_gate("tunneling", n_modes, modes=(n_modes - 1, 0), theta=0.7),
+    )
+    for u in unitaries:
+        assert dsc.evolve_descriptors(u, full, psi0)._witness is not None
+    assert dsc.canonical_descriptors(full, psi0)._witness is not None
+    assert residuals == []
+
+
+def odd_direction(n_modes: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit-norm random matrix that flips parity, so a perturbed descriptor stays odd."""
+    parity = fock.parity_diagonal(n_modes).real
+    dim = 2 ** n_modes
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z[parity[:, None] == parity[None, :]] = 0.0
+    return z / fock.frobenius(z)
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4])
+def test_gate_verdict_matches_the_exact_residual(n_modes):
+    rng = np.random.default_rng(80 + n_modes)
+    u = tf.random_ps_unitary(n_modes, 90 + n_modes)
+    base = [u.heisenberg(a) for a in range(n_modes)]
+    directions = [odd_direction(n_modes, rng) for _ in base]
+    psi0 = fock.vacuum_state(n_modes)
+
+    def family(scale):
+        return [d + scale * e for d, e in zip(base, directions)]
+
+    # the residual is linear in the scale here; add scales just either side of CAR_TOL
+    slope = dsc.descriptor_algebra_residual(family(1e-10), 2 ** n_modes) / 1e-10
+    critical = dsc.CAR_TOL / slope
+    scales = list(np.logspace(-13, -7, 49))
+    scales += [critical * (1 + k) for k in (-1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3)]
+    seen = []
+    for scale in scales:
+        matrices = family(scale)
+        exact = dsc.descriptor_algebra_residual(matrices, 2 ** n_modes)
+        ops = tuple(fock.FockOperator(n_modes, m) for m in matrices)
+        try:
+            dsc.DescriptorSet(ModeSet.full(n_modes), ops, psi0)
+            accepted = True
+        except ValidationError as err:
+            assert err.code == "descriptor_algebra"
+            assert err.args[0] == (
+                f"full descriptor set violates the canonical relations ({exact:.3e})"
+            )
+            accepted = False
+        seen.append((exact, accepted))
+        if abs(exact / dsc.CAR_TOL - 1) > 1e-6:
+            assert accepted == (exact <= dsc.CAR_TOL), (scale, exact)
+    residuals = [exact for exact, _ in seen]
+    assert min(residuals) <= 1e-12 and max(residuals) >= 1e-8
+    assert {accepted for _, accepted in seen} == {True, False}
+
+
+def test_particle_hole_family_passes_the_gate_on_the_exact_residual(monkeypatch):
+    n_modes = 2
+    residuals = count_calls(monkeypatch, "descriptor_algebra_residual")
+    family = (fock.creator(n_modes, 0), fock.annihilator(n_modes, 1))
+    d = dsc.DescriptorSet(ModeSet.full(n_modes), family, fock.vacuum_state(n_modes))
+    assert len(residuals) == 1  # no parity-preserving witness exists
+    assert d._witness is None
+    with pytest.raises(ValidationError) as err:
+        dsc.reconstruct_unitary(d)
+    assert err.value.code == "degenerate_reconstruction"
+
+
+@pytest.mark.parametrize("n_modes", [2, 5, 8])
+def test_reconstruction_reuses_the_gate_witness(monkeypatch, n_modes):
+    u = tf.random_ps_unitary(n_modes, 30 + n_modes)
+    d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), random_sector_state(n_modes, 3))
+    intertwiners = count_calls(monkeypatch, "_intertwiner")
+    witness, residual = dsc.reconstruct_with_residual(d)
+    assert intertwiners == []
+    fresh, fresh_residual = dsc._intertwiner(d.matrices(), n_modes, dsc.RECONSTRUCT_TOL)
+    assert witness.matrix.tobytes() == fresh.matrix.tobytes()
+    assert residual == fresh_residual > 0.0
+    # below the stored residual, the same round-trip refusal as a fresh intertwiner
+    with pytest.raises(ValidationError) as stored_err:
+        dsc.reconstruct_with_residual(d, residual / 2)
+    with pytest.raises(ValidationError) as fresh_err:
+        dsc._intertwiner(d.matrices(), n_modes, residual / 2)
+    assert stored_err.value.code == fresh_err.value.code == "degenerate_reconstruction"
+    assert str(stored_err.value) == str(fresh_err.value)
+
+
+def test_ontic_apply_builds_no_dense_ladder():
+    n_modes = 8
+    psi0 = random_sector_state(n_modes, 4)
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 4), ModeSet.full(n_modes), psi0)
+    w = tf.local_random_ps_unitary(ModeSet((1, 4, 6), n_modes), 9)
+    fock._annihilator_matrix.cache_clear()
+    dsc.ontic_apply(w, d)
+    assert fock._annihilator_matrix.cache_info().currsize == 0
+
+
 def test_phenomenal_of_canonical_vacuum():
     d = dsc.canonical_descriptors(ModeSet.full(2), fock.vacuum_state(2))
     state = dsc.phenomenal_of(d)
@@ -587,11 +701,37 @@ def test_phenomenal_homomorphism(seed):
 def test_images_at_the_mode_cap_build_no_dense_ladder(monkeypatch):
     """Evolving and reconstructing at N=10 fills no 16 MB entry of the ladder cache."""
     monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
-    # the O(N^2) canonical-relation gate (about 35 s at N=10 on 2 vCPUs) is not under test
-    monkeypatch.setattr(dsc, "descriptor_algebra_residual", lambda descriptors, dim: 0.0)
     n_modes = fock.DEFAULT_MODE_CAP
     u = tf.random_ps_unitary(n_modes, 5)
     fock._annihilator_matrix.cache_clear()
     d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), fock.vacuum_state(n_modes))
     assert dsc.reconstruct_with_residual(d)[1] <= dsc.RECONSTRUCT_TOL
     assert fock._annihilator_matrix.cache_info().currsize == 0
+
+
+def test_full_set_jobs_at_mode_cap(monkeypatch):
+    """Each full-set job at N=10 ends within 10 s (2 vCPUs: 5.6, 0.0, 4.2, 1.7, 7.9 s)."""
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    n_modes = fock.DEFAULT_MODE_CAP
+    budget = 10.0
+    full = ModeSet.full(n_modes)
+    u = tf.random_ps_unitary(n_modes, 7)
+
+    def timed(job):
+        start = time.perf_counter()
+        out = job()
+        assert time.perf_counter() - start <= budget
+        return out
+
+    d = timed(lambda: dsc.evolve_descriptors(u, full, fock.vacuum_state(n_modes)))
+    assert timed(lambda: dsc.reconstruct_with_residual(d))[1] <= dsc.RECONSTRUCT_TOL
+    part = ModeSet((0, 3, 4, 8), n_modes)
+    pair = dsc.ontic_project(d, part), dsc.ontic_project(d, part.complement())
+    assert timed(lambda: dsc.compatible(*pair)).joined.subsystem == full
+    pair = dsc.ontic_project(d, ModeSet((0, 3), n_modes)), dsc.ontic_project(d, ModeSet((5,), n_modes))
+    assert timed(lambda: dsc.compatible(*pair))
+    moved = ModeSet((1, 4, 7), n_modes)
+    w = tf.local_random_ps_unitary(moved, 8)
+    applied = dsc.ontic_project(timed(lambda: dsc.ontic_apply(w, d)), moved)
+    composite = dsc.evolve_descriptors(w @ u, moved, d.heisenberg_state)
+    assert max_descriptor_distance(applied, composite) <= 1e-9

@@ -135,6 +135,24 @@ def test_named_gates_match_ambient_construction(n_modes):
                 assert np.abs(new - old).max() <= 1e-14, (kind, modes, theta)
 
 
+def zero_sign_bits(matrix: np.ndarray) -> int:
+    """Number of zero real or imaginary parts stored as -0.0."""
+    return sum(int(np.signbit(part[part == 0]).sum()) for part in (matrix.real, matrix.imag))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_lifted_matrices_have_no_negative_zeros(n_modes):
+    for kind, arity in (("phase", 1), ("tunneling", 2), ("interaction", 2)):
+        for modes in itertools.permutations(range(n_modes), arity):
+            for theta in (0.3, -2.1, np.pi):
+                gate = tf.named_gate(kind, n_modes, modes=modes, theta=theta)
+                assert zero_sign_bits(gate.matrix) == 0, (kind, modes, theta)
+    for size in range(1, n_modes):
+        for modes in itertools.combinations(range(n_modes), size):
+            u = tf.local_random_ps_unitary(ModeSet(modes, n_modes), size)
+            assert zero_sign_bits(u.matrix) == 0, modes
+
+
 def test_is_local_unitary_examples():
     assert tf.is_local_unitary(
         tf.named_gate("phase", 2, modes=(0,), theta=0.4), ModeSet((0,), 2)
@@ -204,6 +222,27 @@ def test_heisenberg_image_is_the_explicit_product_bit_for_bit(n_modes):
             f = fock.annihilator(n_modes, a)
             explicit = u.matrix.conj().T @ f.matrix @ u.matrix
             assert u.heisenberg(a).tobytes() == explicit.tobytes()
+
+
+def dense_invariance_support(u: tf.PSUnitary, tol: float = 1e-10) -> ModeSet:
+    """The moved modes from the dense annihilators, |U^dag f_j U - f_j| > tol max(1, |f_j|)."""
+    moved = []
+    for j in range(u.n_modes):
+        f = fock.annihilator(u.n_modes, j).matrix
+        if fock.frobenius(u.heisenberg(j) - f) > tol * max(1.0, fock.frobenius(f)):
+            moved.append(j)
+    return ModeSet(tuple(moved), u.n_modes)
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_invariance_support_matches_the_dense_form(n_modes):
+    rng = np.random.default_rng(40 + n_modes)
+    cases = list(heisenberg_cases(n_modes))
+    for size in range(1, n_modes + 1):
+        modes = rng.choice(n_modes, size, replace=False)
+        cases.append(tf.local_random_ps_unitary(ModeSet.of(modes, n_modes), size))
+    for u in cases:
+        assert tf.invariance_support(u) == dense_invariance_support(u)
 
 
 def test_heisenberg_rejects_bad_modes():
