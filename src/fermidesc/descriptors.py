@@ -21,6 +21,11 @@ parity sector.  For the full mode set V_d is one even vector and W is the
 reconstructed unitary up to phase; for a proper subset W is one of the
 global unitaries the descriptors could have come from.
 
+A witness of a set's descriptors is one of every subset of them, so it
+belongs to the ontic state: a full set keeps the one its canonical-relation
+gate builds, each restriction keeps its parent's, and every operation takes
+the stored witness before it builds a fresh one.
+
 Because conjugation by W maps every polynomial in the f_a to the same
 polynomial in the d_a, the group action ("ontic_apply") is the paper's
 substitution: applying w replaces each moved mode's descriptor by
@@ -52,7 +57,6 @@ from .transformations import (
     PSUnitary,
     canonical_phase,
     invariance_support,
-    unitarity_defect,
     validate_ps_unitary,
 )
 
@@ -81,8 +85,8 @@ class DescriptorSet:
     subsystem: ModeSet
     descriptors: tuple[FockOperator, ...]
     heisenberg_state: FockVector
-    # a full set's reconstruction witness and round-trip residual, when the
-    # canonical-relation gate could build one within RECONSTRUCT_TOL
+    # witness W and round-trip residual from a full set's gate, when it built
+    # one; a restriction keeps its parent's, whose residual bounds its own
     _witness: tuple[PSUnitary, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -127,12 +131,12 @@ class DescriptorSet:
         exists, the exact O(N^2) residual decides.
         """
         try:
-            witness = _intertwiner(self.matrices(), self.n_modes, RECONSTRUCT_TOL)
+            witness = _intertwiner(self.matrices(), self.n_modes)
         except (ValidationError, np.linalg.LinAlgError):
             pass
         else:
             object.__setattr__(self, "_witness", witness)
-            delta, eps = unitarity_defect(witness[0].matrix), witness[1]
+            delta, eps = witness[0].defect, witness[1]
             if 3 * delta + 2 * delta**2 + 4 * (1 + delta) * eps + 2 * eps**2 <= CAR_TOL:
                 return
         residual = descriptor_algebra_residual(
@@ -147,9 +151,6 @@ class DescriptorSet:
     @property
     def n_modes(self) -> int:
         return self.subsystem.ambient_n
-
-    def descriptor_for(self, mode: int) -> FockOperator:
-        return self.descriptors[self.subsystem.indices.index(mode)]
 
     def matrices(self) -> dict[int, np.ndarray]:
         return {m: d.matrix for m, d in zip(self.subsystem.indices, self.descriptors)}
@@ -195,14 +196,12 @@ def _joint_vacuum(desc: dict[int, np.ndarray], dim: int) -> np.ndarray:
     return vac
 
 
-def _intertwiner(
-    desc: dict[int, np.ndarray], n_modes: int, tol: float
-) -> tuple[PSUnitary, float]:
+def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, float]:
     """Witness W with W^dag f_a W = desc[a] for every mode a in ``desc``.
 
     Returns W, fixed in phase by ``canonical_phase``, and its residual
     max_a |W^dag f_a W - desc[a]|.  Raises ``degenerate_reconstruction``
-    when the descriptors admit no parity-preserving witness within ``tol``.
+    when the descriptors admit no parity-preserving witness within RECONSTRUCT_TOL.
     """
     dim = 2 ** n_modes
     modes = sorted(desc)
@@ -243,24 +242,17 @@ def _intertwiner(
             "degenerate_reconstruction", f"assembled witness failed validation ({exc})"
         ) from exc
     residual = _witness_residual(witness, desc)
-    _require_round_trip(residual, tol)
-    return witness, residual
-
-
-def _require_round_trip(residual: float, tol: float) -> None:
-    if residual > tol:
+    if residual > RECONSTRUCT_TOL:
         raise ValidationError(
             "degenerate_reconstruction",
             f"assembled witness fails the round trip (residual {residual:.3e})",
         )
+    return witness, residual
 
 
-def _witness_of(d: DescriptorSet, tol: float) -> tuple[PSUnitary, float]:
-    """Witness of a set's descriptors: the one its gate stored, else a fresh one."""
-    if d._witness is None:
-        return _intertwiner(d.matrices(), d.n_modes, tol)
-    _require_round_trip(d._witness[1], tol)
-    return d._witness
+def _witness_of(d: DescriptorSet) -> tuple[PSUnitary, float]:
+    """Witness of a set's descriptors: the stored one, else a fresh one."""
+    return d._witness or _intertwiner(d.matrices(), d.n_modes)
 
 
 def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
@@ -269,9 +261,10 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     The result represents the composite (w after whatever produced d): for a
     set obtained from u it equals the descriptor set of w . u.  Each moved
     mode a gets d'_a = W^dag (w^dag f_a w) W, with W the witness of the
-    moved modes' descriptors.  This is the paper's substitution: w^dag f_a w
-    is a polynomial in the moved modes' ladders, and conjugation by W is
-    the algebra map that replaces every f_b by W^dag f_b W = d_b.  Naive
+    moved modes' restriction (the one a full set and its restrictions
+    carry).  This is the paper's substitution: w^dag f_a w is a polynomial
+    in the moved modes' ladders, and conjugation by W is the algebra map
+    that replaces every f_b by W^dag f_b W = d_b.  Naive
     two-sided conjugation of the stored matrices by w would compose in the
     wrong order and is deliberately not what this does.
 
@@ -282,8 +275,7 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     if w.n_modes != d.n_modes:
         raise ValidationError("dimension_mismatch", "transformation/descriptor mode counts differ")
     moved = invariance_support(w)
-    untouched = [a not in moved for a in d.subsystem.indices]
-    if all(untouched):
+    if moved.is_disjoint(d.subsystem):
         return d
     if not moved.is_subset_of(d.subsystem):
         raise ValidationError(
@@ -292,9 +284,7 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
             f"only tracks {d.subsystem.indices}",
         )
     try:
-        witness, _ = _intertwiner(
-            {a: d.descriptor_for(a).matrix for a in moved}, d.n_modes, RECONSTRUCT_TOL
-        )
+        witness, _ = _witness_of(ontic_project(d, moved))
     except ValidationError as exc:
         raise ValidationError(
             "descriptor_algebra",
@@ -303,16 +293,24 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
         ) from exc
     frame = w @ witness
     new_descriptors = tuple(
-        d.descriptor_for(a) if keep else FockOperator(d.n_modes, frame.heisenberg(a))
-        for a, keep in zip(d.subsystem.indices, untouched)
+        FockOperator(d.n_modes, frame.heisenberg(a)) if a in moved else old
+        for a, old in zip(d.subsystem.indices, d.descriptors)
     )
     return DescriptorSet(d.subsystem, new_descriptors, d.heisenberg_state)
 
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
-    """Restriction of an ontic state to a subsystem: keep those modes' descriptors."""
+    """Restriction of an ontic state to a subsystem: the same state seen from fewer modes.
+
+    Keeps those modes' descriptors and the set's witness, a witness of each
+    kept descriptor too; the set's own subsystem gives back ``d`` itself.
+    """
+    if subsystem == d.subsystem:
+        return d
     kept = tuple(d.descriptors[i] for i in subsystem.positions_in(d.subsystem))
-    return DescriptorSet(subsystem, kept, d.heisenberg_state)
+    restricted = DescriptorSet(subsystem, kept, d.heisenberg_state)
+    object.__setattr__(restricted, "_witness", d._witness)
+    return restricted
 
 
 def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
@@ -355,9 +353,7 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
         ) from exc
 
 
-def reconstruct_with_residual(
-    d: DescriptorSet, tol: float = RECONSTRUCT_TOL
-) -> tuple[PSUnitary, float]:
+def reconstruct_with_residual(d: DescriptorSet) -> tuple[PSUnitary, float]:
     """Recover the unique (up to phase) unitary behind a full descriptor set.
 
     The full-set case of the witness construction: the joint vacuum of a
@@ -371,12 +367,12 @@ def reconstruct_with_residual(
         raise ValidationError(
             "not_full", "reconstruction requires descriptors for every mode"
         )
-    return _witness_of(d, tol)
+    return _witness_of(d)
 
 
-def reconstruct_unitary(d: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> PSUnitary:
+def reconstruct_unitary(d: DescriptorSet) -> PSUnitary:
     """The unitary of :func:`reconstruct_with_residual` alone."""
-    return reconstruct_with_residual(d, tol)[0]
+    return reconstruct_with_residual(d)[0]
 
 
 @dataclass(frozen=True)
@@ -402,9 +398,7 @@ def _witness_residual(w: PSUnitary, merged: dict[int, np.ndarray]) -> float:
     return max(frobenius(w.heisenberg(a) - target) for a, target in merged.items())
 
 
-def compatible(
-    da: DescriptorSet, db: DescriptorSet, tol: float = RECONSTRUCT_TOL
-) -> CompatibilityResult:
+def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     """Decide whether two local ontic states extend to a common global one.
 
     Builds the merged descriptor set on the union, which for a full union
@@ -430,19 +424,19 @@ def compatible(
     ops = dict(zip(da.subsystem.indices + db.subsystem.indices, da.descriptors + db.descriptors))
     try:
         joined = DescriptorSet(union, tuple(ops[a] for a in union.indices), da.heisenberg_state)
-        witness, residual = _witness_of(joined, tol)
+        witness, residual = _witness_of(joined)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))
     return CompatibilityResult(True, witness, residual, "intertwiner", joined)
 
 
-def join(da: DescriptorSet, db: DescriptorSet, tol: float = RECONSTRUCT_TOL) -> DescriptorSet:
+def join(da: DescriptorSet, db: DescriptorSet) -> DescriptorSet:
     """Unique recombination of two compatible local ontic states.
 
     Returns the descriptor set ``compatible`` built and validated on the
-    union, whose witness reproduces every merged descriptor within ``tol``.
+    union, whose witness reproduces every merged descriptor within RECONSTRUCT_TOL.
     """
-    result = compatible(da, db, tol)
+    result = compatible(da, db)
     if not result:
         raise ValidationError("incompatible", f"states cannot be joined: {result.reason}")
     return result.joined

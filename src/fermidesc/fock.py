@@ -60,6 +60,17 @@ def _check_n_modes(n_modes: int) -> None:
         )
 
 
+def _is_int(x) -> bool:
+    """The one integer rule of modes and occupations: ints and numpy integers, no bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _mode_index(i) -> int:
+    if not _is_int(i):
+        raise ValidationError("mode_out_of_range", f"modes must be integers, got {i!r}")
+    return int(i)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
     a.setflags(write=False)
@@ -92,7 +103,8 @@ def frobenius(a: np.ndarray) -> float:
 class ModeSet:
     """An ordered subset of the modes of an N-mode system.
 
-    ``indices`` must be strictly increasing and each less than ``ambient_n``.
+    ``indices`` must be strictly increasing and each less than ``ambient_n``;
+    both take ints and numpy integers only.
     The empty set is constructible (it arises from complements) but is
     rejected wherever a subsystem argument is required.
     """
@@ -101,7 +113,8 @@ class ModeSet:
     ambient_n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(_mode_index(i) for i in self.indices))
+        object.__setattr__(self, "ambient_n", _mode_index(self.ambient_n))
         if self.ambient_n < 1:
             raise ValidationError("mode_out_of_range", "ambient_n must be >= 1")
         prev = -1
@@ -120,7 +133,7 @@ class ModeSet:
 
     @classmethod
     def of(cls, indices: Iterable[int], ambient_n: int) -> "ModeSet":
-        return cls(tuple(sorted(set(int(i) for i in indices))), ambient_n)
+        return cls(tuple(sorted(set(_mode_index(i) for i in indices))), ambient_n)
 
     @classmethod
     def full(cls, n_modes: int) -> "ModeSet":
@@ -357,9 +370,9 @@ def basis_index(n_modes: int, occupation: Sequence[int]) -> int:
         )
     index = 0
     for occ in occupation:
-        if occ not in (0, 1):
-            raise ValidationError("bad_occupation", f"occupation entries must be 0 or 1, got {occ}")
-        index = (index << 1) | occ
+        if not _is_int(occ) or occ not in (0, 1):
+            raise ValidationError("bad_occupation", f"occupation entries must be 0 or 1, got {occ!r}")
+        index = (index << 1) | int(occ)
     return index
 
 

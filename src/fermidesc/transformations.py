@@ -8,7 +8,7 @@ diagonal in the Fock basis, assembling the blocks is pure index placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -37,15 +37,19 @@ class PSUnitary:
 
     n_modes: int
     matrix: np.ndarray
+    # |M^dag M - I| in the Frobenius norm, kept for the canonical-relation gate
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_n_modes(self.n_modes)
         m = checked_array(self.matrix, self.n_modes, 2)
-        if unitarity_defect(m) > UNITARY_TOL * self.dim:
+        defect = frobenius(m.conj().T @ m - np.eye(self.dim))
+        if defect > UNITARY_TOL * self.dim:
             raise ValidationError("not_unitary", "matrix is not unitary within tolerance")
         # unitarity makes |m| = 2^(N/2) > 1, so the grade's max(1, |m|) scale is |m|
         algebra.require_even(m, "unitary")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "defect", defect)
 
     @property
     def dim(self) -> int:
@@ -77,11 +81,6 @@ class PSUnitary:
 
     def as_operator(self) -> FockOperator:
         return FockOperator(self.n_modes, self.matrix)
-
-
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """|M^dag M - I| in the Frobenius norm."""
-    return frobenius(matrix.conj().T @ matrix - np.eye(len(matrix)))
 
 
 def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
@@ -147,22 +146,14 @@ def is_local_unitary(u: PSUnitary, subsystem: ModeSet, tol: float = 1e-10) -> bo
     return algebra.is_local_to(u.as_operator(), subsystem, tol)
 
 
-def invariance_support(u: PSUnitary, tol: float = 1e-10) -> ModeSet:
+def invariance_support(u: PSUnitary) -> ModeSet:
     """Modes whose annihilators the unitary fails to leave invariant.
 
-    For a parity-superselected unitary this coincides with the minimal
-    locality support (up to global phase), and is much cheaper to compute
-    than span projections.
+    A parity-even unitary commutes with every annihilator outside a mode set
+    exactly when it is local to that set, so this is its locality support
+    (empty for a global phase), read from the signed-reorder kernel.
     """
-    moved = []
-    columns = np.arange(u.dim)
-    for j in range(u.n_modes):
-        partner, sign = ladder_columns(u.n_modes, j)
-        image = u.heisenberg(j)
-        image[partner, columns] -= sign  # U^dag f_j U - f_j, with no dense f_j
-        if frobenius(image) > tol * max(1.0, frobenius(sign)):
-            moved.append(j)
-    return ModeSet(tuple(moved), u.n_modes)
+    return algebra.mode_support(u.as_operator())
 
 
 def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:

@@ -420,7 +420,7 @@ def check_reconstruction(runs, tol: float = 1e-8) -> CheckResult:
         u = random_ps_unitary(n_modes, int(seed))
         psi0 = vacuum_state(n_modes)
         d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
-        rec, round_trip = dsc.reconstruct_with_residual(d, tol)
+        rec, round_trip = dsc.reconstruct_with_residual(d)
         dist = phase_distance(rec.matrix, u.matrix)
         worst = max(worst, dist, round_trip)
         details.append(

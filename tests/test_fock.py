@@ -177,13 +177,38 @@ def test_mode_cap_guard(monkeypatch):
     assert fock.mode_cap() == 12
 
 
+# mode sets and occupations that break the index rules: repeated, unsorted or
+# out-of-range modes, and values that are not ints or numpy integers
+_BAD_INDEX_CASES = {
+    "ModeSet-repeated": (lambda: ModeSet((1, 1), 3), "mode_out_of_range"),
+    "ModeSet-decreasing": (lambda: ModeSet((2, 1), 3), "mode_out_of_range"),
+    "ModeSet-too-large": (lambda: ModeSet((3,), 3), "mode_out_of_range"),
+    "ModeSet-float": (lambda: ModeSet((1.5,), 3), "mode_out_of_range"),
+    "ModeSet-str": (lambda: ModeSet(("1",), 3), "mode_out_of_range"),
+    "ModeSet-bool": (lambda: ModeSet((True,), 3), "mode_out_of_range"),
+    "ModeSet-float-ambient": (lambda: ModeSet((1,), 3.0), "mode_out_of_range"),
+    "ModeSet.of-str": (lambda: ModeSet.of(["1", 0], 3), "mode_out_of_range"),
+    "named_gate-float": (
+        lambda: transformations.named_gate("phase", 3, modes=(1.5,), theta=0.3),
+        "mode_out_of_range",
+    ),
+    "basis_index-float": (lambda: fock.basis_index(2, [1.0, 0]), "bad_occupation"),
+    "basis_index-bool": (lambda: fock.basis_index(2, [True, 0]), "bad_occupation"),
+    "basis_index-str": (lambda: fock.basis_index(2, ["1", 0]), "bad_occupation"),
+    "basis_index-two": (lambda: fock.basis_index(2, [2, 0]), "bad_occupation"),
+}
+
+
+@pytest.mark.parametrize("build, code", _BAD_INDEX_CASES.values(), ids=_BAD_INDEX_CASES.keys())
+def test_mode_and_occupation_rules(build, code):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == code
+
+
 def test_modeset_invariants():
-    with pytest.raises(ValidationError):
-        ModeSet((1, 1), 3)
-    with pytest.raises(ValidationError):
-        ModeSet((2, 1), 3)
-    with pytest.raises(ValidationError):
-        ModeSet((3,), 3)
+    assert ModeSet((np.int64(1),), np.int64(3)) == ModeSet((1,), 3)
+    assert fock.basis_index(2, [np.int64(1), 0]) == 2
     ms = ModeSet.of([2, 0], 4)
     assert ms.indices == (0, 2)
     assert ms.complement().indices == (1, 3)

@@ -225,7 +225,7 @@ def test_heisenberg_image_is_the_explicit_product_bit_for_bit(n_modes):
 
 
 def dense_invariance_support(u: tf.PSUnitary, tol: float = 1e-10) -> ModeSet:
-    """The moved modes from the dense annihilators, |U^dag f_j U - f_j| > tol max(1, |f_j|)."""
+    """The moved modes from N Heisenberg images, |U^dag f_j U - f_j| > tol max(1, |f_j|)."""
     moved = []
     for j in range(u.n_modes):
         f = fock.annihilator(u.n_modes, j).matrix
@@ -235,14 +235,19 @@ def dense_invariance_support(u: tf.PSUnitary, tol: float = 1e-10) -> ModeSet:
 
 
 @pytest.mark.parametrize("n_modes", range(1, 9))
-def test_invariance_support_matches_the_dense_form(n_modes):
+def test_invariance_support_matches_the_dense_form(monkeypatch, n_modes):
     rng = np.random.default_rng(40 + n_modes)
     cases = list(heisenberg_cases(n_modes))
     for size in range(1, n_modes + 1):
         modes = rng.choice(n_modes, size, replace=False)
         cases.append(tf.local_random_ps_unitary(ModeSet.of(modes, n_modes), size))
-    for u in cases:
-        assert tf.invariance_support(u) == dense_invariance_support(u)
+    images = []
+    heisenberg = tf.PSUnitary.heisenberg
+    with monkeypatch.context() as patch:
+        patch.setattr(tf.PSUnitary, "heisenberg", lambda u, a: images.append(a) or heisenberg(u, a))
+        supports = [tf.invariance_support(u) for u in cases]
+    assert images == []  # the locality kernel forms no Heisenberg image
+    assert supports == [dense_invariance_support(u) for u in cases]
 
 
 def test_heisenberg_rejects_bad_modes():

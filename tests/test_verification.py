@@ -163,6 +163,9 @@ def test_checkers_can_fail_under_tolerance_squeeze():
     squeezed = vf.check_diagram(d, ModeSet((0, 2), 3), tol=0.0)
     assert not squeezed.passed and squeezed.residual > 0.0
 
+    squeezed = vf.check_reconstruction([(3, 5)], tol=0.0)
+    assert not squeezed.passed and squeezed.residual > 0.0
+
 
 def test_canonical_algebra_check():
     for n_modes in (1, 2, 3):
