@@ -214,20 +214,20 @@ def _split_local(o: FockOperator, subsystem: ModeSet) -> tuple[np.ndarray, float
     return coeffs, frobenius(x)
 
 
-def parity_grade(o: FockOperator | np.ndarray, tol: float = LOCALITY_TOL) -> str:
+def parity_grade(o: FockOperator | np.ndarray) -> str:
     """Classify an operator, matrix or vector as even, odd, or mixed under parity.
 
     The one superselection test: a matrix is conjugated by the parity
     operator, a vector multiplied by it, and the image is compared with
-    plus and minus the input at ``tol * max(1, |input|)``.
+    plus and minus the input at ``LOCALITY_TOL * max(1, |input|)``.
     """
     m = o.matrix if isinstance(o, FockOperator) else o
     diag = parity_diagonal(m.shape[0].bit_length() - 1)
     conj = diag * m if m.ndim == 1 else diag[:, None] * m * diag[None, :]
-    scale = max(1.0, frobenius(m))
-    if frobenius(conj - m) <= tol * scale:
+    bound = LOCALITY_TOL * max(1.0, frobenius(m))
+    if frobenius(conj - m) <= bound:
         return GRADE_EVEN
-    if frobenius(conj + m) <= tol * scale:
+    if frobenius(conj + m) <= bound:
         return GRADE_ODD
     return GRADE_MIXED
 
@@ -255,7 +255,7 @@ def is_local_to(o: FockOperator, subsystem: ModeSet, tol: float = LOCALITY_TOL) 
     return locality_residual(o, subsystem) <= tol * scale
 
 
-def mode_support(o: FockOperator, tol: float = LOCALITY_TOL) -> ModeSet:
+def mode_support(o: FockOperator) -> ModeSet:
     """Smallest mode set the operator is local to.
 
     Computed by dropping each mode whose removal keeps the operator inside
@@ -269,10 +269,11 @@ def mode_support(o: FockOperator, tol: float = LOCALITY_TOL) -> ModeSet:
         if not trial:
             # scalar multiples of the identity have empty support
             diag = complex(np.trace(o.matrix)) / o.dim
-            if frobenius(o.matrix - diag * np.eye(o.dim)) <= tol * max(1.0, frobenius(o.matrix)):
+            off = frobenius(o.matrix - diag * np.eye(o.dim))
+            if off <= LOCALITY_TOL * max(1.0, frobenius(o.matrix)):
                 kept = trial
             continue
-        if is_local_to(o, ModeSet(tuple(trial), n), tol):
+        if is_local_to(o, ModeSet(tuple(trial), n)):
             kept = trial
     return ModeSet(tuple(kept), n)
 
@@ -300,12 +301,10 @@ def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
     return FockOperator(subsystem.ambient_n, matrix)
 
 
-def compress_local_operator(
-    o: FockOperator, subsystem: ModeSet, tol: float = LOCALITY_TOL
-) -> np.ndarray:
+def compress_local_operator(o: FockOperator, subsystem: ModeSet) -> np.ndarray:
     """Inverse of :func:`embed_local_operator`; rejects non-local input."""
     coeffs, residual = _split_local(o, subsystem)
-    if residual > tol * max(1.0, frobenius(o.matrix)):
+    if residual > LOCALITY_TOL * max(1.0, frobenius(o.matrix)):
         raise ValidationError(
             "not_local",
             f"operator is not local to modes {subsystem.indices} (residual {residual:.3e})",

@@ -122,6 +122,8 @@ def _parse_checks(scenario: dict) -> list[tuple[str, int, int, float, str]]:
     if not isinstance(tolerances, dict):
         _fail("bad_schema", "tolerances must be an object", "tolerances")
     for key, tol in tolerances.items():
+        if key not in vf.CHECK_TOLERANCES:
+            _fail("bad_schema", f"unknown check name {key!r}", f"tolerances.{key}")
         if not serialize.is_finite_number(tol) or tol < 0:
             _fail("bad_schema", "tolerances are finite numbers >= 0", f"tolerances.{key}")
     out = []
@@ -152,10 +154,9 @@ def _scenario_checks(
     results: list[vf.CheckResult] = []
     for name, seed, count, tol, field in checks:
         if name == "diagram":
-            sub = [vf.check_diagram(global_descriptors, p, tol) for p in partitions]
-            if not sub:
+            if not partitions:
                 _fail("bad_schema", "diagram check needs at least one partition", field)
-            results.append(vf._merge("diagram", sub, tol))
+            results.append(vf.check_diagram(global_descriptors, partitions, tol))
         elif name == "no_signalling":
             pairs = [
                 (a, b)

@@ -36,6 +36,7 @@ wrong order and is deliberately not what this module does.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -188,14 +189,6 @@ def same_image(da: np.ndarray, db: np.ndarray, tol: float = EQUIV_TOL) -> bool:
     return frobenius(da - db) <= tol * max(1.0, frobenius(da))
 
 
-def _joint_vacuum(desc: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Product of the d_a d_a^dag: for CAR descriptors, the projector onto V_d."""
-    vac = np.eye(dim, dtype=complex)
-    for a in sorted(desc):
-        vac = vac @ (desc[a] @ desc[a].conj().T)
-    return vac
-
-
 def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, float]:
     """Witness W with W^dag f_a W = desc[a] for every mode a in ``desc``.
 
@@ -205,7 +198,8 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
     """
     dim = 2 ** n_modes
     modes = sorted(desc)
-    vac = _joint_vacuum(desc, dim)
+    # product of the d_a d_a^dag: for CAR descriptors, the projector onto V_d
+    vac = functools.reduce(np.matmul, (desc[a] @ desc[a].conj().T for a in modes))
 
     # J sends an orthonormal basis of V_d, sector by sector, onto the Fock
     # states with every mode of the family empty, in increasing index order
@@ -320,30 +314,19 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
     Ebar substitutes descriptors into the monomial E(l,p); the adjoint
     pairing makes tr(E(l,p) .) the (p, l) entry of the assembled matrix.
     """
-    modes = d.subsystem.indices
-    m = len(modes)
-    desc = d.matrices()
-    psi = d.heisenberg_state.amplitudes
-
-    vac = _joint_vacuum(desc, 2 ** d.n_modes)
-
-    # y[S] = (annihilators of S, decreasing order) |psi0>; doubles as the
-    # adjoint of the creator string applied to |psi0>.
-    y: dict[tuple[int, ...], np.ndarray] = {(): psi}
-
-    def y_of(occupied: tuple[int, ...]) -> np.ndarray:
-        if occupied in y:
-            return y[occupied]
-        out = desc[occupied[-1]] @ y_of(occupied[:-1])
-        y[occupied] = out
-        return out
-
-    patterns = [
-        tuple(modes[i] for i in range(m) if (bits >> (m - 1 - i)) & 1)
-        for bits in range(2 ** m)
-    ]
-    ys = np.stack([y_of(p) for p in patterns])
-    gamma = ys.conj() @ vac @ ys.T  # gamma[l, p] = <psi0| cre_d(l) vac_d ann_d(p) |psi0>
+    desc = [x.matrix for x in d.descriptors]  # in increasing mode order
+    # ys[p] = (annihilators of pattern p, decreasing order) |psi0>, built by
+    # doubling over the modes, the first mode the highest bit of p; it
+    # doubles as the adjoint of the creator string applied to |psi0>
+    ys = d.heisenberg_state.amplitudes[None, :]
+    for da in desc:
+        ys = np.stack([ys, ys @ da.T], axis=1).reshape(-1, ys.shape[1])
+    # the vacuum factors d_a d_a^dag applied to the 2^m vectors, last factor
+    # first; d^dag z is conj(d^T conj(z)), so no 2^N x 2^N array is formed
+    vac_ys = ys.T
+    for da in reversed(desc):
+        vac_ys = da @ (da.T @ vac_ys.conj()).conj()
+    gamma = ys.conj() @ vac_ys  # gamma[l, p] = <psi0| cre_d(l) vac_d ann_d(p) |psi0>
     try:
         return PhenomenalState(d.subsystem, gamma.T)
     except ValidationError as exc:

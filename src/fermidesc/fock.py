@@ -255,8 +255,8 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def require_normalized(self, tol: float = 1e-10) -> "FockVector":
-        if abs(self.norm() - 1.0) > tol:
+    def require_normalized(self) -> "FockVector":
+        if abs(self.norm() - 1.0) > 1e-10:
             raise ValidationError(
                 "not_normalized", f"state norm is {self.norm():.3e}, expected 1"
             )

@@ -20,6 +20,7 @@ from .errors import ValidationError, at_field
 from .fock import FockOperator, FockVector, ModeSet, _check_n_modes
 from .states import PhenomenalState
 from .transformations import PSUnitary
+from .verification import CHECK_TOLERANCES
 
 SCHEMA_VERSION = "1"
 
@@ -302,14 +303,7 @@ SCENARIO_SCHEMA = {
                 "type": "object",
                 "required": ["name"],
                 "properties": {
-                    "name": {
-                        "enum": [
-                            "diagram",
-                            "no_signalling",
-                            "locality_invariance",
-                            "ontic_properties",
-                        ]
-                    },
+                    "name": {"enum": list(CHECK_TOLERANCES)},
                     "seed": {"type": "integer", "minimum": 0, "default": 0},
                     "count": {"type": "integer", "minimum": 1, "default": 10},
                 },
@@ -318,6 +312,7 @@ SCENARIO_SCHEMA = {
         "tolerances": {
             "type": "object",
             "description": "optional per-check tolerance overrides keyed by check name",
+            "propertyNames": {"enum": list(CHECK_TOLERANCES)},
             "additionalProperties": {"type": "number", "minimum": 0},
         },
     },

@@ -195,7 +195,7 @@ def test_criterion_8_diagram():
             psi0 = vf.random_sector_state(n_modes, seed + 1000)
             d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
             for subset in subsets:
-                result = vf.check_diagram(d, subset, tol=1e-9)
+                result = vf.check_diagram(d, [subset], tol=1e-9)
                 assert result.passed
                 worst = max(worst, result.residual)
                 worst_cross = max(

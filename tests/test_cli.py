@@ -237,6 +237,8 @@ def _with_check(**fields):
             "initial_state[0].amplitude",
         ),
         ({"initial_state": [2, 0]}, "initial_state"),
+        ({"tolerances": {"no_signaling": 1e-30}}, "tolerances.no_signaling"),
+        ({"tolerances": {"bogus": 1}}, "tolerances.bogus"),
     ],
 )
 def test_bad_scenario_fields_exit_3_with_field_path(tmp_path, override, field):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fermidesc import algebra, descriptors as dsc, fock, states, transformations as tf
+from fermidesc import verification as vf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 from fermidesc.verification import random_sector_state
@@ -714,6 +715,74 @@ def test_phenomenal_homomorphism(seed):
     rho = dsc.phenomenal_of(d).matrix
     rhs = w.matrix @ rho @ w.matrix.conj().T
     assert fock.frobenius(lhs - rhs) < 1e-9
+
+
+def projector_phenomenal(d: dsc.DescriptorSet) -> np.ndarray:
+    """Oracle: the dense vacuum projector form ys* . (prod_a d_a d_a^dag) . ys^T.
+
+    Each annihilator string on |psi0> is one memoised product, and the
+    product of the d_a d_a^dag is formed as a 2^N x 2^N matrix.  Raises
+    ``internal_inconsistency`` when the result is no state, as
+    ``phenomenal_of`` does.
+    """
+    modes = d.subsystem.indices
+    m = len(modes)
+    desc = d.matrices()
+    vac = np.eye(2 ** d.n_modes, dtype=complex)
+    for a in modes:
+        vac = vac @ (desc[a] @ desc[a].conj().T)
+    y = {(): d.heisenberg_state.amplitudes}
+
+    def y_of(occupied):
+        if occupied not in y:
+            y[occupied] = desc[occupied[-1]] @ y_of(occupied[:-1])
+        return y[occupied]
+
+    patterns = [
+        tuple(modes[i] for i in range(m) if (bits >> (m - 1 - i)) & 1) for bits in range(2 ** m)
+    ]
+    ys = np.stack([y_of(p) for p in patterns])
+    gamma = (ys.conj() @ vac @ ys.T).T
+    try:
+        states.PhenomenalState(d.subsystem, gamma)
+    except ValidationError as exc:
+        raise ValidationError("internal_inconsistency", str(exc)) from exc
+    return gamma
+
+
+def assert_matches_projector_form(d: dsc.DescriptorSet) -> None:
+    assert np.abs(dsc.phenomenal_of(d).matrix - projector_phenomenal(d)).max() <= 1e-14
+
+
+def test_phenomenal_of_matches_projector_form_on_every_restriction():
+    n_modes = 4
+    psi0 = random_sector_state(n_modes, 12)
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 11), ModeSet.full(n_modes), psi0)
+    subsets = list(vf.proper_subsets(n_modes)) + [ModeSet.full(n_modes)]
+    for subset in subsets:
+        assert_matches_projector_form(dsc.ontic_project(d, subset))
+
+
+def test_phenomenal_of_matches_projector_form_at_six_modes():
+    n_modes = 6
+    psi0 = random_sector_state(n_modes, 3)
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 2), ModeSet.full(n_modes), psi0)
+    for subset in ((4,), (0, 5), (1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 4, 5), tuple(range(6))):
+        assert_matches_projector_form(dsc.ontic_project(d, ModeSet(subset, n_modes)))
+
+
+def test_phenomenal_of_matches_projector_form_on_particle_hole_set():
+    psi0 = random_sector_state(2, 1)
+    d = dsc.DescriptorSet(ModeSet((0,), 2), (fock.creator(2, 0),), psi0)
+    assert_matches_projector_form(d)
+
+
+def test_doctored_partial_set_is_no_state_in_either_form():
+    d = dsc.DescriptorSet(ModeSet((0,), 2), (0.5 * fock.annihilator(2, 0),), fock.vacuum_state(2))
+    for form in (dsc.phenomenal_of, projector_phenomenal):
+        with pytest.raises(ValidationError) as info:
+            form(d)
+        assert info.value.code == "internal_inconsistency"
 
 
 def test_images_at_the_mode_cap_build_no_dense_ladder(monkeypatch):

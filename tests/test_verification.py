@@ -82,7 +82,7 @@ def test_locality_invariance_randomized(seed):
 def test_diagram_identity_any_subset():
     d = dsc.canonical_descriptors(ModeSet.full(3), fock.vacuum_state(3))
     for subset in vf.proper_subsets(3):
-        result = vf.check_diagram(d, subset)
+        result = vf.check_diagram(d, [subset])
         assert result.passed
         assert result.residual < 1e-12
 
@@ -90,7 +90,7 @@ def test_diagram_identity_any_subset():
 def test_diagram_tunneling_half_mixed():
     u = tf.named_gate("tunneling", 2, modes=(0, 1), theta=np.pi / 4)
     d = dsc.evolve_descriptors(u, ModeSet.full(2), fock.fock_basis_state(2, [1, 0]))
-    result = vf.check_diagram(d, ModeSet((0,), 2))
+    result = vf.check_diagram(d, [ModeSet((0,), 2)])
     assert result.passed
 
 
@@ -101,9 +101,38 @@ def test_diagram_randomized_all_subsets(seed):
     psi0 = vf.random_sector_state(n_modes, seed + 5)
     d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
     for subset in vf.proper_subsets(n_modes):
-        result = vf.check_diagram(d, subset)
+        result = vf.check_diagram(d, [subset])
         assert result.passed, (subset.indices, result.residual)
         assert result.details[0]["partial_trace_cross_residual"] < 1e-10
+
+
+def test_diagram_reads_the_global_state_once(monkeypatch):
+    calls = []
+    phenomenal_of = dsc.phenomenal_of
+
+    def counting(d):
+        calls.append(d.subsystem.indices)
+        return phenomenal_of(d)
+
+    monkeypatch.setattr(dsc, "phenomenal_of", counting)
+    d = dsc.evolve_descriptors(
+        tf.random_ps_unitary(4, 1), ModeSet.full(4), vf.random_sector_state(4, 2)
+    )
+    subsets = list(vf.proper_subsets(4))
+    result = vf.check_diagram(d, subsets)
+    assert result.passed
+    assert len(calls) == len(subsets) + 1
+    assert [detail["j_subset"] for detail in result.details] == [
+        list(s.indices) for s in subsets
+    ]
+    assert result.residual == max(detail["residual"] for detail in result.details)
+
+
+def test_diagram_refuses_an_empty_subset_list():
+    d = dsc.canonical_descriptors(ModeSet.full(2), fock.vacuum_state(2))
+    with pytest.raises(ValidationError) as err:
+        vf.check_diagram(d, [])
+    assert err.value.code == "empty_subsystem"
 
 
 def test_ontic_property_list_identity_instances():
@@ -160,7 +189,7 @@ def test_checkers_can_fail_under_tolerance_squeeze():
     d = dsc.evolve_descriptors(
         tf.random_ps_unitary(3, 5), ModeSet.full(3), vf.random_sector_state(3, 6)
     )
-    squeezed = vf.check_diagram(d, ModeSet((0, 2), 3), tol=0.0)
+    squeezed = vf.check_diagram(d, [ModeSet((0, 2), 3)], tol=0.0)
     assert not squeezed.passed and squeezed.residual > 0.0
 
     squeezed = vf.check_reconstruction([(3, 5)], tol=0.0)
