@@ -187,8 +187,7 @@ def _scenario_checks(
             for k in range(count):
                 part = proper[k % len(proper)]
                 u = local_random_ps_unitary(part, seed + k)
-                for j in part.complement().indices:
-                    sub.append(vf.check_locality_invariance(u, part, j, tol))
+                sub.append(vf.check_locality_invariance(u, part, tol=tol))
             results.append(vf._merge("locality_invariance", sub, tol))
         else:
             results.append(

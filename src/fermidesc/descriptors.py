@@ -36,6 +36,7 @@ wrong order and is deliberately not what this module does.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -221,14 +222,19 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
 
     # columns d^dag_S J^dag e and f^dag_S e over every subset S of the modes,
     # creators in increasing mode order; W maps the first set onto the second.
-    # A creator is a signed row gather; + 0.0 turns its -0.0 entries into the
-    # +0.0 a dense product gives, which the printed witness shows.
-    x_f = np.eye(dim, dtype=complex)[:, empty]
+    # Each f^dag_S e is signs[c] times basis state rows[c] and the rows cover
+    # every state once, so W is a signed row scatter of the first set's
+    # adjoint; + 0.0 leaves no -0.0 entry, which the printed witness would show.
+    rows = np.flatnonzero(empty)
+    signs = np.ones(len(rows))
     for a in reversed(modes):
         partner, sign = ladder_columns(n_modes, a)
         x_d = np.hstack([x_d, desc[a].conj().T @ x_d])
-        x_f = np.hstack([x_f, x_f[partner] * sign[:, None] + 0.0])
-    w = canonical_phase(x_f @ x_d.conj().T, n_modes)
+        signs = np.hstack([signs, signs * sign[partner[rows]]])
+        rows = np.hstack([rows, partner[rows]])
+    w = np.empty((dim, dim), dtype=complex)
+    w[rows] = signs[:, None] * x_d.conj().T + 0.0
+    w = canonical_phase(w, n_modes)
     try:
         witness = validate_ps_unitary(w)
     except ValidationError as exc:
@@ -298,12 +304,16 @@ def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
 
     Keeps those modes' descriptors and the set's witness, a witness of each
     kept descriptor too; the set's own subsystem gives back ``d`` itself.
+    The restriction is a copy of the validated parent with the subsystem and
+    descriptors replaced, so nothing the parent graded is graded again.
     """
     if subsystem == d.subsystem:
         return d
+    subsystem.require_nonempty()
     kept = tuple(d.descriptors[i] for i in subsystem.positions_in(d.subsystem))
-    restricted = DescriptorSet(subsystem, kept, d.heisenberg_state)
-    object.__setattr__(restricted, "_witness", d._witness)
+    restricted = copy.copy(d)
+    object.__setattr__(restricted, "subsystem", subsystem)
+    object.__setattr__(restricted, "descriptors", kept)
     return restricted
 
 

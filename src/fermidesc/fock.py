@@ -168,6 +168,7 @@ class ModeSet:
         return not set(self.indices) & set(other.indices)
 
     def is_subset_of(self, other: "ModeSet") -> bool:
+        self._check_same_ambient(other)
         return set(self.indices) <= set(other.indices)
 
     def positions_in(self, superset: "ModeSet") -> tuple[int, ...]:

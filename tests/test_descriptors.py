@@ -11,25 +11,14 @@ from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 from fermidesc.verification import random_sector_state
 
+from conftest import count_calls
+
 
 def max_descriptor_distance(a: dsc.DescriptorSet, b: dsc.DescriptorSet) -> float:
     assert a.subsystem.indices == b.subsystem.indices
     return max(
         fock.frobenius(x.matrix - y.matrix) for x, y in zip(a.descriptors, b.descriptors)
     )
-
-
-def count_calls(monkeypatch, name: str) -> list:
-    """Wrap ``descriptors.<name>`` so every call appends its arguments to the returned list."""
-    calls = []
-    original = getattr(dsc, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(dsc, name, counting)
-    return calls
 
 
 def test_identity_gives_canonical_descriptors():
@@ -287,6 +276,36 @@ def test_ontic_project_composes():
     assert dsc.ontic_project(d, ModeSet.full(4)) is d
 
 
+def test_ontic_project_copies_the_parent_without_grading_again(monkeypatch):
+    u = tf.random_ps_unitary(4, 8)
+    d = dsc.evolve_descriptors(u, ModeSet.full(4), random_sector_state(4, 9))
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    restricted = dsc.ontic_project(d, ModeSet((1, 3), 4))
+    assert grades == []
+    assert restricted.subsystem == ModeSet((1, 3), 4)
+    assert restricted.descriptors == (d.descriptors[1], d.descriptors[3])  # the same objects
+    assert restricted.heisenberg_state is d.heisenberg_state
+    assert restricted._witness is d._witness is not None
+    assert d.subsystem == ModeSet.full(4) and len(d.descriptors) == 4
+
+
+@pytest.mark.parametrize(
+    "subsystem, code",
+    [
+        (ModeSet((), 3), "empty_subsystem"),
+        (ModeSet((0, 2), 3), "not_subset"),
+        (ModeSet((0,), 4), "dimension_mismatch"),
+        (ModeSet((0,), 2), "dimension_mismatch"),
+    ],
+)
+def test_ontic_project_refusals(subsystem, code):
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(3, 2), ModeSet.full(3), fock.vacuum_state(3))
+    part = dsc.ontic_project(d, ModeSet((0, 1), 3))
+    with pytest.raises(ValidationError) as err:
+        dsc.ontic_project(part, subsystem)
+    assert err.value.code == code
+
+
 def test_compatible_projections_of_global_state():
     n_modes = 3
     psi0 = fock.vacuum_state(n_modes)
@@ -393,8 +412,8 @@ def test_full_union_join_runs_the_canonical_relation_gate_once(monkeypatch):
     d = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 73), ModeSet.full(n_modes), psi0)
     d_a = dsc.ontic_project(d, ModeSet((0, 3), n_modes))
     d_b = dsc.ontic_project(d, ModeSet((1, 2), n_modes))
-    residuals = count_calls(monkeypatch, "descriptor_algebra_residual")
-    intertwiners = count_calls(monkeypatch, "_intertwiner")
+    residuals = count_calls(monkeypatch, dsc, "descriptor_algebra_residual")
+    intertwiners = count_calls(monkeypatch, dsc, "_intertwiner")
     joined = dsc.join(d_a, d_b)
     # the gate's witness is the join's witness; the exact residual never runs
     assert [args[1] for args in intertwiners] == [n_modes]
@@ -557,7 +576,7 @@ def test_reconstruct_rejects_particle_hole_family():
 
 @pytest.mark.parametrize("n_modes", range(2, 9))
 def test_genuine_full_sets_pass_the_gate_on_their_witness(monkeypatch, n_modes):
-    residuals = count_calls(monkeypatch, "descriptor_algebra_residual")
+    residuals = count_calls(monkeypatch, dsc, "descriptor_algebra_residual")
     full = ModeSet.full(n_modes)
     psi0 = random_sector_state(n_modes, n_modes)
     unitaries = (
@@ -619,7 +638,7 @@ def test_gate_verdict_matches_the_exact_residual(n_modes):
 
 def test_particle_hole_family_passes_the_gate_on_the_exact_residual(monkeypatch):
     n_modes = 2
-    residuals = count_calls(monkeypatch, "descriptor_algebra_residual")
+    residuals = count_calls(monkeypatch, dsc, "descriptor_algebra_residual")
     family = (fock.creator(n_modes, 0), fock.annihilator(n_modes, 1))
     d = dsc.DescriptorSet(ModeSet.full(n_modes), family, fock.vacuum_state(n_modes))
     assert len(residuals) == 1  # no parity-preserving witness exists
@@ -633,7 +652,7 @@ def test_particle_hole_family_passes_the_gate_on_the_exact_residual(monkeypatch)
 def test_reconstruction_reuses_the_gate_witness(monkeypatch, n_modes):
     u = tf.random_ps_unitary(n_modes, 30 + n_modes)
     d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), random_sector_state(n_modes, 3))
-    intertwiners = count_calls(monkeypatch, "_intertwiner")
+    intertwiners = count_calls(monkeypatch, dsc, "_intertwiner")
     witness, residual = dsc.reconstruct_with_residual(d)
     assert intertwiners == []
     fresh, fresh_residual = dsc._intertwiner(d.matrices(), n_modes)
@@ -656,7 +675,7 @@ def test_ontic_apply_reuses_the_stored_witness(monkeypatch):
     assert restricted._witness is d._witness is not None
     w = tf.local_random_ps_unitary(ModeSet((1, 3), n_modes), 62)
     composite = dsc.evolve_descriptors(w @ u, ModeSet.full(n_modes), psi0)
-    intertwiners = count_calls(monkeypatch, "_intertwiner")
+    intertwiners = count_calls(monkeypatch, dsc, "_intertwiner")
     applied = dsc.ontic_apply(w, d)
     # one intertwiner, the result's own canonical-relation gate
     assert [sorted(args[0]) for args in intertwiners] == [list(range(n_modes))]

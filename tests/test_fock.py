@@ -215,6 +215,16 @@ def test_modeset_invariants():
     assert ms.positions_in(ModeSet((0, 1, 2), 4)) == (0, 2)
 
 
+def test_modeset_subset_needs_the_same_system():
+    for call in (
+        lambda: ModeSet((0,), 5).is_subset_of(ModeSet.full(2)),
+        lambda: ModeSet((0,), 5).positions_in(ModeSet.full(2)),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == "dimension_mismatch"
+
+
 def test_empty_modeset_only_from_complement():
     full = ModeSet.full(2)
     assert full.complement().is_empty

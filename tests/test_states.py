@@ -87,6 +87,14 @@ def test_partial_trace_bell_like_example():
     assert np.allclose(reduced.matrix, np.diag([0.5, 0.5]), atol=1e-12)
 
 
+@pytest.mark.parametrize("trace", [states.partial_trace, states.partial_trace_jw])
+def test_partial_traces_refuse_modes_of_another_system(trace):
+    rho = random_phenomenal(2, 4)
+    with pytest.raises(ValidationError) as err:
+        trace(rho, ModeSet((0,), 5))
+    assert err.value.code == "dimension_mismatch"
+
+
 def test_partial_trace_keep_everything_is_identity_map():
     rho = random_phenomenal(3, 1)
     same = states.partial_trace(rho, ModeSet.full(3))

@@ -8,6 +8,8 @@ from fermidesc import verification as vf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
+from conftest import count_calls
+
 
 def bell_like_state() -> states.PhenomenalState:
     psi = (
@@ -63,20 +65,71 @@ def test_no_signalling_randomized(seed):
 
 def test_locality_invariance_examples():
     u = tf.named_gate("tunneling", 3, modes=(0, 1), theta=0.9)
-    result = vf.check_locality_invariance(u, ModeSet((0, 1), 3), 2)
+    result = vf.check_locality_invariance(u, ModeSet((0, 1), 3))
     assert result.passed
     ident = tf.PSUnitary(3, np.eye(8, dtype=complex))
-    result = vf.check_locality_invariance(ident, ModeSet((0, 1), 3), 2)
+    result = vf.check_locality_invariance(ident, ModeSet((0, 1), 3))
     assert result.residual == 0.0
     with pytest.raises(ValidationError):
-        vf.check_locality_invariance(u, ModeSet((0, 1), 3), 1)
+        vf.check_locality_invariance(u, ModeSet.full(3))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_locality_invariance_randomized(seed):
     u = tf.local_random_ps_unitary(ModeSet((0, 1), 3), seed)
-    result = vf.check_locality_invariance(u, ModeSet((0, 1), 3), 2)
+    result = vf.check_locality_invariance(u, ModeSet((0, 1), 3))
     assert result.passed
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
+def test_locality_residuals_match_the_dense_ladder_bitwise(n_modes):
+    for k, inside in enumerate(vf.proper_subsets(n_modes)):
+        u = tf.local_random_ps_unitary(inside, 40 * n_modes + k)
+        result = vf.check_locality_invariance(u, inside)
+        assert result.passed
+        assert [d["outside_mode"] for d in result.details] == list(inside.complement().indices)
+        for detail in result.details:
+            j = detail["outside_mode"]
+            assert detail["inside"] == list(inside.indices)
+            dense = fock.frobenius(u.heisenberg(j) - fock.annihilator(n_modes, j).matrix)
+            assert np.float64(detail["residual"]).tobytes() == np.float64(dense).tobytes()
+        assert result.residual == max(d["residual"] for d in result.details)
+
+
+def test_sweep_proves_each_local_unitary_local_once(monkeypatch):
+    checks = count_calls(monkeypatch, vf, "check_locality_invariance")
+    proofs = count_calls(monkeypatch, vf, "is_local_unitary")
+    results = {r.name: r for r in vf.run_sweep(4, 0, 8)}
+    assert len(checks) == 14 * 2  # proper subsets of 4 modes, 8 // 4 seeds each
+    for u, inside in checks:
+        assert [args[1] for args in proofs if args[0] is u] == [inside]
+    details = results["locality_invariance"].details
+    assert len(details) == sum(4 - len(inside) for _, inside in checks)
+
+
+def test_locality_invariance_refuses_an_inside_with_no_outside_mode():
+    u = tf.random_ps_unitary(3, 1)
+    for inside in (ModeSet.full(3), ModeSet((), 3)):
+        with pytest.raises(ValidationError) as err:
+            vf.check_locality_invariance(u, inside)
+        assert err.value.code == "empty_subsystem"
+
+
+def test_locality_invariance_takes_no_mode_index():
+    u = tf.local_random_ps_unitary(ModeSet((0, 1), 3), 0)
+    with pytest.raises(TypeError):
+        vf.check_locality_invariance(u, ModeSet((0, 1), 3), 2)
+
+
+def test_locality_invariance_at_the_mode_cap_builds_no_dense_ladder(monkeypatch):
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    n_modes = fock.DEFAULT_MODE_CAP
+    inside = ModeSet.of(set(range(n_modes)) - {4}, n_modes)
+    u = tf.local_random_ps_unitary(inside, 3)
+    fock._annihilator_matrix.cache_clear()
+    result = vf.check_locality_invariance(u, inside)
+    assert result.passed and [d["outside_mode"] for d in result.details] == [4]
+    assert fock._annihilator_matrix.cache_info().currsize == 0
 
 
 def test_diagram_identity_any_subset():
@@ -183,7 +236,7 @@ def test_checkers_can_fail_under_tolerance_squeeze():
     assert not squeezed.passed and squeezed.residual > 0.0
 
     u = tf.local_random_ps_unitary(ModeSet((0, 1), 3), 4)
-    squeezed = vf.check_locality_invariance(u, ModeSet((0, 1), 3), 2, tol=0.0)
+    squeezed = vf.check_locality_invariance(u, ModeSet((0, 1), 3), tol=0.0)
     assert not squeezed.passed and squeezed.residual > 0.0
 
     d = dsc.evolve_descriptors(
