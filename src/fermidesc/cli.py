@@ -82,8 +82,8 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
 
 def _build_gate(entry, index: int, n_modes: int) -> PSUnitary:
     field = f"gates[{index}]"
-    if not isinstance(entry, dict) or "kind" not in entry:
-        _fail("bad_schema", "gate entries are objects with a kind", field)
+    if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
+        _fail("bad_schema", "gate entries are objects with a string kind", field)
     kind = entry["kind"]
     with at_field(field):
         if kind == "hamiltonian":

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+# the bare package: scipy.linalg loads on the first expm call, which only an
+# explicit Hamiltonian makes
+import scipy
 
 from . import algebra
 from .errors import ValidationError
@@ -88,11 +90,10 @@ def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("dimension_mismatch", f"expected a square matrix, got {m.shape}")
-    n = int(np.log2(m.shape[0]))
-    if 2 ** n != m.shape[0]:
-        raise ValidationError(
-            "dimension_mismatch", f"dimension {m.shape[0]} is not a power of two"
-        )
+    dim = m.shape[0]
+    if not (dim > 0 and dim & (dim - 1) == 0):
+        raise ValidationError("dimension_mismatch", f"dimension {dim} is not a power of two")
+    n = dim.bit_length() - 1
     return PSUnitary(n, m)
 
 
@@ -109,14 +110,18 @@ _GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}
 def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float) -> PSUnitary:
     """Convenience gates with the sign conventions fixed once and for all.
 
-    tunneling(i,j):   exp(theta (f_i^dag f_j - f_j^dag f_i))
-    phase(i):         exp(i theta f_i^dag f_i)
-    interaction(i,j): exp(i theta f_i^dag f_i f_j^dag f_j)
+    tunneling(i,j):   exp(theta G),       G = f_i^dag f_j - f_j^dag f_i
+    phase(i):         exp(i theta P),     P = f_i^dag f_i
+    interaction(i,j): exp(i theta P),     P = f_i^dag f_i f_j^dag f_j
 
-    The generator is written on the gate's own modes, exponentiated there,
-    and lifted to the ambient space by the local embedding.
+    Each exponential is taken in closed form on the gate's own modes and
+    lifted to the ambient space by the local embedding.  P is a projector
+    (P^2 = P), so exp(i theta P) = (I - P) + e^{i theta} P; G satisfies
+    G^3 = -G, so exp(theta G) = (I + G^2) - cos(theta) G^2 + sin(theta) G.
+    Both are exact polynomials in integer matrices, unitary at any finite
+    theta.
     """
-    arity = _GATE_ARITY.get(kind)
+    arity = _GATE_ARITY.get(kind) if isinstance(kind, str) else None
     if arity is None:
         raise ValidationError(
             "bad_kind", f"unknown gate kind {kind!r} (expected tunneling, phase, or interaction)"
@@ -128,17 +133,18 @@ def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float)
     sub = ModeSet.of(modes, n_modes)
     if len(sub) != arity:
         raise ValidationError("mode_out_of_range", f"{kind} needs two distinct modes")
-    c = {m: creator(arity, p) for p, m in enumerate(sub)}
-    a = {m: annihilator(arity, p) for p, m in enumerate(sub)}
+    c = {m: creator(arity, p).matrix for p, m in enumerate(sub)}
+    a = {m: annihilator(arity, p).matrix for p, m in enumerate(sub)}
     i, j = modes[0], modes[-1]
-    if kind == "phase":
-        h = theta * (c[i] @ a[i])
-    elif kind == "tunneling":
-        h = -1.0j * theta * (c[i] @ a[j] - c[j] @ a[i])
+    eye = np.eye(2 ** arity)
+    if kind == "tunneling":
+        g = c[i] @ a[j] - c[j] @ a[i]
+        g2 = g @ g
+        small = (eye + g2) - np.cos(theta) * g2 + np.sin(theta) * g
     else:
-        h = theta * (c[i] @ a[i] @ c[j] @ a[j])
-    small = exp_hamiltonian(h)
-    return PSUnitary(n_modes, algebra.embed_local_operator(small.matrix, sub).matrix)
+        p = c[i] @ a[i] if kind == "phase" else c[i] @ a[i] @ c[j] @ a[j]
+        small = (eye - p) + np.exp(1j * theta) * p
+    return PSUnitary(n_modes, algebra.embed_local_operator(small, sub).matrix)
 
 
 def is_local_unitary(u: PSUnitary, subsystem: ModeSet, tol: float = 1e-10) -> bool:

@@ -239,6 +239,8 @@ def _with_check(**fields):
         ({"initial_state": [2, 0]}, "initial_state"),
         ({"tolerances": {"no_signaling": 1e-30}}, "tolerances.no_signaling"),
         ({"tolerances": {"bogus": 1}}, "tolerances.bogus"),
+        ({"gates": [{"kind": ["phase"], "modes": [0], "theta": 0.1}]}, "gates[0]"),
+        ({"gates": [{"kind": {"a": 1}, "modes": [0], "theta": 0.1}]}, "gates[0]"),
     ],
 )
 def test_bad_scenario_fields_exit_3_with_field_path(tmp_path, override, field):
@@ -283,6 +285,14 @@ def test_non_finite_amplitude_rejected(tmp_path, text):
     assert proc.returncode == 3, proc.stderr
     assert "[not_finite] at initial_state[0].amplitude:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_large_finite_theta_stays_unitary(tmp_path):
+    gate = {"kind": "tunneling", "modes": [0, 1], "theta": 1e17}
+    path = write_scenario(tmp_path, dict(EXAMPLE_SCENARIO, gates=[gate]))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_huge_integer_tolerance_rejected(tmp_path):

@@ -1,6 +1,9 @@
 """Superselected unitaries: validation, generators, gates, locality, sampling."""
 
 import itertools
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +35,15 @@ def test_validate_rejects_non_unitary():
     with pytest.raises(ValidationError) as err:
         tf.validate_ps_unitary(np.diag([1.0, 2.0]).astype(complex))
     assert err.value.code == "not_unitary"
+
+
+@pytest.mark.parametrize(
+    "dim, code", [(0, "dimension_mismatch"), (3, "dimension_mismatch"), (1, "mode_out_of_range")]
+)
+def test_validate_rejects_bad_dimensions(dim, code):
+    with pytest.raises(ValidationError) as err:
+        tf.validate_ps_unitary(np.zeros((dim, dim)))
+    assert err.value.code == code
 
 
 def test_exp_hamiltonian_zero_gives_identity():
@@ -107,6 +119,13 @@ def test_named_gate_index_errors():
     assert err.value.code == "bad_kind"
 
 
+@pytest.mark.parametrize("kind", [["phase"], {"a": 1}])
+def test_named_gate_refuses_non_string_kind(kind):
+    with pytest.raises(ValidationError) as err:
+        tf.named_gate(kind, 3, modes=(0,), theta=0.1)
+    assert err.value.code == "bad_kind"
+
+
 def ambient_gate_oracle(kind: str, n_modes: int, modes: tuple[int, ...], theta: float):
     """The ambient construction: dense 2^N ladder products, then scipy's expm."""
     c = [fock.creator(n_modes, m).matrix for m in range(n_modes)]
@@ -151,6 +170,41 @@ def test_lifted_matrices_have_no_negative_zeros(n_modes):
         for modes in itertools.combinations(range(n_modes), size):
             u = tf.local_random_ps_unitary(ModeSet(modes, n_modes), size)
             assert zero_sign_bits(u.matrix) == 0, modes
+
+
+def test_named_gates_stay_unitary_at_large_angles():
+    # the closed forms take sin, cos and exp of theta only, so no overflow
+    # and no loss of unitarity at any finite angle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, modes in (("phase", (1,)), ("tunneling", (2, 0)), ("interaction", (0, 2))):
+            for theta in (1e17, -1e200, 1e300):
+                gate = tf.named_gate(kind, 3, modes=modes, theta=theta)
+                tf.validate_ps_unitary(gate.matrix)
+
+
+IMPORT_GUARD = """
+import sys
+import numpy as np
+import fermidesc.cli
+from fermidesc import fock, transformations as tf
+for kind, modes in (("phase", (1,)), ("tunneling", (0, 2)), ("interaction", (2, 1))):
+    tf.named_gate(kind, 3, modes=modes, theta=0.7)
+tf.random_ps_unitary(3, 0)
+assert "scipy.linalg" not in sys.modules
+number = fock.creator(1, 0) @ fock.annihilator(1, 0)
+via_expm = tf.exp_hamiltonian(0.7 * number).matrix
+closed = tf.named_gate("phase", 1, modes=(0,), theta=0.7).matrix
+assert np.abs(via_expm - closed).max() <= 1e-15
+"""
+
+
+def test_named_gates_and_sampling_leave_scipy_linalg_unloaded():
+    # a fresh interpreter: this session has imported scipy.linalg already
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_is_local_unitary_examples():
