@@ -28,6 +28,7 @@ the reorder against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -238,9 +239,22 @@ def require_even(o: FockOperator | np.ndarray, what: str) -> None:
         raise ValidationError("ssr_violation", f"{what} must commute with the parity operator")
 
 
+def scaled_to_unit(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(g, e)`` with ``m = g * 2**e`` exactly, ``e >= 0`` and every ``|g| < 2``.
+
+    Dividing by a power of two moves no bit (short of underflow), so a test
+    on ``g`` decides as the same test on ``m`` would, but no norm of ``g``
+    can overflow, whatever the finite scale of ``m``.  ``g`` is ``m`` itself
+    when every ``|m| < 2``, as for states and unitaries.
+    """
+    e = max(0, math.frexp(float(np.abs(m).max(initial=0.0)))[1] - 1)
+    return (m * math.ldexp(1.0, -e) if e else m), e
+
+
 def require_hermitian(m: np.ndarray, what: str) -> None:
     """The one Hermiticity test, relative to ``max(1, |m|)``; ``not_hermitian`` otherwise."""
-    if frobenius(m - m.conj().T) > LOCALITY_TOL * max(1.0, frobenius(m)):
+    g, e = scaled_to_unit(m)
+    if frobenius(g - g.conj().T) > LOCALITY_TOL * max(math.ldexp(1.0, -e), frobenius(g)):
         raise ValidationError("not_hermitian", f"{what} must be Hermitian")
 
 

@@ -5,8 +5,8 @@ not valid JSON; 3 a validation error (including superselection violations),
 reported with the offending field path.  A reader that closes standard
 output early does not change the exit code.  Reports are deterministic for
 a fixed scenario and seeds except for the ``timings`` block; their text is
-``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written as
-a stream (see :func:`fermidesc.serialize.write_json`).
+``json.dumps(report, sort_keys=True, indent=2, default=serialize.plain)``
+plus a newline, written as a stream (see :func:`fermidesc.serialize.write_json`).
 """
 
 from __future__ import annotations
@@ -197,7 +197,12 @@ def _scenario_checks(
 
 
 def run_scenario(scenario: dict) -> dict:
-    """Execute a parsed scenario and assemble the report."""
+    """Execute a parsed scenario and assemble the report.
+
+    Its matrices and vectors are ``serialize.DenseJson`` wrappers of the
+    arrays; their text is made when the report is written, so
+    ``timings.total_seconds`` counts no encoding.
+    """
     started = time.monotonic()
     if not isinstance(scenario, dict):
         _fail("bad_schema", "scenario must be a JSON object", "$")

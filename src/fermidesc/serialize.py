@@ -5,6 +5,10 @@ nested lists.  Python's float repr is shortest-round-trip, so dumping and
 re-parsing is lossless for every finite double.  The documented basis
 ordering (mode 0 = most significant bit, per-mode order vacuum/occupied)
 is part of the schema document printed by the CLI.
+
+``matrix_to_json``/``vector_to_json`` return a :class:`DenseJson` that wraps
+the array; its text is made only when the report is written, by
+:func:`write_json` or by ``json.dumps(..., default=plain)``.
 """
 
 from __future__ import annotations
@@ -29,27 +33,47 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-class DenseJson(list):
-    """A nested list made from a non-empty numpy array by ``_pairs_to_json``.
+class DenseJson:
+    """A non-empty complex array bound for a report, written as nested ``[re, im]`` lists.
 
-    It compares, copies and encodes as a plain list.  The type tells
-    :func:`write_json` that every level is non-empty and regular and every
-    leaf a float, so the whole nest can be encoded in one C-encoder call.
+    It holds the array itself: a reference when the array is read-only, as
+    every library matrix is, and a read-only copy otherwise, so a later
+    write to the caller's array does not change the report.  The type tells
+    :func:`write_json` that the whole nest can be encoded in one C-encoder
+    call; :func:`plain` expands it for ``json.dumps``.
     """
 
+    __slots__ = ("array",)
 
-def _pairs_to_json(a: np.ndarray) -> list:
+    def __init__(self, a):
+        if not (isinstance(a, np.ndarray) and a.dtype == complex and not a.flags.writeable):
+            a = np.array(a, dtype=complex)
+            a.setflags(write=False)
+        self.array = a
+
+
+def _pairs(a: np.ndarray) -> list:
     # tolist() yields Python floats, so the JSON text matches complex_to_json's
-    a = np.asarray(a, dtype=complex)
-    nested = np.stack((a.real, a.imag), axis=-1).tolist()
-    return DenseJson(nested) if a.size else nested
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def matrix_to_json(m: np.ndarray) -> list:
+def plain(value):
+    """The ``default=`` hook of ``json.dumps`` for reports: a DenseJson as its nested lists."""
+    if isinstance(value, DenseJson):
+        return _pairs(value.array)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _pairs_to_json(a) -> DenseJson | list:
+    dense = DenseJson(a)
+    return dense if dense.array.size else _pairs(dense.array)
+
+
+def matrix_to_json(m: np.ndarray) -> DenseJson | list:
     return _pairs_to_json(m)
 
 
-def vector_to_json(v: np.ndarray) -> list:
+def vector_to_json(v: np.ndarray) -> DenseJson | list:
     return _pairs_to_json(v)
 
 
@@ -164,19 +188,17 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
-def _dense_text(value: DenseJson, depth: int) -> str:
-    """``json.dumps(value, indent=2)``, placed at ``depth``, from one compact C encoding.
+def _dense_text(compact: str, rank: int, depth: int) -> str:
+    """``json.dumps(value, indent=2)``, placed at ``depth``, from its compact C encoding.
 
-    The compact text holds only brackets, commas and numbers.  A run of
+    ``compact`` is the encoding of a regular nest of ``rank`` levels with
+    float leaves, so it holds only brackets, commas and numbers.  A run of
     ``j`` closing brackets, a comma and ``j`` opening brackets is the one
     boundary between neighbours ``j`` levels up, so a fixed set of
     replacements, longest run first, gives every bracket and leaf its line.
     """
-    rank, first = 0, value
-    while isinstance(first, list):
-        rank, first = rank + 1, first[0]
     pad = ["\n" + "  " * (depth + t) for t in range(rank + 1)]
-    text = _COMPACT.encode(value)[rank:-rank].replace(",", "," + pad[rank])
+    text = compact[rank:-rank].replace(",", "," + pad[rank])
     for j in range(rank - 1, 0, -1):
         closes = "".join(pad[rank - t] + "]" for t in range(1, j + 1))
         opens = "".join(pad[rank - t] + "[" for t in range(j, 0, -1))
@@ -186,49 +208,91 @@ def _dense_text(value: DenseJson, depth: int) -> str:
     return head + text + tail
 
 
-def _holds_dense(container) -> bool:
-    if isinstance(container, DenseJson):
-        return True
-    for item in container.values() if isinstance(container, dict) else container:
-        if isinstance(item, (dict, list)) and _holds_dense(item):
-            return True
-    return False
-
-
-def _write_json(value, depth: int, write) -> None:
+def _holds_dense(value) -> bool:
     if isinstance(value, DenseJson):
-        write(_dense_text(value, depth))
-        return
+        return True
+    if isinstance(value, dict):
+        return any(_holds_dense(v) for v in value.values())
+    return isinstance(value, list) and any(_holds_dense(v) for v in value)
+
+
+def _streamed(value) -> bool:
+    """Whether ``_write_json`` writes the container item by item, not in one ``json.dumps``."""
     # json.dumps turns keys of other types into strings; such dicts stay whole
-    if isinstance(value, dict) and all(type(k) is str for k in value) and _holds_dense(value):
-        opening, closing = "{", "}"
-        items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
-    elif isinstance(value, list) and _holds_dense(value):
-        opening, closing = "[", "]"
-        items = [("", v) for v in value]
-    else:
-        text = json.dumps(value, sort_keys=True, indent=2)
+    if isinstance(value, dict) and not all(type(k) is str for k in value):
+        return False
+    return isinstance(value, (dict, list)) and _holds_dense(value)
+
+
+def _count_dense(value, remaining: dict[int, int]) -> None:
+    """Count, per array, the DenseJson occurrences that ``_write_json`` will encode."""
+    if isinstance(value, DenseJson):
+        remaining[id(value.array)] = remaining.get(id(value.array), 0) + 1
+    elif _streamed(value):
+        for item in value.values() if isinstance(value, dict) else value:
+            _count_dense(item, remaining)
+
+
+class _Memo:
+    """Compact texts of arrays that occur again later in one ``write_json`` call.
+
+    The source arrays stay alive for the whole call, so their ``id`` is a
+    key; a text is dropped at the array's last occurrence.
+    """
+
+    def __init__(self, data):
+        self.remaining: dict[int, int] = {}
+        self.texts: dict[int, str] = {}
+        _count_dense(data, self.remaining)
+
+    def compact(self, a: np.ndarray) -> str:
+        key = id(a)
+        text = self.texts.pop(key, None)
+        if text is None:
+            text = _COMPACT.encode(_pairs(a))
+        self.remaining[key] -= 1
+        if self.remaining[key]:
+            self.texts[key] = text
+        return text
+
+
+def _write_json(value, depth: int, write, memo: _Memo) -> None:
+    if isinstance(value, DenseJson):
+        write(_dense_text(memo.compact(value.array), value.array.ndim + 1, depth))
+        return
+    if not _streamed(value):
+        text = json.dumps(value, sort_keys=True, indent=2, default=plain)
         write(text.replace("\n", "\n" + "  " * depth) if depth else text)
         return
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
+    else:
+        opening, closing = "[", "]"
+        items = [("", v) for v in value]
     # not empty, since it holds a dense array
     pad = "\n" + "  " * (depth + 1)
     write(opening)
     for i, (key, item) in enumerate(items):
         write(("," if i else "") + pad + key)
-        _write_json(item, depth + 1, write)
+        _write_json(item, depth + 1, write, memo)
     write("\n" + "  " * depth + closing)
 
 
 def write_json(data, write) -> None:
-    """Write ``json.dumps(data, sort_keys=True, indent=2) + "\\n"`` through ``write``.
+    """Write ``json.dumps(data, sort_keys=True, indent=2, default=plain) + "\\n"`` through ``write``.
 
     The text is the same byte for byte, but it is written piece by piece:
     each array from ``matrix_to_json``/``vector_to_json`` is encoded by the C
-    encoder and re-indented, and every subtree that holds no such array is
-    one ``json.dumps`` call.  Peak memory is one array's text, not the
-    whole document's.
+    encoder and re-indented at its depth, and every subtree that holds no
+    such array (or is a tuple, or a dict with non-string keys) is one
+    ``json.dumps`` call.  An array that occurs more than once, as a
+    descriptor shared by the global set and a partition does, is encoded
+    once per call; its text is kept only until its last occurrence.  Peak
+    memory is the texts of the arrays still to be repeated plus one array's
+    text, not the whole document's.
     """
-    _write_json(data, 0, write)
+    _write_json(data, 0, write, _Memo(data))
     write("\n")
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-# the bare package: scipy.linalg loads on the first expm call, which only an
-# explicit Hamiltonian makes
-import scipy
+# Nothing here calls scipy.  The bare package stays imported only because
+# perfbench/child.py records sys.modules["scipy"].__version__ and fails
+# without it; it goes when that runner tolerates a scipy-free fermidesc.
+import scipy  # noqa: F401
 
 from . import algebra
 from .errors import ValidationError
@@ -98,10 +99,21 @@ def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
 
 
 def exp_hamiltonian(h: FockOperator) -> PSUnitary:
-    """exp(i h) for a Hermitian, parity-even generator."""
-    algebra.require_hermitian(h.matrix, "generator")
-    algebra.require_even(h, "generator")
-    return PSUnitary(h.n_modes, scipy.linalg.expm(1.0j * h.matrix))
+    """exp(i h) for a Hermitian, parity-even generator.
+
+    Taken as V e^{i lambda} V^dag from ``eigh`` of each parity block of
+    ``h / 2^e`` (``algebra.scaled_to_unit``), with the eigenvalues scaled
+    back by ``2^e``.  The blocks between the sectors are exact zeros, and
+    the result is unitary to rounding at any finite scale of ``h``.
+    """
+    g, e = algebra.scaled_to_unit(h.matrix)
+    algebra.require_hermitian(g, "generator")
+    algebra.require_even(g, "generator")
+    u = np.zeros_like(g)
+    for idx in parity_sectors(h.n_modes):
+        lam, v = np.linalg.eigh(g[np.ix_(idx, idx)])
+        u[np.ix_(idx, idx)] = (v * np.exp(1j * np.ldexp(lam, e))) @ v.conj().T
+    return PSUnitary(h.n_modes, u)
 
 
 _GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}

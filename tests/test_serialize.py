@@ -12,7 +12,7 @@ from fermidesc.verification import random_phenomenal
 
 
 def round_trip(data):
-    return json.loads(json.dumps(data))
+    return json.loads(json.dumps(data, default=serialize.plain))
 
 
 def test_complex_round_trip_is_exact():
@@ -29,8 +29,10 @@ def test_matrix_encoding_text_matches_per_element_form():
     m[0, :4] = [-0.0, 1e-300, 1e300, complex(-0.0, -0.0)]
     m[1, :3] = [complex(0.0, -1e-300), complex(-1e300, 1e300), complex(1.0, -0.0)]
     per_element = [[serialize.complex_to_json(z) for z in row] for row in m]
-    assert json.dumps(serialize.matrix_to_json(m), indent=2) == json.dumps(per_element, indent=2)
-    assert json.dumps(serialize.vector_to_json(m[0]), indent=2) == json.dumps(
+    assert json.dumps(serialize.matrix_to_json(m), indent=2, default=serialize.plain) == json.dumps(
+        per_element, indent=2
+    )
+    assert json.dumps(serialize.vector_to_json(m[0]), indent=2, default=serialize.plain) == json.dumps(
         per_element[0], indent=2
     )
 
@@ -90,7 +92,7 @@ def test_unitary_matrix_errors_carry_field_path():
 
 def test_state_matrix_errors_carry_field_path():
     data = round_trip(serialize.state_to_json(random_phenomenal(2, 4)))
-    data["matrix"] = serialize.matrix_to_json(np.eye(2))
+    data["matrix"] = round_trip(serialize.matrix_to_json(np.eye(2)))
     with pytest.raises(ValidationError) as err:
         serialize.json_to_state(data)
     assert (err.value.code, err.value.field) == ("dimension_mismatch", "state.matrix")

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -42,10 +44,14 @@ def report_901():
     return cli.run_scenario(seeded_scenario(901))
 
 
-def assert_writes_json_dumps_text(data):
+def written(data) -> str:
     out = io.StringIO()
     serialize.write_json(data, out.write)
-    got, want = out.getvalue(), json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return out.getvalue()
+
+
+def assert_writes_json_dumps_text(data):
+    got, want = written(data), json.dumps(data, sort_keys=True, indent=2, default=serialize.plain) + "\n"
     if got != want:  # report the first difference, not a diff of megabytes
         at = len(os.path.commonprefix([got, want]))
         pytest.fail(f"text differs at offset {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
@@ -135,3 +141,109 @@ def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "report.json").stat().st_size > 16_000_000
     assert peak < 16_000_000
+
+
+class CountingEncoder:
+    """Stands in for the writer's compact encoder and counts its calls."""
+
+    def __init__(self, encoder):
+        self.encoder, self.calls = encoder, 0
+
+    def encode(self, value):
+        self.calls += 1
+        return self.encoder.encode(value)
+
+
+@pytest.fixture
+def compact_calls(monkeypatch):
+    counter = CountingEncoder(serialize._COMPACT)
+    monkeypatch.setattr(serialize, "_COMPACT", counter)
+    return counter
+
+
+def frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+def test_shared_array_is_encoded_once_per_call(compact_calls):
+    a = frozen(np.arange(12.0).reshape(3, 4) * (1 - 0.5j))
+    data = {
+        "top": serialize.matrix_to_json(a),
+        "deep": {"list": [1, {"m": serialize.matrix_to_json(a)}], "again": serialize.matrix_to_json(a)},
+        "tuple": (serialize.matrix_to_json(a), "t"),
+        "int keys": {3: serialize.matrix_to_json(a)},
+    }
+    for _ in range(2):  # the texts are not kept from one call to the next
+        compact_calls.calls = 0
+        assert_writes_json_dumps_text(data)
+        assert compact_calls.calls == 1
+
+
+def test_equal_arrays_are_encoded_apart(compact_calls):
+    a = frozen([[0.0, 1.5], [2j, -3.0]])
+    b = frozen([[-0.0, 1.5], [2j, -3.0]])  # equal values, other text
+    assert np.array_equal(a, b)
+    data = {"a": serialize.matrix_to_json(a), "b": [serialize.matrix_to_json(b)], "c": serialize.matrix_to_json(a)}
+    assert_writes_json_dumps_text(data)
+    assert compact_calls.calls == 2
+    assert '"b": [\n    [\n      [\n        [\n          -0.0,' in written(data)
+
+
+def test_writeable_input_is_snapshotted():
+    m = np.eye(2)
+    v = np.array([1.0, 2.0j])
+    data = {"m": serialize.matrix_to_json(m), "v": serialize.vector_to_json(v)}
+    before = written(data)
+    m[0, 0] = 5.0
+    v[1] = 7.0
+    assert written(data) == before
+    assert "5.0" not in before and "7.0" not in before
+
+
+def test_report_holds_arrays_not_lists():
+    """The seed-901 report keeps its 15 matrices as arrays, about 2.3 MB.
+
+    With every matrix as nested lists it held about 32 MB.
+    """
+    scenario = seeded_scenario(901)
+    tracemalloc.start()
+    try:
+        report = cli.run_scenario(scenario)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(report["final_state"]["matrix"], serialize.DenseJson)
+    assert retained < 8_000_000
+
+
+# The child's own peak is VmHWM: ru_maxrss also carries the high-water mark
+# of the image that exec replaced, which here is the test process's.
+N8_SIMULATE = """
+import sys
+from fermidesc import cli
+code = cli.main(["simulate", sys.argv[1], "-o", sys.argv[2]])
+with open("/proc/self/status") as fh:
+    print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_simulate_at_eight_modes_peak_rss(tmp_path):
+    """CLI simulate at N = 8 (a 73 MB report) peaks near 75 MB RSS; 223 MB with nested lists."""
+    scenario = {
+        "n_modes": 8,
+        "initial_state": [1, 0] * 4,
+        "gates": [{"kind": "tunneling", "modes": [0, 7], "theta": 0.7}],
+        "partitions": [[0, 1, 2, 3], [4, 5, 6, 7]],
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    proc = subprocess.run(
+        [sys.executable, "-c", N8_SIMULATE, str(tmp_path / "scenario.json"), str(tmp_path / "report.json")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 150 * 1024
