@@ -2,11 +2,13 @@
 
 Exit codes: 0 all requested checks passed; 1 a check failed; 2 the input was
 not valid JSON; 3 a validation error (including superselection violations),
-reported with the offending field path.  A reader that closes standard
+reported with the offending field path, or an ``-o`` file that cannot be
+written (``bad_output`` at ``output``).  A reader that closes standard
 output early does not change the exit code.  Reports are deterministic for
 a fixed scenario and seeds except for the ``timings`` block; their text is
 ``json.dumps(report, sort_keys=True, indent=2, default=serialize.plain)``
-plus a newline, written as a stream (see :func:`fermidesc.serialize.write_json`).
+plus a newline, which :func:`fermidesc.serialize.write_json` writes with
+each dense array filled in at its place, not held as one string.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ def _parse_partitions(scenario: dict, n_modes: int) -> list[ModeSet]:
         field = f"partitions[{i}]"
         if not isinstance(part, list) or not part or any(type(m) is not int for m in part):
             _fail("bad_schema", "partitions are non-empty lists of mode indices", field)
+        if len(set(part)) != len(part):
+            _fail("mode_out_of_range", f"partition modes must be distinct, got {part}", field)
         with at_field(field):
             out.append(ModeSet.of(part, n_modes))
     return out
@@ -280,8 +284,11 @@ def _read_json(path: str):
 
 def _emit(data: dict, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            serialize.write_json(data, fh.write)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                serialize.write_json(data, fh.write)
+        except OSError as exc:
+            _fail("bad_output", f"cannot write {out_path}: {exc.strerror or exc}", "output")
         return
     try:
         serialize.write_json(data, sys.stdout.write)

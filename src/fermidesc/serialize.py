@@ -8,13 +8,16 @@ is part of the schema document printed by the CLI.
 
 ``matrix_to_json``/``vector_to_json`` return a :class:`DenseJson` that wraps
 the array; its text is made only when the report is written, by
-:func:`write_json` or by ``json.dumps(..., default=plain)``.
+:func:`write_json` or by ``json.dumps(..., default=plain)``, which give the
+same text.  ``write_json`` lets ``json.dumps`` lay out everything but the
+arrays and writes each array's text from a template at its place.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -23,7 +26,7 @@ from .descriptors import DescriptorSet
 from .errors import ValidationError, at_field
 from .fock import FockOperator, FockVector, ModeSet, _check_n_modes
 from .states import PhenomenalState
-from .transformations import PSUnitary
+from .transformations import PSUnitary, validate_ps_unitary
 from .verification import CHECK_TOLERANCES
 
 SCHEMA_VERSION = "1"
@@ -34,13 +37,14 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 class DenseJson:
-    """A non-empty complex array bound for a report, written as nested ``[re, im]`` lists.
+    """A non-empty, finite complex array bound for a report, written as nested ``[re, im]`` lists.
 
     It holds the array itself: a reference when the array is read-only, as
     every library matrix is, and a read-only copy otherwise, so a later
-    write to the caller's array does not change the report.  The type tells
-    :func:`write_json` that the whole nest can be encoded in one C-encoder
-    call; :func:`plain` expands it for ``json.dumps``.
+    write to the caller's array does not change the report.  :func:`write_json`
+    lays it out from a template; :func:`plain` expands it for ``json.dumps``.
+    A NaN or infinite entry is refused with ``not_finite``: the report text
+    has no form for it that both writers share.
     """
 
     __slots__ = ("array",)
@@ -49,24 +53,26 @@ class DenseJson:
         if not (isinstance(a, np.ndarray) and a.dtype == complex and not a.flags.writeable):
             a = np.array(a, dtype=complex)
             a.setflags(write=False)
+        if not np.isfinite(a).all():
+            raise ValidationError("not_finite", "report arrays must have finite entries")
         self.array = a
 
 
-def _pairs(a: np.ndarray) -> list:
+def _pairs(a: np.ndarray) -> np.ndarray:
     # tolist() yields Python floats, so the JSON text matches complex_to_json's
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+    return np.stack((a.real, a.imag), axis=-1)
 
 
 def plain(value):
     """The ``default=`` hook of ``json.dumps`` for reports: a DenseJson as its nested lists."""
     if isinstance(value, DenseJson):
-        return _pairs(value.array)
+        return _pairs(value.array).tolist()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _pairs_to_json(a) -> DenseJson | list:
     dense = DenseJson(a)
-    return dense if dense.array.size else _pairs(dense.array)
+    return dense if dense.array.size else _pairs(dense.array).tolist()
 
 
 def matrix_to_json(m: np.ndarray) -> DenseJson | list:
@@ -156,7 +162,7 @@ def json_to_unitary(data: dict, field: str = "unitary") -> PSUnitary:
             _check_n_modes(n)  # before a matrix of that size is parsed
     matrix = json_to_matrix(data["matrix"], f"{field}.matrix")
     with at_field(f"{field}.matrix"):
-        return PSUnitary(round(np.log2(matrix.shape[0])) if n is None else n, matrix)
+        return validate_ps_unitary(matrix) if n is None else PSUnitary(n, matrix)
 
 
 def descriptor_set_to_json(d: DescriptorSet) -> dict:
@@ -185,114 +191,46 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
         return DescriptorSet(subsystem, tuple(descriptors), psi0)
 
 
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
-def _dense_text(compact: str, rank: int, depth: int) -> str:
-    """``json.dumps(value, indent=2)``, placed at ``depth``, from its compact C encoding.
-
-    ``compact`` is the encoding of a regular nest of ``rank`` levels with
-    float leaves, so it holds only brackets, commas and numbers.  A run of
-    ``j`` closing brackets, a comma and ``j`` opening brackets is the one
-    boundary between neighbours ``j`` levels up, so a fixed set of
-    replacements, longest run first, gives every bracket and leaf its line.
-    """
-    pad = ["\n" + "  " * (depth + t) for t in range(rank + 1)]
-    text = compact[rank:-rank].replace(",", "," + pad[rank])
-    for j in range(rank - 1, 0, -1):
-        closes = "".join(pad[rank - t] + "]" for t in range(1, j + 1))
-        opens = "".join(pad[rank - t] + "[" for t in range(j, 0, -1))
-        text = text.replace("]" * j + "," + pad[rank] + "[" * j, closes + "," + opens + pad[rank])
-    head = "".join("[" + pad[t] for t in range(1, rank + 1))
-    tail = "".join(pad[rank - t] + "]" for t in range(1, rank + 1))
-    return head + text + tail
-
-
-def _holds_dense(value) -> bool:
-    if isinstance(value, DenseJson):
-        return True
-    if isinstance(value, dict):
-        return any(_holds_dense(v) for v in value.values())
-    return isinstance(value, list) and any(_holds_dense(v) for v in value)
-
-
-def _streamed(value) -> bool:
-    """Whether ``_write_json`` writes the container item by item, not in one ``json.dumps``."""
-    # json.dumps turns keys of other types into strings; such dicts stay whole
-    if isinstance(value, dict) and not all(type(k) is str for k in value):
-        return False
-    return isinstance(value, (dict, list)) and _holds_dense(value)
-
-
-def _count_dense(value, remaining: dict[int, int]) -> None:
-    """Count, per array, the DenseJson occurrences that ``_write_json`` will encode."""
-    if isinstance(value, DenseJson):
-        remaining[id(value.array)] = remaining.get(id(value.array), 0) + 1
-    elif _streamed(value):
-        for item in value.values() if isinstance(value, dict) else value:
-            _count_dense(item, remaining)
-
-
-class _Memo:
-    """Compact texts of arrays that occur again later in one ``write_json`` call.
-
-    The source arrays stay alive for the whole call, so their ``id`` is a
-    key; a text is dropped at the array's last occurrence.
-    """
-
-    def __init__(self, data):
-        self.remaining: dict[int, int] = {}
-        self.texts: dict[int, str] = {}
-        _count_dense(data, self.remaining)
-
-    def compact(self, a: np.ndarray) -> str:
-        key = id(a)
-        text = self.texts.pop(key, None)
-        if text is None:
-            text = _COMPACT.encode(_pairs(a))
-        self.remaining[key] -= 1
-        if self.remaining[key]:
-            self.texts[key] = text
-        return text
-
-
-def _write_json(value, depth: int, write, memo: _Memo) -> None:
-    if isinstance(value, DenseJson):
-        write(_dense_text(memo.compact(value.array), value.array.ndim + 1, depth))
-        return
-    if not _streamed(value):
-        text = json.dumps(value, sort_keys=True, indent=2, default=plain)
-        write(text.replace("\n", "\n" + "  " * depth) if depth else text)
-        return
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
-    else:
-        opening, closing = "[", "]"
-        items = [("", v) for v in value]
-    # not empty, since it holds a dense array
-    pad = "\n" + "  " * (depth + 1)
-    write(opening)
-    for i, (key, item) in enumerate(items):
-        write(("," if i else "") + pad + key)
-        _write_json(item, depth + 1, write, memo)
-    write("\n" + "  " * depth + closing)
+def _template(shape: tuple[int, ...], depth: int) -> str:
+    """The ``indent=2`` layout of a regular float nest of ``shape`` at ``depth``, ``%r`` leaves."""
+    text = "%r"
+    for level in range(len(shape) - 1, -1, -1):
+        inner = "\n" + "  " * (depth + level + 1)
+        text = "[" + inner + (text + "," + inner) * (shape[level] - 1) + text + inner[:-2] + "]"
+    return text
 
 
 def write_json(data, write) -> None:
     """Write ``json.dumps(data, sort_keys=True, indent=2, default=plain) + "\\n"`` through ``write``.
 
-    The text is the same byte for byte, but it is written piece by piece:
-    each array from ``matrix_to_json``/``vector_to_json`` is encoded by the C
-    encoder and re-indented at its depth, and every subtree that holds no
-    such array (or is a tuple, or a dict with non-string keys) is one
-    ``json.dumps`` call.  An array that occurs more than once, as a
-    descriptor shared by the global set and a partition does, is encoded
-    once per call; its text is kept only until its last occurrence.  Peak
-    memory is the texts of the arrays still to be repeated plus one array's
-    text, not the whole document's.
+    The text is that call's, byte for byte, made by ``json.dumps`` itself
+    with each array from ``matrix_to_json``/``vector_to_json`` replaced by a
+    random placeholder string.  The text is cut at the placeholders, and
+    each array is written as the ``indent=2`` layout of its ``[re, im]``
+    nest at the placeholder's depth (its line's leading spaces over two),
+    filled with the float reprs ``json.dumps`` writes.  An array that
+    occurs more than once, as the global descriptors do in every
+    partition's set, is filled once per occurrence.  Peak memory is the
+    array-free text plus one array's text, not the whole document's.
     """
-    _write_json(data, 0, write, _Memo(data))
+    placeholder = os.urandom(16).hex()
+    arrays = []
+
+    def hook(value):
+        if isinstance(value, DenseJson):
+            arrays.append(value.array)
+            return placeholder
+        return plain(value)
+
+    pieces = json.dumps(data, sort_keys=True, indent=2, default=hook).split(f'"{placeholder}"')
+    if len(pieces) != len(arrays) + 1:
+        raise ValidationError("internal_inconsistency", "a report string equals the array placeholder")
+    write(pieces[0])
+    for a, before, piece in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        write(_template(a.shape + (2,), depth) % tuple(_pairs(a).ravel().tolist()))
+        write(piece)
     write("\n")
 
 

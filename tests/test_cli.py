@@ -251,6 +251,16 @@ def test_bad_scenario_fields_exit_3_with_field_path(tmp_path, override, field):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("partitions, field", [([[0, 0], [1]], "partitions[0]"), ([[0], [1, 0, 1]], "partitions[1]")])
+def test_repeated_partition_modes_rejected(partitions, field):
+    from fermidesc import cli
+    from fermidesc.errors import ValidationError
+
+    with pytest.raises(ValidationError) as err:
+        cli.run_scenario(dict(EXAMPLE_SCENARIO, partitions=partitions))
+    assert (err.value.code, err.value.field) == ("mode_out_of_range", field)
+
+
 def test_non_finite_tolerance_rejected(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(EXAMPLE_SCENARIO)[:-1] + ', "tolerances": {"diagram": NaN}}')
@@ -414,6 +424,16 @@ def test_output_file_and_stdout_bytes_identical(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["simulate", str(path)]) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["no/such/dir/x.json", "."])
+def test_unwritable_output_exits_3(tmp_path, capsys, target):
+    from fermidesc import cli
+
+    assert cli.main(["schema", "-o", str(tmp_path / target)]) == 3
+    err = capsys.readouterr().err
+    assert "[bad_output] at output:" in err
+    assert "Traceback" not in err
 
 
 def test_reader_closing_early_exits_quietly(tmp_path):

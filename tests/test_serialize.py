@@ -88,6 +88,11 @@ def test_unitary_matrix_errors_carry_field_path():
     assert (err.value.code, err.value.field) == ("dimension_mismatch", "unitary.matrix")
     del data["n_modes"]  # then the matrix size sets the mode count
     assert serialize.json_to_unitary(data).n_modes == 1
+    data["matrix"] = round_trip(serialize.matrix_to_json(np.eye(3)))
+    with pytest.raises(ValidationError) as err:
+        serialize.json_to_unitary(data)
+    assert (err.value.code, err.value.field) == ("dimension_mismatch", "unitary.matrix")
+    assert "not a power of two" in str(err.value)
 
 
 def test_state_matrix_errors_carry_field_path():

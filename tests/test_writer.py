@@ -1,4 +1,4 @@
-"""The streaming report writer: the text of json.dumps(sort_keys=True, indent=2)."""
+"""The report writer: the text of json.dumps(sort_keys=True, indent=2, default=plain)."""
 
 import io
 import json
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fermidesc import cli, descriptors as dsc, fock, serialize, transformations as tf
+from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 from fermidesc.verification import random_phenomenal, run_sweep
 
@@ -62,6 +63,11 @@ def test_simulate_report_text(report_901):
     assert_writes_json_dumps_text(report_901)
 
 
+@pytest.mark.parametrize("seed", [11, 1301, 4242])
+def test_benchmark_report_text(seed):
+    assert_writes_json_dumps_text(cli.run_scenario(seeded_scenario(seed)))
+
+
 def test_verify_report_text():
     checks = [r.to_json() for r in run_sweep(3, 0, 5)]
     report = {"schema_version": "1", "sweep": {"modes": 3}, "checks": checks, "timings": {}}
@@ -79,6 +85,13 @@ def test_schema_document_text():
     assert_writes_json_dumps_text(serialize.schema_document())
 
 
+def frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+SHARED = serialize.matrix_to_json(frozen(np.arange(12.0).reshape(3, 4) * (1 - 0.5j)))
 EXTREMES = np.array([[-0.0, 1e-300], [1e300, complex(-0.0, -1e300)]])
 HOSTILE = {
     "int and bool hamiltonian echo": {
@@ -105,6 +118,23 @@ HOSTILE = {
     },
     "non-string keys": {1: serialize.matrix_to_json(np.eye(2)), 2: [1]},
     "tuples": (serialize.vector_to_json([1, 2]), ("a", 1)),
+    "escaped newlines and leading spaces": {
+        "  lead\n    ": ["\n  \n", {"\n": serialize.vector_to_json([1j])}, "   "],
+        "\n\"\n  ": serialize.matrix_to_json(np.eye(2)),
+        " ": [" \n ", serialize.vector_to_json([0.5])],
+    },
+    "arrays in lists of lists": {
+        "deep": [[[serialize.matrix_to_json(np.eye(2)), [serialize.vector_to_json([1, -1j])]]], [[[]]]],
+    },
+    "one array in a tuple, an int-keyed dict and a nested list": {
+        "t": (SHARED, "t", SHARED),
+        "i": {3: SHARED, 7: [SHARED]},
+        "l": [[1, [SHARED]], SHARED],
+    },
+    "equal arrays with zeros of either sign": {
+        "a": serialize.matrix_to_json(np.array([[0.0, 1.5], [2j, -3.0]])),
+        "b": [serialize.matrix_to_json(np.array([[-0.0, 1.5], [2j, -3.0]]))],
+    },
 }
 
 
@@ -143,52 +173,36 @@ def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
     assert peak < 16_000_000
 
 
-class CountingEncoder:
-    """Stands in for the writer's compact encoder and counts its calls."""
-
-    def __init__(self, encoder):
-        self.encoder, self.calls = encoder, 0
-
-    def encode(self, value):
-        self.calls += 1
-        return self.encoder.encode(value)
-
-
-@pytest.fixture
-def compact_calls(monkeypatch):
-    counter = CountingEncoder(serialize._COMPACT)
-    monkeypatch.setattr(serialize, "_COMPACT", counter)
-    return counter
-
-
-def frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
-def test_shared_array_is_encoded_once_per_call(compact_calls):
-    a = frozen(np.arange(12.0).reshape(3, 4) * (1 - 0.5j))
-    data = {
-        "top": serialize.matrix_to_json(a),
-        "deep": {"list": [1, {"m": serialize.matrix_to_json(a)}], "again": serialize.matrix_to_json(a)},
-        "tuple": (serialize.matrix_to_json(a), "t"),
-        "int keys": {3: serialize.matrix_to_json(a)},
-    }
-    for _ in range(2):  # the texts are not kept from one call to the next
-        compact_calls.calls = 0
-        assert_writes_json_dumps_text(data)
-        assert compact_calls.calls == 1
-
-
-def test_equal_arrays_are_encoded_apart(compact_calls):
+def test_equal_arrays_are_encoded_apart():
     a = frozen([[0.0, 1.5], [2j, -3.0]])
     b = frozen([[-0.0, 1.5], [2j, -3.0]])  # equal values, other text
     assert np.array_equal(a, b)
     data = {"a": serialize.matrix_to_json(a), "b": [serialize.matrix_to_json(b)], "c": serialize.matrix_to_json(a)}
     assert_writes_json_dumps_text(data)
-    assert compact_calls.calls == 2
+    assert '"a": [\n    [\n      [\n        0.0,' in written(data)
     assert '"b": [\n    [\n      [\n        [\n          -0.0,' in written(data)
+
+
+def test_placeholder_in_the_data_is_refused(monkeypatch):
+    monkeypatch.setattr(serialize.os, "urandom", lambda n: bytes(n))
+    placeholder = bytes(16).hex()
+    for data in (
+        {"s": placeholder, "m": serialize.matrix_to_json(np.eye(2))},
+        {placeholder: 1, "m": serialize.matrix_to_json(np.eye(2))},
+        [placeholder],
+    ):
+        with pytest.raises(ValidationError) as err:
+            written(data)
+        assert err.value.code == "internal_inconsistency"
+    assert written({"s": placeholder + "x"}) == json.dumps({"s": placeholder + "x"}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_arrays_are_refused(bad):
+    for to_json, a in ((serialize.matrix_to_json, [[1, 0], [0, bad]]), (serialize.vector_to_json, [bad])):
+        with pytest.raises(ValidationError) as err:
+            to_json(np.array(a, dtype=complex))
+        assert err.value.code == "not_finite"
 
 
 def test_writeable_input_is_snapshotted():
