@@ -269,29 +269,6 @@ def is_local_to(o: FockOperator, subsystem: ModeSet, tol: float = LOCALITY_TOL) 
     return locality_residual(o, subsystem) <= tol * scale
 
 
-def mode_support(o: FockOperator) -> ModeSet:
-    """Smallest mode set the operator is local to.
-
-    Computed by dropping each mode whose removal keeps the operator inside
-    the remaining span; correctness of greedy removal is guaranteed by the
-    tensor-factor structure of the monomial expansion.
-    """
-    n = o.n_modes
-    kept = list(range(n))
-    for j in range(n):
-        trial = [k for k in kept if k != j]
-        if not trial:
-            # scalar multiples of the identity have empty support
-            diag = complex(np.trace(o.matrix)) / o.dim
-            off = frobenius(o.matrix - diag * np.eye(o.dim))
-            if off <= LOCALITY_TOL * max(1.0, frobenius(o.matrix)):
-                kept = trial
-            continue
-        if is_local_to(o, ModeSet(tuple(trial), n)):
-            kept = trial
-    return ModeSet(tuple(kept), n)
-
-
 def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
     """Lift a 2^m x 2^m matrix on a subsystem's own Fock space to the ambient space.
 

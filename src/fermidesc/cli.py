@@ -3,7 +3,7 @@
 Exit codes: 0 all requested checks passed; 1 a check failed; 2 the input was
 not valid JSON; 3 a validation error (including superselection violations),
 reported with the offending field path, or an ``-o`` file that cannot be
-written (``bad_output`` at ``output``).  A reader that closes standard
+opened or written (``bad_output`` at ``output``).  A reader that closes standard
 output early does not change the exit code.  Reports are deterministic for
 a fixed scenario and seeds except for the ``timings`` block; their text is
 ``json.dumps(report, sort_keys=True, indent=2, default=serialize.plain)``
@@ -14,6 +14,7 @@ each dense array filled in at its place, not held as one string.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -282,13 +283,20 @@ def _read_json(path: str):
         raise ScenarioParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(data: dict, out_path: str | None):
-    if out_path:
+def _open_output(path: str | None):
+    try:
+        return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+    except OSError as exc:
+        _fail("bad_output", f"cannot write {path}: {exc.strerror or exc}", "output")
+
+
+def _emit(data: dict, out):
+    if out is not None:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                serialize.write_json(data, fh.write)
+            serialize.write_json(data, out.write)
+            out.flush()
         except OSError as exc:
-            _fail("bad_output", f"cannot write {out_path}: {exc.strerror or exc}", "output")
+            _fail("bad_output", f"cannot write {out.name}: {exc.strerror or exc}", "output")
         return
     try:
         serialize.write_json(data, sys.stdout.write)
@@ -313,13 +321,13 @@ def _summarize(checks: list[dict]) -> int:
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_CHECK_FAILED
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, out) -> int:
     report = run_scenario(_read_json(args.scenario))
-    _emit(report, args.output)
+    _emit(report, out)
     return _summarize(report["checks"])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     started = time.monotonic()
     results = vf.run_sweep(args.modes, args.seeds, args.count)
     report = {
@@ -328,11 +336,11 @@ def _cmd_verify(args) -> int:
         "checks": [r.to_json() for r in results],
         "timings": {"total_seconds": time.monotonic() - started},
     }
-    _emit(report, args.output)
+    _emit(report, out)
     return _summarize(report["checks"])
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args, out) -> int:
     data = _read_json(args.input)
     if isinstance(data, dict) and "global_descriptors" in data:
         payload = data["global_descriptors"]
@@ -342,18 +350,18 @@ def _cmd_reconstruct(args) -> int:
         field = "descriptor_set"
     d = serialize.json_to_descriptor_set(payload, field)
     u, residual = dsc.reconstruct_with_residual(d)
-    out = {
+    result = {
         "schema_version": serialize.SCHEMA_VERSION,
         "unitary": serialize.unitary_to_json(u),
         "round_trip_residual": residual,
     }
-    _emit(out, args.output)
+    _emit(result, out)
     print(f"round-trip residual {residual:.3e}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_schema(args) -> int:
-    _emit(serialize.schema_document(), args.output)
+def _cmd_schema(args, out) -> int:
+    _emit(serialize.schema_document(), out)
     return EXIT_OK
 
 
@@ -397,7 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _open_output(args.output) as out:
+            return args.func(args, out)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -22,9 +22,9 @@ reconstructed unitary up to phase; for a proper subset W is one of the
 global unitaries the descriptors could have come from.
 
 A witness of a set's descriptors is one of every subset of them, so it
-belongs to the ontic state: a full set keeps the one its canonical-relation
-gate builds, each restriction keeps its parent's, and every operation takes
-the stored witness before it builds a fresh one.
+belongs to the ontic state: restrictions keep their parent's, the group
+action and a join of restrictions hand theirs on, a full set's gate checks
+the one it is handed or builds one, and every operation takes it first.
 
 Because conjugation by W maps every polynomial in the f_a to the same
 polynomial in the d_a, the group action ("ontic_apply") is the paper's
@@ -87,10 +87,10 @@ class DescriptorSet:
     subsystem: ModeSet
     descriptors: tuple[FockOperator, ...]
     heisenberg_state: FockVector
-    # witness W and round-trip residual from a full set's gate, when it built
-    # one; a restriction keeps its parent's, whose residual bounds its own
+    # witness W and a bound on its round-trip residual, handed over or built by
+    # a full set's gate; a restriction keeps its parent's, which bounds its own
     _witness: tuple[PSUnitary, float] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, kw_only=True, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -125,15 +125,15 @@ class DescriptorSet:
     def _require_canonical_relations(self) -> None:
         """The canonical-relation gate of a full set, witness first.
 
-        With the reconstruction witness W, its unitarity defect
-        delta = |W^dag W - I| and eps = max_a |d_a - W^dag f_a W|, every
-        anticommutator residual is at most
-        3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2.  The set passes
-        when that bound is within CAR_TOL; otherwise, or when no witness
-        exists, the exact O(N^2) residual decides.
+        With a witness W, its unitarity defect delta = |W^dag W - I| and
+        eps >= max_a |d_a - W^dag f_a W|, every anticommutator residual is
+        at most 3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2.  W is the
+        one the set was handed, else a fresh reconstruction witness.  The
+        set passes when that bound is within CAR_TOL; otherwise, or when no
+        witness exists, the exact O(N^2) residual decides.
         """
         try:
-            witness = _intertwiner(self.matrices(), self.n_modes)
+            witness = self._witness or _intertwiner(self.matrices(), self.n_modes)
         except (ValidationError, np.linalg.LinAlgError):
             pass
         else:
@@ -264,7 +264,9 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     moved modes' restriction (the one a full set and its restrictions
     carry).  This is the paper's substitution: w^dag f_a w is a polynomial
     in the moved modes' ladders, and conjugation by W is the algebra map
-    that replaces every f_b by W^dag f_b W = d_b.  Naive
+    that replaces every f_b by W^dag f_b W = d_b.  The frame w W is then a
+    witness of the result, exact on the moved modes, which the result
+    carries when ``d`` carries one.  Naive
     two-sided conjugation of the stored matrices by w would compose in the
     wrong order and is deliberately not what this does.
 
@@ -296,7 +298,9 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
         FockOperator(d.n_modes, frame.heisenberg(a)) if a in moved else old
         for a, old in zip(d.subsystem.indices, d.descriptors)
     )
-    return DescriptorSet(d.subsystem, new_descriptors, d.heisenberg_state)
+    unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
+    carried = d._witness and (frame, _witness_residual(frame, unmoved))
+    return DescriptorSet(d.subsystem, new_descriptors, d.heisenberg_state, _witness=carried)
 
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
@@ -351,10 +355,10 @@ def reconstruct_with_residual(d: DescriptorSet) -> tuple[PSUnitary, float]:
 
     The full-set case of the witness construction: the joint vacuum of a
     full set is one vector, which must be even, so the witness is fixed up
-    to the global phase that ``canonical_phase`` removes.  The set already
-    passed the canonical-relation gate when it was built, which stored the
-    witness whenever it could build one.  Returns the unitary U and its
-    round-trip residual max_a |U^dag f_a U - d_a|.
+    to a global phase: ``canonical_phase``'s for a witness the gate built,
+    ``w``'s for an ``ontic_apply`` frame.  The set passed that gate when it
+    was built, which kept the witness it was handed or stored the one it
+    built.  Returns U and its round-trip residual max_a |U^dag f_a U - d_a|.
     """
     if not d.subsystem.is_full:
         raise ValidationError(
@@ -388,7 +392,7 @@ class CompatibilityResult:
 
 
 def _witness_residual(w: PSUnitary, merged: dict[int, np.ndarray]) -> float:
-    return max(frobenius(w.heisenberg(a) - target) for a, target in merged.items())
+    return max((frobenius(w.heisenberg(a) - target) for a, target in merged.items()), default=0.0)
 
 
 def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
@@ -396,8 +400,8 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
 
     Builds the merged descriptor set on the union, which for a full union
     passes the canonical-relation gate of ``DescriptorSet``, and the witness
-    of its descriptors (for a full union, the one the gate stored): a
-    unitary whose descriptors restrict to both inputs.
+    of its descriptors: a unitary whose descriptors restrict to both inputs,
+    handed over when both inputs carry the same one, as restrictions of one set do.
     Either failing gives an incompatible verdict.  Mismatched Heisenberg
     states are a usage error, not incompatibility, and raise instead.
     """
@@ -415,8 +419,10 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
         )
 
     ops = dict(zip(da.subsystem.indices + db.subsystem.indices, da.descriptors + db.descriptors))
+    merged = tuple(ops[a] for a in union.indices)
+    shared = da._witness if da._witness is db._witness else None  # one of the union too
     try:
-        joined = DescriptorSet(union, tuple(ops[a] for a in union.indices), da.heisenberg_state)
+        joined = DescriptorSet(union, merged, da.heisenberg_state, _witness=shared)
         witness, residual = _witness_of(joined)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))

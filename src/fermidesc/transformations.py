@@ -169,9 +169,17 @@ def invariance_support(u: PSUnitary) -> ModeSet:
 
     A parity-even unitary commutes with every annihilator outside a mode set
     exactly when it is local to that set, so this is its locality support
-    (empty for a global phase), read from the signed-reorder kernel.
+    (empty for a global phase): the modes j with |U f_j - f_j U| above
+    LOCALITY_TOL max(1, |U|), each product a signed gather reversing U's mode-j axis.
     """
-    return algebra.mode_support(u.as_operator())
+    bound = algebra.LOCALITY_TOL * max(1.0, frobenius(u.matrix))
+    moved = []
+    for j in range(u.n_modes):
+        sign = ladder_columns(u.n_modes, j)[1].reshape(2 ** j, 2, -1)
+        x = u.matrix.reshape(sign.shape * 2)
+        if frobenius(x[..., ::-1, :] * sign - (sign[..., None, None, None] * x)[:, ::-1]) > bound:
+            moved.append(j)
+    return ModeSet(tuple(moved), u.n_modes)
 
 
 def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:

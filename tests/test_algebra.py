@@ -141,13 +141,6 @@ def test_even_locality_agrees_with_commutation_criterion(seed):
     )
 
 
-def test_mode_support():
-    hop = fock.creator(4, 1) @ fock.annihilator(4, 3)
-    assert algebra.mode_support(hop).indices == (1, 3)
-    assert algebra.mode_support(fock.identity(3)).indices == ()
-    assert algebra.mode_support(0.5j * fock.identity(3)).indices == ()
-
-
 def test_wedge_examples():
     a, b = ModeSet((0,), 2), ModeSet((1,), 2)
     out = algebra.wedge(fock.identity(2), a, fock.identity(2), b)
@@ -321,4 +314,4 @@ def test_locality_at_mode_cap(monkeypatch):
         small = algebra.compress_local_operator(u.as_operator(), subsystem)
         back = algebra.embed_local_operator(small, subsystem)
         assert np.abs(back.matrix - u.matrix).max() <= 1e-12
-        assert algebra.mode_support(u.as_operator()) == subsystem
+        assert tf.invariance_support(u) == subsystem

@@ -436,6 +436,33 @@ def test_unwritable_output_exits_3(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_unwritable_output_exits_3_before_any_work(tmp_path, monkeypatch, capsys, command):
+    from conftest import count_calls
+    from fermidesc import cli, verification
+
+    sweeps = count_calls(monkeypatch, verification, "run_sweep")
+    scenarios = count_calls(monkeypatch, cli, "run_scenario")
+    target = str(tmp_path / "no/such/dir/x.json")
+    if command == "simulate":
+        argv = ["simulate", str(write_scenario(tmp_path, EXAMPLE_SCENARIO)), "-o", target]
+    else:
+        argv = ["verify", "--modes", "4", "-o", target]
+    assert cli.main(argv) == 3
+    assert "[bad_output] at output:" in capsys.readouterr().err
+    assert sweeps == scenarios == []
+
+
+def test_output_is_emptied_by_a_run_that_fails_later(tmp_path):
+    from fermidesc import cli
+
+    out = tmp_path / "report.json"
+    out.write_text("an older report")
+    bad = write_scenario(tmp_path, {"n_modes": 0})
+    assert cli.main(["simulate", str(bad), "-o", str(out)]) == 3
+    assert out.read_text() == ""
+
+
 def test_reader_closing_early_exits_quietly(tmp_path):
     """A reader that stops after a few bytes leaves the verdict as the exit code."""
     scenario = {
