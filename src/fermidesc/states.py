@@ -32,7 +32,11 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class PhenomenalState:
-    """Validated parity-superselected density operator on a mode subset."""
+    """Validated parity-superselected density operator on a mode subset.
+
+    The constructor validates its matrix in full.  ``U rho U^dag`` of a
+    validated state and unitary goes through :meth:`_trusted` instead.
+    """
 
     subsystem: ModeSet
     matrix: np.ndarray
@@ -41,9 +45,7 @@ class PhenomenalState:
         self.subsystem.require_nonempty()
         m = checked_array(self.matrix, len(self.subsystem), 2)
         algebra.require_hermitian(m, "density matrix")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError("not_trace_one", f"trace is {tr:.6g}, expected 1")
+        _require_trace_one(m)
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         if eigs.min() < -PSD_TOL:
             raise ValidationError(
@@ -51,6 +53,20 @@ class PhenomenalState:
             )
         algebra.require_even(m, "density matrix")
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, subsystem: ModeSet, matrix: np.ndarray) -> "PhenomenalState":
+        """``U rho U^dag`` of a validated state ``rho`` and unitary ``U``, built by the library.
+
+        ``matrix`` is a fresh complex array; conjugation keeps Hermiticity,
+        positivity and the parity grade, so only the O(2^N) trace is checked.
+        """
+        _require_trace_one(matrix)
+        matrix.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "subsystem", subsystem)
+        object.__setattr__(state, "matrix", matrix)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -63,6 +79,12 @@ class PhenomenalState:
     def as_operator(self) -> FockOperator:
         """The matrix as an operator on the subsystem's own Fock space."""
         return FockOperator(self.n_modes, self.matrix)
+
+
+def _require_trace_one(m: np.ndarray) -> None:
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError("not_trace_one", f"trace is {tr:.6g}, expected 1")
 
 
 def validate_phenomenal(subsystem: ModeSet, matrix: np.ndarray) -> PhenomenalState:

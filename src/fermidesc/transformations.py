@@ -8,6 +8,7 @@ diagonal in the Fock basis, assembling the blocks is pure index placement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,15 @@ UNITARY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class PSUnitary:
-    """Unitary on the N-mode Fock space commuting with the parity operator."""
+    """Unitary on the N-mode Fock space commuting with the parity operator.
+
+    The constructor validates its matrix in full: the array rule, the
+    exact defect ``|M^dag M - I|`` and the parity grade.  Unitaries the
+    library builds from validated parts go through :meth:`_trusted`
+    instead, carrying a defect that is exact or measured on the parity
+    blocks; ``@`` measures its product's defect again, since a carried
+    bound would leave out the product's own rounding.
+    """
 
     n_modes: int
     matrix: np.ndarray
@@ -47,12 +56,28 @@ class PSUnitary:
         _check_n_modes(self.n_modes)
         m = checked_array(self.matrix, self.n_modes, 2)
         defect = frobenius(m.conj().T @ m - np.eye(self.dim))
-        if defect > UNITARY_TOL * self.dim:
-            raise ValidationError("not_unitary", "matrix is not unitary within tolerance")
+        _require_unitary(defect, self.dim)
         # unitarity makes |m| = 2^(N/2) > 1, so the grade's max(1, |m|) scale is |m|
         algebra.require_even(m, "unitary")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "defect", defect)
+
+    @classmethod
+    def _trusted(cls, n_modes: int, matrix: np.ndarray, defect: float) -> "PSUnitary":
+        """A unitary the library built from validated parts, with its defect carried.
+
+        ``matrix`` is a fresh complex 2^N x 2^N array, even by construction,
+        and ``defect`` its exact or block-measured ``|M^dag M - I|``; no
+        array rule, dense ``M^dag M`` or parity grade runs, but a defect
+        above the tolerance is still refused.
+        """
+        _require_unitary(defect, 2 ** n_modes)
+        matrix.setflags(write=False)
+        u = object.__new__(cls)
+        object.__setattr__(u, "n_modes", n_modes)
+        object.__setattr__(u, "matrix", matrix)
+        object.__setattr__(u, "defect", defect)
+        return u
 
     @property
     def dim(self) -> int:
@@ -86,6 +111,15 @@ class PSUnitary:
         return FockOperator(self.n_modes, self.matrix)
 
 
+def _require_unitary(defect: float, dim: int) -> None:
+    if defect > UNITARY_TOL * dim:
+        raise ValidationError("not_unitary", "matrix is not unitary within tolerance")
+
+
+def _block_defect(block: np.ndarray) -> float:
+    return frobenius(block.conj().T @ block - np.eye(len(block)))
+
+
 def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
     """Validate a candidate matrix; distinct codes for non-unitarity and SSR."""
     m = np.asarray(matrix, dtype=complex)
@@ -104,16 +138,21 @@ def exp_hamiltonian(h: FockOperator) -> PSUnitary:
     Taken as V e^{i lambda} V^dag from ``eigh`` of each parity block of
     ``h / 2^e`` (``algebra.scaled_to_unit``), with the eigenvalues scaled
     back by ``2^e``.  The blocks between the sectors are exact zeros, and
-    the result is unitary to rounding at any finite scale of ``h``.
+    the result is unitary to rounding at any finite scale of ``h``.  It is
+    even by construction, and its defect is measured on the two blocks,
+    whose squared defects add up to the dense one.
     """
     g, e = algebra.scaled_to_unit(h.matrix)
     algebra.require_hermitian(g, "generator")
     algebra.require_even(g, "generator")
     u = np.zeros_like(g)
+    defects = []
     for idx in parity_sectors(h.n_modes):
         lam, v = np.linalg.eigh(g[np.ix_(idx, idx)])
-        u[np.ix_(idx, idx)] = (v * np.exp(1j * np.ldexp(lam, e))) @ v.conj().T
-    return PSUnitary(h.n_modes, u)
+        block = (v * np.exp(1j * np.ldexp(lam, e))) @ v.conj().T
+        u[np.ix_(idx, idx)] = block
+        defects.append(_block_defect(block))
+    return PSUnitary._trusted(h.n_modes, u, math.hypot(*defects))
 
 
 _GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}
@@ -126,12 +165,26 @@ def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float)
     phase(i):         exp(i theta P),     P = f_i^dag f_i
     interaction(i,j): exp(i theta P),     P = f_i^dag f_i f_j^dag f_j
 
-    Each exponential is taken in closed form on the gate's own modes and
-    lifted to the ambient space by the local embedding.  P is a projector
-    (P^2 = P), so exp(i theta P) = (I - P) + e^{i theta} P; G satisfies
-    G^3 = -G, so exp(theta G) = (I + G^2) - cos(theta) G^2 + sin(theta) G.
-    Both are exact polynomials in integer matrices, unitary at any finite
-    theta.
+    Each exponential is taken in closed form on the gate's own modes
+    (``_gate_small``) and lifted to the ambient space by the local
+    embedding, which carries the small matrix's defect; only the small
+    matrix is graded.  ``cli.run_scenario`` folds the small matrix into its
+    product directly and never builds this lift.
+    """
+    small, sub = _gate_small(kind, n_modes, modes=modes, theta=theta)
+    return _lifted(small, _block_defect(small), sub)
+
+
+def _gate_small(
+    kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float
+) -> tuple[np.ndarray, ModeSet]:
+    """A named gate as a 2^m x 2^m matrix on its own modes, and those modes.
+
+    P is a projector (P^2 = P), so exp(i theta P) = (I - P) + e^{i theta} P;
+    G satisfies G^3 = -G, so exp(theta G) = (I + G^2) - cos(theta) G^2 +
+    sin(theta) G.  Both are exact polynomials in integer matrices, unitary
+    at any finite theta.  The matrix acts on the modes in increasing order,
+    as the returned ModeSet lists them.
     """
     arity = _GATE_ARITY.get(kind) if isinstance(kind, str) else None
     if arity is None:
@@ -156,7 +209,21 @@ def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float)
     else:
         p = c[i] @ a[i] if kind == "phase" else c[i] @ a[i] @ c[j] @ a[j]
         small = (eye - p) + np.exp(1j * theta) * p
-    return PSUnitary(n_modes, algebra.embed_local_operator(small, sub).matrix)
+    return small, sub
+
+
+def _lifted(small: np.ndarray, defect: float, sub: ModeSet) -> PSUnitary:
+    """The lift of a unitary on a subsystem's own modes, validated through the small matrix.
+
+    The lift copies entries with exact signs into ``small (x) I`` in the
+    reordered frame, so its ``U^dag U - I`` is ``(small^dag small - I) (x) I``
+    reordered, of norm ``defect * 2^((N - m) / 2)``, and it is even exactly
+    when ``small`` is.
+    """
+    algebra.require_even(small, "unitary")
+    lift = algebra.embed_local_operator(small, sub).matrix
+    scale = math.sqrt(2 ** (sub.ambient_n - len(sub)))
+    return PSUnitary._trusted(sub.ambient_n, lift, defect * scale)
 
 
 def is_local_unitary(u: PSUnitary, subsystem: ModeSet, tol: float = 1e-10) -> bool:
@@ -183,14 +250,20 @@ def invariance_support(u: PSUnitary) -> ModeSet:
 
 
 def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:
-    """Haar-random unitary on each parity sector, deterministic per seed."""
+    """Haar-random unitary on each parity sector, deterministic per seed.
+
+    Even by construction; its defect is measured on the two Haar blocks.
+    """
     _check_n_modes(n_modes)
     rng = np.random.default_rng(seed)
     dim = 2 ** n_modes
     u = np.zeros((dim, dim), dtype=complex)
+    defects = []
     for idx in parity_sectors(n_modes):
-        u[np.ix_(idx, idx)] = _haar(len(idx), rng)
-    return PSUnitary(n_modes, u)
+        block = _haar(len(idx), rng)
+        u[np.ix_(idx, idx)] = block
+        defects.append(_block_defect(block))
+    return PSUnitary._trusted(n_modes, u, math.hypot(*defects))
 
 
 def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -206,14 +279,14 @@ def local_random_ps_unitary(subsystem: ModeSet, seed: int) -> PSUnitary:
 
     Sampled on the subsystem's own Fock space, then lifted through the
     monomial substitution embedding, so it commutes with every ladder
-    operator outside the subsystem.
+    operator outside the subsystem.  The lift carries the small unitary's
+    defect, and only the small unitary is graded.
     """
     subsystem.require_nonempty()
     small = random_ps_unitary(len(subsystem), seed)
     if subsystem.is_full:
         return small
-    lifted = algebra.embed_local_operator(small.matrix, subsystem)
-    return PSUnitary(subsystem.ambient_n, lifted.matrix)
+    return _lifted(small.matrix, small.defect, subsystem)
 
 
 def canonical_phase(matrix: np.ndarray, n_modes: int) -> np.ndarray:

@@ -121,7 +121,7 @@ def check_no_signalling(
 
     uv = u_a @ v_b
     joint = uv.matrix @ rho.matrix @ uv.matrix.conj().T
-    left = partial_trace(PhenomenalState(rho.subsystem, joint), part_a)
+    left = partial_trace(PhenomenalState._trusted(rho.subsystem, joint), part_a)
     u_small = algebra.compress_local_operator(u_a.as_operator(), pos_a)
     reduced = partial_trace(rho, part_a)
     right = u_small @ reduced.matrix @ u_small.conj().T
@@ -129,7 +129,7 @@ def check_no_signalling(
 
     conj_b = v_b.matrix @ rho.matrix @ v_b.matrix.conj().T
     res_2 = frobenius(
-        partial_trace(PhenomenalState(rho.subsystem, conj_b), part_a).matrix
+        partial_trace(PhenomenalState._trusted(rho.subsystem, conj_b), part_a).matrix
         - reduced.matrix
     )
     residual = max(res_1, res_2)
@@ -367,8 +367,8 @@ def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
             failures.append(f"unitary rejected with wrong code {exc.code}")
 
     for seed in seeds:
-        try:
-            random_ps_unitary(n_modes, int(seed))
+        try:  # the sampler trusts its own blocks, so its matrix is graded here
+            validate_ps_unitary(random_ps_unitary(n_modes, int(seed)).matrix)
         except ValidationError:
             failures.append(f"sector-Haar sample rejected at seed {seed}")
     detail = {"n_modes": n_modes, "failures": failures}

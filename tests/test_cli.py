@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, round trips, all four subcommands."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -137,6 +138,122 @@ def test_gate_fold_multiplies_matrices_not_unitaries(monkeypatch):
     report = cli.run_scenario({"n_modes": 3, "initial_state": [1, 0, 0], "gates": gates})
     assert products == []
     assert report["reconstruction"]["phase_blind_distance"] < 1e-8
+
+
+def seeded_gates(n_modes: int, count: int, seed: int) -> list[dict]:
+    """Named gates on random modes; pairs come in any order, e.g. [5, 1]."""
+    rng = random.Random(seed)
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(("tunneling", "phase", "interaction"))
+        modes = [rng.randrange(n_modes)] if kind == "phase" else rng.sample(range(n_modes), 2)
+        gates.append({"kind": kind, "modes": modes, "theta": rng.uniform(-np.pi, np.pi)})
+    return gates
+
+
+def even_hamiltonian(n_modes: int, seed: int) -> np.ndarray:
+    """A random Hermitian, parity-even matrix on the full Fock space."""
+    from fermidesc import fock
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 ** n_modes,) * 2) + 1j * rng.standard_normal((2 ** n_modes,) * 2)
+    parity = fock.parity_diagonal(n_modes)
+    h = (z + z.conj().T) / 2
+    return (h + parity[:, None] * h * parity[None, :]) / 2
+
+
+@pytest.mark.parametrize("n_modes", range(2, 9))
+def test_gate_fold_matches_the_dense_product(monkeypatch, n_modes):
+    from conftest import count_calls
+    from fermidesc import cli, transformations as tf
+    from fermidesc.fock import FockOperator
+
+    gates = seeded_gates(n_modes, 24, seed=n_modes)
+    if n_modes >= 6:
+        gates[3] = {"kind": "tunneling", "modes": [5, 1], "theta": 0.9}
+        gates[4] = {"kind": "interaction", "modes": [4, 0], "theta": -2.2}
+    h = even_hamiltonian(n_modes, seed=n_modes)
+    gates.insert(7, {"kind": "hamiltonian", "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in h]})
+    totals = count_calls(monkeypatch, cli, "PSUnitary")
+    cli.run_scenario({"n_modes": n_modes, "initial_state": [1] + [0] * (n_modes - 1), "gates": gates})
+
+    dense = np.eye(2 ** n_modes, dtype=complex)
+    for gate in gates:
+        if gate["kind"] == "hamiltonian":
+            u = tf.exp_hamiltonian(FockOperator(n_modes, h))
+        else:
+            u = tf.named_gate(gate["kind"], n_modes, modes=tuple(gate["modes"]), theta=gate["theta"])
+        dense = u.matrix @ dense
+    (n, folded), = totals
+    assert n == n_modes
+    # equal bit for bit at most sizes; BLAS may order the sums of the dense
+    # product differently, so a last bit can move
+    assert np.abs(folded - dense).max() <= 1e-14
+
+
+def test_gate_fold_at_the_mode_cap_validates_once_within_budget(monkeypatch):
+    """60 named gates at N = 10: parse, fold and final state in <= 5 s and < 100 MB.
+
+    A product with each lifted gate held every 16 MB lift (about 1 GB) and
+    validated each with a dense U^dag U; the fold validates only the total.
+    """
+    import time
+    import tracemalloc
+
+    from conftest import count_calls
+    from fermidesc import cli, fock, transformations as tf
+
+    monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
+    n_modes = 10
+    scenario = {"n_modes": n_modes, "initial_state": [1, 0] * 5, "gates": seeded_gates(n_modes, 60, 10)}
+    validations = count_calls(monkeypatch, tf.PSUnitary, "__post_init__")
+    spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+
+    class Folded(Exception):
+        pass
+
+    def stop(total, subsystem, psi0):
+        raise Folded(time.perf_counter() - started, tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(cli.dsc, "evolve_descriptors", stop)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(Folded) as folded:
+            cli.run_scenario(scenario)
+    finally:
+        tracemalloc.stop()
+    seconds, peak = folded.value.args
+    assert len(validations) == 1  # the total
+    assert spectra == []
+    assert seconds <= 5.0
+    assert peak < 100e6
+
+
+def test_scenario_runs_no_eigvalsh_at_the_full_dimension(monkeypatch):
+    from conftest import count_calls
+    from fermidesc import cli, descriptors as dsc, transformations as tf
+
+    n_modes = 6
+    validations = count_calls(monkeypatch, tf.PSUnitary, "__post_init__")
+    witnesses = count_calls(monkeypatch, dsc, "_intertwiner")
+    products = count_calls(monkeypatch, tf.PSUnitary, "__matmul__")
+    spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    report = cli.run_scenario(
+        {
+            "n_modes": n_modes,
+            "initial_state": [0, 1] * 3,
+            "gates": seeded_gates(n_modes, 60, 6),
+            "partitions": [[0, 1, 2], [3, 4, 5]],
+            "checks": [{"name": "no_signalling", "count": 3}],
+        }
+    )
+    assert report["checks"][0]["passed"]
+    assert all(len(m) < 2 ** n_modes for (m,) in spectra)
+    # the total, the witness the full descriptor set's gate builds, and
+    # u_a @ v_b of each no_signalling instance, which measures its product
+    assert len(witnesses) == 1 and len(products) == 3
+    assert len(validations) == 1 + len(witnesses) + len(products)
 
 
 def test_reconstruction_residual_is_computed_once(monkeypatch):
@@ -473,15 +590,15 @@ def test_reader_closing_early_exits_quietly(tmp_path):
         "checks": [{"name": "diagram"}],
     }
     path = write_scenario(tmp_path, scenario)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "fermidesc.cli", "simulate", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(100).startswith(b"{")
-    proc.stdout.close()  # about 750 kB are still to come, beyond any pipe buffer
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=300) == 0, stderr
+    ) as proc:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()  # about 750 kB are still to come, beyond any pipe buffer
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 0, stderr
     assert "Traceback" not in stderr
     assert "pass diagram" in stderr
 

@@ -324,3 +324,20 @@ def test_conjugated_states_stay_valid():
     u = random_ps_unitary(3, 10)
     evolved = u.matrix @ rho.matrix @ u.matrix.conj().T
     states.validate_phenomenal(ModeSet.full(3), evolved)
+
+
+def test_trusted_state_checks_only_the_trace(monkeypatch):
+    from conftest import count_calls
+
+    rho = random_phenomenal(3, 9)
+    u = random_ps_unitary(3, 10)
+    evolved = u.matrix @ rho.matrix @ u.matrix.conj().T
+    spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    trusted = states.PhenomenalState._trusted(ModeSet.full(3), evolved.copy())
+    assert spectra == [] and grades == []
+    assert np.array_equal(trusted.matrix, states.validate_phenomenal(ModeSet.full(3), evolved).matrix)
+    assert not trusted.matrix.flags.writeable
+    with pytest.raises(ValidationError) as err:
+        states.PhenomenalState._trusted(ModeSet.full(3), 0.9 * evolved)
+    assert err.value.code == "not_trace_one"

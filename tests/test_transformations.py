@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fermidesc import fock, transformations as tf
+from conftest import count_calls
+from fermidesc import algebra, fock, transformations as tf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
@@ -359,6 +360,72 @@ def test_local_random_on_full_set_matches_global_sampler():
     assert np.array_equal(
         tf.local_random_ps_unitary(full, 5).matrix, tf.random_ps_unitary(3, 5).matrix
     )
+
+
+def dense_defect(u: tf.PSUnitary) -> float:
+    return fock.frobenius(u.matrix.conj().T @ u.matrix - np.eye(u.dim))
+
+
+def test_trusted_unitary_refuses_a_carried_defect_above_tolerance():
+    dim = 8
+    at_bound = tf.PSUnitary._trusted(3, np.eye(dim, dtype=complex), tf.UNITARY_TOL * dim)
+    assert at_bound.defect == tf.UNITARY_TOL * dim
+    assert not at_bound.matrix.flags.writeable
+    with pytest.raises(ValidationError) as err:
+        tf.PSUnitary._trusted(3, np.eye(dim, dtype=complex), 1.01 * tf.UNITARY_TOL * dim)
+    assert err.value.code == "not_unitary"
+
+
+@pytest.mark.parametrize("stretch, passes", [(3e-10, True), (5e-10, False)])
+def test_lift_carries_the_small_defect_scaled_to_the_ambient_space(stretch, passes):
+    # |small^dag small - I| is about 2 stretch; the lift to 5 modes multiplies
+    # it by 2^(4/2) = 4 against a bound of 1e-10 * 32
+    small = np.diag([1.0, 1.0 + stretch]).astype(complex)
+    sub = ModeSet((3,), 5)
+    defect = fock.frobenius(small.conj().T @ small - np.eye(2))
+    lift = algebra.embed_local_operator(small, sub).matrix
+    if passes:
+        u = tf._lifted(small, defect, sub)
+        assert np.array_equal(u.matrix, lift)
+        assert u.defect == 4 * defect
+        assert u.defect == pytest.approx(dense_defect(u), rel=1e-12)
+        return
+    for build in (lambda: tf._lifted(small, defect, sub), lambda: tf.PSUnitary(5, lift)):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.code == "not_unitary"
+
+
+def test_lift_grades_the_small_matrix():
+    with pytest.raises(ValidationError) as err:
+        tf._lifted(np.array([[0, 1], [1, 0]], dtype=complex), 0.0, ModeSet((1,), 3))
+    assert err.value.code == "ssr_violation"
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
+def test_carried_defects_match_the_dense_measurement(n_modes):
+    number = fock.creator(n_modes, 0) @ fock.annihilator(n_modes, 0)
+    built = [tf.random_ps_unitary(n_modes, 3), tf.exp_hamiltonian(2.5 * number)]
+    for size in range(1, n_modes):
+        built.append(tf.local_random_ps_unitary(ModeSet(tuple(range(size)), n_modes), size))
+    built.append(tf.named_gate("phase", n_modes, modes=(n_modes - 1,), theta=0.7))
+    if n_modes > 1:
+        built.append(tf.named_gate("tunneling", n_modes, modes=(n_modes - 1, 0), theta=0.7))
+    for u in built:
+        assert u.defect == pytest.approx(dense_defect(u), abs=1e-15 * u.dim)
+        assert not u.matrix.flags.writeable
+
+
+def test_local_random_unitary_grades_only_its_small_unitary(monkeypatch):
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    validations = count_calls(monkeypatch, tf.PSUnitary, "__post_init__")
+    u = tf.local_random_ps_unitary(ModeSet((1, 4), 6), 5)
+    assert [m.shape for (m, *_) in grades] == [(4, 4)]
+    gate = tf.named_gate("tunneling", 6, modes=(5, 2), theta=1.1)
+    assert [m.shape for (m, *_) in grades] == [(4, 4), (4, 4)]
+    assert validations == []
+    assert tf.is_local_unitary(u, ModeSet((1, 4), 6))
+    assert tf.is_local_unitary(gate, ModeSet((2, 5), 6))
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
