@@ -7,9 +7,10 @@ the relabelled occupations, times the parity of the sort that restores
 increasing mode order.  In that reordered Jordan-Wigner frame every local
 operator is exactly ``A (x) I`` with ``A`` on the subsystem's own Fock space
 (Bravyi and Kitaev, quant-ph/0003137).  The reorder is one index array and
-one sign vector of length 2^N, so embedding a small matrix is a scatter of
-``A (x) I``, while compression and the locality test gather the reordered
-operator ``X``, take ``c = tr_rest(X) / 2^(N-m)`` and measure
+one sign vector of length 2^N.  The one lift kernel, :func:`fold_local`,
+multiplies rows by ``A (x) I`` by gathering them through the reorder and
+scattering them back; compression and the locality test gather the
+reordered operator ``X``, take ``c = tr_rest(X) / 2^(N-m)`` and measure
 ``||X - c (x) I||``.  Memory stays O(4^N).
 
 The monomial basis of a subsystem is the paper's own definition, the 4^m
@@ -269,26 +270,38 @@ def is_local_to(o: FockOperator, subsystem: ModeSet, tol: float = LOCALITY_TOL) 
     return locality_residual(o, subsystem) <= tol * scale
 
 
+def fold_local(target: np.ndarray, small: np.ndarray, subsystem: ModeSet) -> None:
+    """Left-multiply a 2^N-row ``target``, in place, by the lift of ``small`` on ``subsystem``.
+
+    The one lift kernel: in the frame that puts the subsystem's modes first
+    the lift is ``small (x) I``, so the rows are gathered through the signed
+    reorder, ``small`` acts on their leading index and they are scattered
+    back, in 2^m 4^N operations with no lift formed.
+    """
+    src, sign = _reorder_to_front(subsystem)
+    dk = 2 ** len(subsystem)
+    small = np.asarray(small, dtype=complex)
+    if small.shape != (dk, dk):
+        raise ValidationError(
+            "dimension_mismatch", f"expected a {dk} x {dk} matrix for subsystem {subsystem.indices}"
+        )
+    rows = target[src]
+    rows *= sign[:, None]
+    rows = (small @ rows.reshape(dk, -1)).reshape(target.shape)
+    rows *= sign[:, None]
+    rows += 0.0  # -0.0 entries of the signed scatter become +0.0
+    target[src] = rows
+
+
 def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
     """Lift a 2^m x 2^m matrix on a subsystem's own Fock space to the ambient space.
 
     The lift substitutes the subsystem's ambient ladder monomials for the
     small-space matrix units, so it is a *-isomorphism onto the subsystem's
-    local operator algebra.  It is computed as ``small (x) I`` in the
-    reordered frame, scattered back through the signed reorder.
+    local operator algebra.  It is :func:`fold_local` applied to the identity.
     """
-    src, sign = _reorder_to_front(subsystem)
-    m = len(subsystem)
-    small = np.asarray(small, dtype=complex)
-    if small.shape != (2 ** m, 2 ** m):
-        raise ValidationError(
-            "dimension_mismatch",
-            f"expected a {2 ** m} x {2 ** m} matrix for subsystem {subsystem.indices}",
-        )
-    lifted = np.kron(small, np.eye(2 ** (subsystem.ambient_n - m)))
-    matrix = np.empty_like(lifted)
-    # + 0.0 turns the -0.0 entries of the kron and the signed scatter into +0.0
-    matrix[np.ix_(src, src)] = sign[:, None] * lifted * sign[None, :] + 0.0
+    matrix = np.eye(2 ** subsystem.ambient_n, dtype=complex)
+    fold_local(matrix, small, subsystem)
     return FockOperator(subsystem.ambient_n, matrix)
 
 

@@ -106,24 +106,6 @@ def _build_gate(entry, index: int, n_modes: int) -> tuple[np.ndarray, ModeSet]:
         return _gate_small(kind, n_modes, modes=tuple(modes), theta=float(theta))
 
 
-def _fold(product: np.ndarray, small: np.ndarray, modes: ModeSet) -> None:
-    """Left-multiply ``product``, in place, by the lift of ``small`` on ``modes``.
-
-    In the frame that puts ``modes`` first the lift is ``small (x) I``: the
-    rows are gathered through the signed reorder, ``small`` acts on the
-    leading index of each, and the result is scattered back.  That is
-    2^m 4^N operations instead of the 8^N of a product with the lifted
-    gate, and no lift is formed.  The full set reorders as the identity.
-    """
-    src, sign = algebra._reorder_to_front(modes)
-    rows = product[src]
-    rows *= sign[:, None]
-    rows = (small @ rows.reshape(len(small), -1)).reshape(product.shape)
-    rows *= sign[:, None]
-    rows += 0.0  # as in the lift, -0.0 entries become +0.0
-    product[src] = rows
-
-
 def _list_field(scenario: dict, key: str) -> list:
     entry = scenario.get(key) or []
     if not isinstance(entry, list):
@@ -227,11 +209,11 @@ def _scenario_checks(
 def run_scenario(scenario: dict) -> dict:
     """Execute a parsed scenario and assemble the report.
 
-    Each gate is folded into the running product on its own modes
-    (``_fold``), and only the total is validated as a ``PSUnitary``; the
-    final state ``U rho U^dag`` is built from it without a second
-    positivity check.  Its matrices and vectors are ``serialize.DenseJson`` wrappers of the
-    arrays; their text is made when the report is written, so
+    Each gate is folded into the running product by the one lift kernel,
+    ``algebra.fold_local``, and only the total is validated as a
+    ``PSUnitary``; the final state, the projector onto ``U psi0``, needs no
+    positivity check.  Its matrices and vectors are ``serialize.DenseJson``
+    wrappers; their text is made when the report is written, so
     ``timings.total_seconds`` counts no encoding.
     """
     started = time.monotonic()
@@ -251,12 +233,12 @@ def run_scenario(scenario: dict) -> dict:
     checks = _parse_checks(scenario)
     product = np.eye(2 ** n_modes, dtype=complex)
     for small, modes in gates:
-        _fold(product, small, modes)
+        algebra.fold_local(product, small, modes)
     total = PSUnitary(n_modes, product)
 
     full = ModeSet.full(n_modes)
-    final_matrix = total.matrix @ psi0.projector().matrix @ total.matrix.conj().T
-    final_state = PhenomenalState._trusted(full, final_matrix)
+    psi = total.matrix @ psi0.amplitudes
+    final_state = PhenomenalState._trusted(full, np.outer(psi, psi.conj()))
     global_descriptors = dsc.evolve_descriptors(total, full, psi0)
 
     reconstructed, residual = dsc.reconstruct_with_residual(global_descriptors)

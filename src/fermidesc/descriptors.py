@@ -133,7 +133,7 @@ class DescriptorSet:
         witness exists, the exact O(N^2) residual decides.
         """
         try:
-            witness = self._witness or _intertwiner(self.matrices(), self.n_modes)
+            witness = _witness_of(self)
         except (ValidationError, np.linalg.LinAlgError):
             pass
         else:

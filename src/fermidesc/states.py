@@ -167,8 +167,9 @@ def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
     """Un-entangled composition of states on disjoint subsystems.
 
     Each state is lifted into the union's own Fock space, at its modes'
-    positions in the union, by the local embedding; the product of the two
-    lifts is the joint state.  Marginals recover the inputs.
+    positions in the union, by the one lift kernel: folding both into the
+    identity in turn leaves the product of the two lifts, with no dense
+    product taken.  Marginals recover the inputs.
     """
     if not a.subsystem.is_disjoint(b.subsystem):
         raise ValidationError(
@@ -176,12 +177,10 @@ def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
             f"subsystems {a.subsystem.indices} and {b.subsystem.indices} overlap",
         )
     union = a.subsystem.union(b.subsystem)
-
-    def lifted(s: PhenomenalState) -> np.ndarray:
-        at = ModeSet(s.subsystem.positions_in(union), len(union))
-        return algebra.embed_local_operator(s.matrix, at).matrix
-
-    return PhenomenalState(union, lifted(a) @ lifted(b))
+    joint = np.eye(2 ** len(union), dtype=complex)
+    for s in (a, b):
+        algebra.fold_local(joint, s.matrix, ModeSet(s.subsystem.positions_in(union), len(union)))
+    return PhenomenalState(union, joint)
 
 
 def expectation(state: PhenomenalState, observable: FockOperator) -> float:

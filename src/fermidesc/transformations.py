@@ -166,10 +166,11 @@ def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float)
     interaction(i,j): exp(i theta P),     P = f_i^dag f_i f_j^dag f_j
 
     Each exponential is taken in closed form on the gate's own modes
-    (``_gate_small``) and lifted to the ambient space by the local
-    embedding, which carries the small matrix's defect; only the small
-    matrix is graded.  ``cli.run_scenario`` folds the small matrix into its
-    product directly and never builds this lift.
+    (``_gate_small``) and lifted to the ambient space by the one lift
+    kernel, ``algebra.fold_local`` applied to the identity; the lift carries
+    the small matrix's defect, and only the small matrix is graded.
+    ``cli.run_scenario`` folds the small matrix into its running product
+    with the same kernel and never builds this lift.
     """
     small, sub = _gate_small(kind, n_modes, modes=modes, theta=theta)
     return _lifted(small, _block_defect(small), sub)

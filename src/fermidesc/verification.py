@@ -119,19 +119,18 @@ def check_no_signalling(
     if not is_local_unitary(v_b, pos_b):
         raise ValidationError("not_local", f"v_b is not local to modes {part_b.indices}")
 
-    uv = u_a @ v_b
-    joint = uv.matrix @ rho.matrix @ uv.matrix.conj().T
-    left = partial_trace(PhenomenalState._trusted(rho.subsystem, joint), part_a)
-    u_small = algebra.compress_local_operator(u_a.as_operator(), pos_a)
-    reduced = partial_trace(rho, part_a)
-    right = u_small @ reduced.matrix @ u_small.conj().T
-    res_1 = frobenius(left.matrix - right)
-
     conj_b = v_b.matrix @ rho.matrix @ v_b.matrix.conj().T
+    reduced = partial_trace(rho, part_a)
     res_2 = frobenius(
         partial_trace(PhenomenalState._trusted(rho.subsystem, conj_b), part_a).matrix
         - reduced.matrix
     )
+
+    joint = u_a.matrix @ conj_b @ u_a.matrix.conj().T
+    left = partial_trace(PhenomenalState._trusted(rho.subsystem, joint), part_a)
+    u_small = algebra.compress_local_operator(u_a.as_operator(), pos_a)
+    right = u_small @ reduced.matrix @ u_small.conj().T
+    res_1 = frobenius(left.matrix - right)
     residual = max(res_1, res_2)
     detail = {
         "part_a": list(part_a.indices),
@@ -477,8 +476,9 @@ def check_qubit_ladders(n_qubits: int) -> CheckResult:
     sx = q0 + q0.dag()
     sy = -1.0j * (q0 - q0.dag())
     rest = np.eye(2 ** (n_qubits - 1), dtype=complex)
-    sx_target = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), rest)
-    sy_target = np.kron(np.array([[0, -1j], [1j, 0]], dtype=complex), rest)
+    zero = np.zeros_like(rest)
+    sx_target = np.block([[zero, rest], [rest, zero]])  # sigma_x (x) I
+    sy_target = np.block([[zero, -1j * rest], [1j * rest, zero]])
     worst = max(worst, frobenius(sx.matrix - sx_target))
     worst = max(worst, frobenius(sy.matrix - sy_target))
     detail = {"n_qubits": n_qubits, "residual": worst}

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fermidesc import algebra, fock, transformations as tf
+from fermidesc import algebra, fock, states, transformations as tf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
@@ -276,6 +276,59 @@ def test_reorder_kernel_agrees_with_monomial_oracle(n_modes):
             # only the full set contains every operator
             assert oracle_local == subsystem.is_full
     algebra._basis_arrays.cache_clear()  # stacks reach 4^N x 2^N x 2^N
+
+
+def kron_scatter_lift(small: np.ndarray, subsystem: ModeSet) -> np.ndarray:
+    """Oracle lift: ``small (x) I`` formed densely, scattered through the signed reorder."""
+    n, m = subsystem.ambient_n, len(subsystem)
+    src, sign = states.mode_sort_permutation(n, subsystem.indices)
+    lifted = np.kron(np.asarray(small, dtype=complex), np.eye(2 ** (n - m)))
+    out = np.empty_like(lifted)
+    out[np.ix_(src, src)] = sign[:, None] * lifted * sign[None, :] + 0.0
+    return out
+
+
+def _with_signed_zeros(rng, small: np.ndarray) -> np.ndarray:
+    """``small`` with about a quarter of its real and imaginary parts set to 0.0 or -0.0."""
+    for part in (small.real, small.imag):
+        hit = rng.random(part.shape) < 0.25
+        part[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+    return small
+
+
+@pytest.mark.parametrize("n_modes", range(1, 8))
+def test_fold_lift_equals_the_kron_scatter_oracle_bit_for_bit(n_modes):
+    """All 2^N - 1 subsets; complex and real small matrices with signed zeros."""
+    rng = np.random.default_rng(70 + n_modes)
+    for size in range(1, n_modes + 1):
+        for subset in itertools.combinations(range(n_modes), size):
+            subsystem = ModeSet(subset, n_modes)
+            small = _with_signed_zeros(rng, _random_matrix(rng, 2 ** size))
+            for matrix in (small, small.real.copy()):
+                lifted = algebra.embed_local_operator(matrix, subsystem).matrix
+                assert lifted.tobytes() == kron_scatter_lift(matrix, subsystem).tobytes()
+
+
+def test_every_library_lift_is_one_kernel_call(monkeypatch):
+    from conftest import count_calls
+
+    folds = count_calls(monkeypatch, algebra, "fold_local")
+    tf.named_gate("tunneling", 4, modes=(3, 1), theta=0.3)
+    assert [(len(small), modes) for _, small, modes in folds] == [(4, ModeSet((1, 3), 4))]
+
+    folds.clear()
+    tf.local_random_ps_unitary(ModeSet((0, 2), 4), 5)
+    assert [(len(small), modes) for _, small, modes in folds] == [(4, ModeSet((0, 2), 4))]
+    folds.clear()
+    tf.local_random_ps_unitary(ModeSet.full(3), 5)  # already the whole space: nothing to lift
+    assert folds == []
+
+    sub_a, sub_b = ModeSet((1, 4), 5), ModeSet((2,), 5)
+    a = states.PhenomenalState(sub_a, np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
+    b = states.PhenomenalState(sub_b, np.diag([0.25, 0.75]).astype(complex))
+    states.product_state(a, b)
+    # each state at its positions in the union (1, 2, 4)
+    assert [modes for _, _, modes in folds] == [ModeSet((0, 2), 3), ModeSet((1,), 3)]
 
 
 def test_locality_error_codes():

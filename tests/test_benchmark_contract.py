@@ -7,7 +7,10 @@ refactor that moves or renames one breaks ``perfbench/run.py --trace 1``.
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,18 @@ def test_traced_names_resolve_in_their_layer(layer):
         assert obj is not None, f"fermidesc.{layer} has no {name}"
         assert obj.__module__ == f"fermidesc.{layer}", f"{layer}.{name} is defined in {obj.__module__}"
         assert callable(obj)
+
+
+def test_cli_import_keeps_scipy_loaded():
+    """The benchmark's child records ``sys.modules["scipy"].__version__`` after importing the CLI.
+
+    A fermidesc that no longer imports scipy would end every benchmark run
+    with a ``KeyError`` until that runner tolerates a scipy-free library.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, fermidesc.cli; print(sys.modules['scipy'].__version__)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

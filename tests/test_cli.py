@@ -191,6 +191,25 @@ def test_gate_fold_matches_the_dense_product(monkeypatch, n_modes):
     assert np.abs(folded - dense).max() <= 1e-14
 
 
+def test_scenario_lifts_each_gate_with_one_kernel_call(monkeypatch):
+    from conftest import count_calls
+    from fermidesc import algebra, cli
+    from fermidesc.fock import ModeSet
+
+    n_modes = 5
+    gates = seeded_gates(n_modes, 12, seed=3)
+    h = even_hamiltonian(n_modes, seed=3)
+    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in h]
+    gates.insert(4, {"kind": "hamiltonian", "matrix": matrix})
+    folds = count_calls(monkeypatch, algebra, "fold_local")
+    cli.run_scenario({"n_modes": n_modes, "initial_state": [1, 1, 0, 0, 0], "gates": gates})
+    expected = [
+        ModeSet.full(n_modes) if g["kind"] == "hamiltonian" else ModeSet.of(g["modes"], n_modes)
+        for g in gates
+    ]
+    assert [modes for _, _, modes in folds] == expected
+
+
 def test_gate_fold_at_the_mode_cap_validates_once_within_budget(monkeypatch):
     """60 named gates at N = 10: parse, fold and final state in <= 5 s and < 100 MB.
 
@@ -250,10 +269,11 @@ def test_scenario_runs_no_eigvalsh_at_the_full_dimension(monkeypatch):
     )
     assert report["checks"][0]["passed"]
     assert all(len(m) < 2 ** n_modes for (m,) in spectra)
-    # the total, the witness the full descriptor set's gate builds, and
-    # u_a @ v_b of each no_signalling instance, which measures its product
-    assert len(witnesses) == 1 and len(products) == 3
-    assert len(validations) == 1 + len(witnesses) + len(products)
+    # the total and the witness the full descriptor set's gate builds; each
+    # no_signalling instance conjugates by u_a and v_b in turn, so it forms
+    # no product u_a @ v_b to validate
+    assert len(witnesses) == 1 and len(products) == 0
+    assert len(validations) == 1 + len(witnesses)
 
 
 def test_reconstruction_residual_is_computed_once(monkeypatch):
