@@ -41,9 +41,9 @@ from .fock import (
     ModeSet,
     _annihilator_matrix,
     _check_n_modes,
+    _parity_diagonal,
     frobenius,
     ladder_columns,
-    parity_diagonal,
 )
 
 LOCALITY_TOL = 1e-10
@@ -224,7 +224,8 @@ def parity_grade(o: FockOperator | np.ndarray) -> str:
     plus and minus the input at ``LOCALITY_TOL * max(1, |input|)``.
     """
     m = o.matrix if isinstance(o, FockOperator) else o
-    diag = parity_diagonal(m.shape[0].bit_length() - 1)
+    # the array exists, so its size needs no mode-cap check
+    diag = _parity_diagonal(m.shape[0].bit_length() - 1)
     conj = diag * m if m.ndim == 1 else diag[:, None] * m * diag[None, :]
     bound = LOCALITY_TOL * max(1.0, frobenius(m))
     if frobenius(conj - m) <= bound:
@@ -241,14 +242,17 @@ def require_even(o: FockOperator | np.ndarray, what: str) -> None:
 
 
 def scaled_to_unit(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(g, e)`` with ``m = g * 2**e`` exactly, ``e >= 0`` and every ``|g| < 2``.
+    """``(g, e)`` with ``m = g * 2**e`` exactly, ``e >= 0`` and every part of ``g`` below 2.
 
     Dividing by a power of two moves no bit (short of underflow), so a test
     on ``g`` decides as the same test on ``m`` would, but no norm of ``g``
-    can overflow, whatever the finite scale of ``m``.  ``g`` is ``m`` itself
-    when every ``|m| < 2``, as for states and unitaries.
+    can overflow, whatever the finite scale of ``m``.  The scale is set by
+    the real and imaginary parts, not the moduli: an entry such as
+    ``1.7e308 + 1.7e308j`` has finite parts but no finite modulus.  ``g`` is ``m`` itself when every
+    part is below 2, as for states and unitaries.
     """
-    e = max(0, math.frexp(float(np.abs(m).max(initial=0.0)))[1] - 1)
+    peak = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    e = max(0, math.frexp(float(peak))[1] - 1)
     return (m * math.ldexp(1.0, -e) if e else m), e
 
 

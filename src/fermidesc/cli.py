@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -61,7 +62,8 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
         _fail("bad_schema", "initial_state must be a non-empty list", field)
     if all(type(x) is int for x in entry):
         return fock_basis_state(n_modes, _occupation(entry, n_modes, field))
-    amplitudes = np.zeros(2 ** n_modes, dtype=complex)
+    sums = {}  # Python complex sums: an overflow is inf, not a numpy warning
+    largest = 0.0
     parities = set()
     for i, term in enumerate(entry):
         tfield = f"{field}[{i}]"
@@ -70,17 +72,26 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
         occ = _occupation(term["occupation"], n_modes, tfield)
         amp = serialize.json_to_complex(term["amplitude"], f"{tfield}.amplitude")
         parities.add(sum(occ) % 2)
-        amplitudes[basis_index(n_modes, occ)] += amp
+        index = basis_index(n_modes, occ)
+        sums[index] = sums.get(index, 0j) + amp
+        largest = max(largest, abs(amp.real), abs(amp.imag))
     if len(parities) > 1:
         _fail(
             "ssr_violation",
             "superposition mixes even- and odd-parity occupations",
             field,
         )
-    norm = np.linalg.norm(amplitudes)
-    if norm < 1e-12:
+    amplitudes = np.zeros(2 ** n_modes, dtype=complex)
+    amplitudes[list(sums)] = list(sums.values())
+    if not np.isfinite(amplitudes).all():
+        _fail("not_finite", "the amplitudes of one occupation sum beyond the float range", field)
+    # g = amplitudes / 2^e, so its norm cannot overflow; zero is judged
+    # against the largest term, so terms that cancel are still refused
+    g, e = algebra.scaled_to_unit(amplitudes)
+    norm = np.linalg.norm(g)
+    if norm <= 1e-12 * math.ldexp(largest, -e):
         _fail("bad_schema", "initial state has zero norm", field)
-    return FockVector(n_modes, amplitudes / norm)
+    return FockVector(n_modes, g / norm)
 
 
 def _build_gate(entry, index: int, n_modes: int) -> tuple[np.ndarray, ModeSet]:

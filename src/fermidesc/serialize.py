@@ -10,15 +10,19 @@ is part of the schema document printed by the CLI.
 the array; its text is made only when the report is written, by
 :func:`write_json` or by ``json.dumps(..., default=plain)``, which give the
 same text.  ``write_json`` lets ``json.dumps`` lay out everything but the
-arrays and writes each array's text from a template at its place.
+arrays and writes each array at its place row by row, from one row
+template per row length, depth and leaf kind; the nonzero parts of an
+array that occurs more than once are formatted once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -191,13 +195,53 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
         return DescriptorSet(subsystem, tuple(descriptors), psi0)
 
 
-def _template(shape: tuple[int, ...], depth: int) -> str:
-    """The ``indent=2`` layout of a regular float nest of ``shape`` at ``depth``, ``%r`` leaves."""
-    text = "%r"
+def _template(shape: tuple[int, ...], depth: int, leaf: str) -> str:
+    """The ``indent=2`` layout of a regular nest of ``shape`` at ``depth``, ``leaf`` at each leaf."""
+    text = leaf
     for level in range(len(shape) - 1, -1, -1):
         inner = "\n" + "  " * (depth + level + 1)
         text = "[" + inner + (text + "," + inner) * (shape[level] - 1) + text + inner[:-2] + "]"
     return text
+
+
+def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat ``[re, im]`` float parts of ``a`` and the mask of those other than ``+0.0``."""
+    flat = _pairs(a).ravel()
+    return flat, (flat != 0.0) | np.signbit(flat)
+
+
+def _nonzero_text(a: np.ndarray) -> str:
+    """The reprs of ``a``'s parts other than ``+0.0``, in order, joined by commas."""
+    flat, nonzero = _parts(a)
+    return ",".join(map(repr, flat[nonzero].tolist()))
+
+
+def _shared_leaves(a: np.ndarray, text: str) -> np.ndarray:
+    """``a``'s parts as their text: ``"0.0"`` for each ``+0.0``, the next of ``text``'s reprs otherwise."""
+    flat, nonzero = _parts(a)
+    leaves = np.empty(flat.size, dtype=object)
+    leaves.fill("0.0")  # one str for every zero; np.full would make one per entry
+    leaves[nonzero] = text.split(",") if text else []
+    return leaves
+
+
+def _write_rows(write, rows: np.ndarray, shape: tuple[int, ...], depth: int, template: str) -> None:
+    """Write the ``indent=2`` nest of ``shape`` at ``depth`` whose innermost rows are ``rows``.
+
+    The brackets of every level but the last are written here; each
+    innermost row is ``template`` filled with that row's leaves.
+    """
+    if len(shape) <= 1:
+        write(template % tuple(rows[0].tolist()))
+        return
+    inner = "\n" + "  " * (depth + 1)
+    step = len(rows) // shape[0]
+    write("[" + inner)
+    for i in range(shape[0]):
+        if i:
+            write("," + inner)
+        _write_rows(write, rows[i * step:(i + 1) * step], shape[1:], depth + 1, template)
+    write(inner[:-2] + "]")
 
 
 def write_json(data, write) -> None:
@@ -206,12 +250,18 @@ def write_json(data, write) -> None:
     The text is that call's, byte for byte, made by ``json.dumps`` itself
     with each array from ``matrix_to_json``/``vector_to_json`` replaced by a
     random placeholder string.  The text is cut at the placeholders, and
-    each array is written as the ``indent=2`` layout of its ``[re, im]``
-    nest at the placeholder's depth (its line's leading spaces over two),
-    filled with the float reprs ``json.dumps`` writes.  An array that
-    occurs more than once, as the global descriptors do in every
-    partition's set, is filled once per occurrence.  Peak memory is the
-    array-free text plus one array's text, not the whole document's.
+    each array is written at the placeholder's depth (its line's leading
+    spaces over two): its outer brackets directly, each innermost row of
+    ``[re, im]`` pairs from a row template kept for the call per row
+    length, depth and leaf kind.  An array that occurs once is filled with
+    the float reprs ``json.dumps`` writes.  An array that occurs more than
+    once, as the global descriptors do in every partition's set, has the
+    reprs of its parts other than ``+0.0`` made once, kept as one compact
+    text until its last occurrence, and every ``+0.0`` part written as the
+    constant ``"0.0"``; the parity superselection rule makes most of a
+    descriptor's parts exact zeros.  Peak memory is the array-free text,
+    the shared arrays' compact texts and one array's leaves, not the whole
+    document's text.
     """
     placeholder = os.urandom(16).hex()
     arrays = []
@@ -225,11 +275,29 @@ def write_json(data, write) -> None:
     pieces = json.dumps(data, sort_keys=True, indent=2, default=hook).split(f'"{placeholder}"')
     if len(pieces) != len(arrays) + 1:
         raise ValidationError("internal_inconsistency", "a report string equals the array placeholder")
+    left = Counter(map(id, arrays))
+    shared = {key for key, count in left.items() if count > 1}
+    texts = {}
+    templates = {}
     write(pieces[0])
     for a, before, piece in zip(arrays, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
         depth = (len(line) - len(line.lstrip(" "))) // 2
-        write(_template(a.shape + (2,), depth) % tuple(_pairs(a).ravel().tolist()))
+        key = id(a)
+        if key in shared:
+            if key not in texts:
+                texts[key] = _nonzero_text(a)
+            leaves, leaf = _shared_leaves(a, texts[key]), "%s"
+            left[key] -= 1
+            if not left[key]:
+                del texts[key]
+        else:
+            leaves, leaf = _pairs(a), "%r"
+        row, row_depth = a.shape[-1:] + (2,), depth + len(a.shape[:-1])
+        template = templates.get((row, row_depth, leaf))
+        if template is None:
+            template = templates[row, row_depth, leaf] = _template(row, row_depth, leaf)
+        _write_rows(write, leaves.reshape(-1, math.prod(row)), a.shape, depth, template)
         write(piece)
     write("\n")
 

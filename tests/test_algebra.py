@@ -98,6 +98,17 @@ def test_parity_grade_of_raw_matrices_and_vectors():
         assert algebra.parity_grade(v) == grade
 
 
+def test_parity_grade_reads_no_mode_cap(monkeypatch):
+    from conftest import count_calls
+
+    f0 = fock.annihilator(3, 0)
+    caps = count_calls(monkeypatch, fock, "mode_cap")
+    assert algebra.parity_grade(f0) == algebra.GRADE_ODD
+    assert algebra.parity_grade(f0.matrix @ f0.matrix.conj().T) == algebra.GRADE_EVEN
+    assert algebra.parity_grade(f0.matrix[:, 0]) == algebra.GRADE_EVEN
+    assert caps == []
+
+
 def test_is_local_examples():
     n0 = fock.creator(3, 0) @ fock.annihilator(3, 0)
     assert algebra.is_local_to(n0, ModeSet((0,), 3))

@@ -434,6 +434,50 @@ def test_non_finite_amplitude_rejected(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+def _terms(*pairs):
+    return [{"occupation": occ, "amplitude": amp} for occ, amp in pairs]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        (_terms(([1, 0], [3e200, 0]), ([0, 1], [0, 4e200])), {2: 0.6, 1: 0.8j}),
+        (_terms(([1, 0], [1e-13, 0])), {2: 1.0}),
+        (_terms(([0, 1], [1e308, 0]), ([0, 1], [-1e308, 1e308]), ([1, 0], [0, 1e308])), {1: 1j / 2**0.5, 2: 1j / 2**0.5}),
+        (_terms(([1, 0], [1.7e308, 1.7e308])), {2: (1 + 1j) / 2**0.5}),
+    ],
+    ids=["huge", "tiny", "huge-sum", "modulus-beyond-range"],
+)
+def test_initial_state_at_extreme_scales_is_normalised(terms, expected):
+    from fermidesc import cli
+
+    want = np.zeros(4, dtype=complex)
+    for index, amplitude in expected.items():
+        want[index] = amplitude
+    assert np.allclose(cli._build_initial_state(terms, 2).amplitudes, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "terms, code",
+    [
+        (_terms(([1, 0], [1e308, 0]), ([1, 0], [1e308, 0])), "not_finite"),
+        (_terms(([1, 0], [1, 0]), ([1, 0], [-1, 0])), "bad_schema"),
+        (_terms(([1, 0], [1e300, 0]), ([1, 0], [-1e300, 0]), ([0, 1], [1e-290, 0])), "bad_schema"),
+        (_terms(([1, 0], [0, 0])), "bad_schema"),
+    ],
+    ids=["overflowed-sum", "cancelling", "cancelling-huge", "zero"],
+)
+def test_initial_state_overflow_and_zero_norm_refused(terms, code):
+    from fermidesc import cli
+    from fermidesc.errors import ValidationError
+
+    with pytest.raises(ValidationError) as err:
+        cli.run_scenario({"n_modes": 2, "initial_state": terms})
+    assert (err.value.code, err.value.field) == (code, "initial_state")
+
+
 def test_large_finite_theta_stays_unitary(tmp_path):
     gate = {"kind": "tunneling", "modes": [0, 1], "theta": 1e17}
     path = write_scenario(tmp_path, dict(EXAMPLE_SCENARIO, gates=[gate]))

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ def frozen(a) -> np.ndarray:
 
 
 SHARED = serialize.matrix_to_json(frozen(np.arange(12.0).reshape(3, 4) * (1 - 0.5j)))
+# zero real or imaginary parts, -0.0 in either part and the smallest subnormal
+SPARSE = frozen([
+    [0, 1.5, 0, complex(-0.0, 0.0)],
+    [2j, 0, complex(0.0, -0.0), 0],
+    [5e-324, 0, complex(-0.0, -0.0), -5e-324j],
+    [0, complex(-2.5, 0.0), 0, complex(0.0, 1e-300)],
+])
+SPARSE_M = serialize.matrix_to_json(SPARSE)
+SPARSE_V = serialize.vector_to_json(SPARSE[2])
+ZEROS = serialize.matrix_to_json(frozen(np.zeros((3, 3))))
+COLUMN, TRANSPOSE, HALF = (serialize.matrix_to_json(view) for view in (SPARSE[:, 1], SPARSE.T, SPARSE[::2]))
 EXTREMES = np.array([[-0.0, 1e-300], [1e300, complex(-0.0, -1e300)]])
 HOSTILE = {
     "int and bool hamiltonian echo": {
@@ -131,6 +143,9 @@ HOSTILE = {
         "i": {3: SHARED, 7: [SHARED]},
         "l": [[1, [SHARED]], SHARED],
     },
+    "shared sparse arrays": {"m": [SPARSE_M, ZEROS], "n": {"m": SPARSE_M, "z": ZEROS}},
+    "one sparse read-only array at three depths": {"a": SPARSE_V, "b": {"c": SPARSE_V}, "d": [[SPARSE_V]]},
+    "read-only strided views": {"c": [COLUMN, COLUMN], "t": [TRANSPOSE, TRANSPOSE], "h": {"x": HALF, "y": HALF}},
     "equal arrays with zeros of either sign": {
         "a": serialize.matrix_to_json(np.array([[0.0, 1.5], [2j, -3.0]])),
         "b": [serialize.matrix_to_json(np.array([[-0.0, 1.5], [2j, -3.0]]))],
@@ -158,9 +173,12 @@ def test_dense_arrays_at_every_depth(shape):
 
 
 def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
-    """Writing the 17.5 MB seed-901 report peaks at a few matrices' text.
+    """Writing the 17.5 MB seed-901 report peaks at about 2.7 MB.
 
-    ``json.dumps`` of the same report allocates about 79 MB.
+    The peak is the array-free text, the shared arrays' compact texts
+    (about 0.9 MB) and one array's leaves.  Whole-array ``%r`` templates
+    peaked at 3.7 MB, and ``json.dumps`` of the same report allocates
+    about 79 MB.
     """
     with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
         tracemalloc.start()
@@ -170,7 +188,23 @@ def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "report.json").stat().st_size > 16_000_000
-    assert peak < 16_000_000
+    assert peak < 4_000_000
+
+
+def test_shared_parts_formatted_once_and_templates_one_row(report_901, monkeypatch):
+    from conftest import count_calls
+
+    arrays = []
+    json.dumps(report_901, default=lambda value: arrays.append(value.array))
+    occurrences = Counter(map(id, arrays))
+    shared = sorted(key for key, count in occurrences.items() if count > 1)
+    assert len(shared) == 8  # the seven global descriptors and the Heisenberg vector
+    texts = count_calls(monkeypatch, serialize, "_nonzero_text")
+    templates = count_calls(monkeypatch, serialize, "_template")
+    written(report_901)
+    assert sorted(id(a) for (a,) in texts) == shared
+    assert templates and all(len(shape) == 2 for shape, _, _ in templates)  # one row of [re, im] pairs
+    assert len(set(templates)) == len(templates)
 
 
 def test_equal_arrays_are_encoded_apart():
