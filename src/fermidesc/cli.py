@@ -62,7 +62,7 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
         _fail("bad_schema", "initial_state must be a non-empty list", field)
     if all(type(x) is int for x in entry):
         return fock_basis_state(n_modes, _occupation(entry, n_modes, field))
-    sums = {}  # Python complex sums: an overflow is inf, not a numpy warning
+    amplitudes = np.zeros(2 ** n_modes, dtype=complex)
     largest = 0.0
     parities = set()
     for i, term in enumerate(entry):
@@ -72,8 +72,8 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
         occ = _occupation(term["occupation"], n_modes, tfield)
         amp = serialize.json_to_complex(term["amplitude"], f"{tfield}.amplitude")
         parities.add(sum(occ) % 2)
-        index = basis_index(n_modes, occ)
-        sums[index] = sums.get(index, 0j) + amp
+        with np.errstate(over="ignore"):  # an overflowed sum is refused below
+            amplitudes[basis_index(n_modes, occ)] += amp
         largest = max(largest, abs(amp.real), abs(amp.imag))
     if len(parities) > 1:
         _fail(
@@ -81,17 +81,17 @@ def _build_initial_state(entry, n_modes: int) -> FockVector:
             "superposition mixes even- and odd-parity occupations",
             field,
         )
-    amplitudes = np.zeros(2 ** n_modes, dtype=complex)
-    amplitudes[list(sums)] = list(sums.values())
     if not np.isfinite(amplitudes).all():
         _fail("not_finite", "the amplitudes of one occupation sum beyond the float range", field)
-    # g = amplitudes / 2^e, so its norm cannot overflow; zero is judged
-    # against the largest term, so terms that cancel are still refused
-    g, e = algebra.scaled_to_unit(amplitudes)
-    norm = np.linalg.norm(g)
-    if norm <= 1e-12 * math.ldexp(largest, -e):
+    # zero is judged against the largest term, so terms that cancel are refused
+    parts = amplitudes.view(float)
+    peak = float(np.abs(parts).max())
+    if peak <= 1e-12 * largest:
         _fail("bad_schema", "initial state has zero norm", field)
-    return FockVector(n_modes, g / norm)
+    # g = amplitudes / 2^e has its largest part in [1/2, 1), so its norm
+    # neither overflows nor underflows, and a power of two moves no bit
+    g = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+    return FockVector(n_modes, g / np.linalg.norm(g))
 
 
 def _build_gate(entry, index: int, n_modes: int) -> tuple[np.ndarray, ModeSet]:

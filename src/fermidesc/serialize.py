@@ -11,8 +11,8 @@ the array; its text is made only when the report is written, by
 :func:`write_json` or by ``json.dumps(..., default=plain)``, which give the
 same text.  ``write_json`` lets ``json.dumps`` lay out everything but the
 arrays and writes each array at its place row by row, from one row
-template per row length, depth and leaf kind; the nonzero parts of an
-array that occurs more than once are formatted once.
+template per row length and depth; only the parts other than ``+0.0`` are
+formatted, once per array however often it occurs.
 """
 
 from __future__ import annotations
@@ -195,34 +195,30 @@ def json_to_descriptor_set(data: dict, field: str = "descriptor_set") -> Descrip
         return DescriptorSet(subsystem, tuple(descriptors), psi0)
 
 
-def _template(shape: tuple[int, ...], depth: int, leaf: str) -> str:
-    """The ``indent=2`` layout of a regular nest of ``shape`` at ``depth``, ``leaf`` at each leaf."""
-    text = leaf
+def _template(shape: tuple[int, ...], depth: int) -> str:
+    """The ``indent=2`` layout of a regular nest of ``shape`` at ``depth``, ``%s`` leaves."""
+    text = "%s"
     for level in range(len(shape) - 1, -1, -1):
         inner = "\n" + "  " * (depth + level + 1)
         text = "[" + inner + (text + "," + inner) * (shape[level] - 1) + text + inner[:-2] + "]"
     return text
 
 
-def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat ``[re, im]`` float parts of ``a`` and the mask of those other than ``+0.0``."""
+def _leaves(a: np.ndarray, text: str | None) -> tuple[np.ndarray, str]:
+    """``a``'s flat ``[re, im]`` parts as their JSON text, and ``text``.
+
+    ``text`` is the reprs of ``a``'s parts other than ``+0.0``, in order,
+    joined by commas; ``None`` has them made here.  Every ``+0.0`` part is
+    the one string ``"0.0"``, and ``-0.0`` is formatted as nonzero.
+    """
     flat = _pairs(a).ravel()
-    return flat, (flat != 0.0) | np.signbit(flat)
-
-
-def _nonzero_text(a: np.ndarray) -> str:
-    """The reprs of ``a``'s parts other than ``+0.0``, in order, joined by commas."""
-    flat, nonzero = _parts(a)
-    return ",".join(map(repr, flat[nonzero].tolist()))
-
-
-def _shared_leaves(a: np.ndarray, text: str) -> np.ndarray:
-    """``a``'s parts as their text: ``"0.0"`` for each ``+0.0``, the next of ``text``'s reprs otherwise."""
-    flat, nonzero = _parts(a)
+    nonzero = (flat != 0.0) | np.signbit(flat)
+    if text is None:
+        text = ",".join(map(repr, flat[nonzero].tolist()))
     leaves = np.empty(flat.size, dtype=object)
     leaves.fill("0.0")  # one str for every zero; np.full would make one per entry
     leaves[nonzero] = text.split(",") if text else []
-    return leaves
+    return leaves, text
 
 
 def _write_rows(write, rows: np.ndarray, shape: tuple[int, ...], depth: int, template: str) -> None:
@@ -253,15 +249,14 @@ def write_json(data, write) -> None:
     each array is written at the placeholder's depth (its line's leading
     spaces over two): its outer brackets directly, each innermost row of
     ``[re, im]`` pairs from a row template kept for the call per row
-    length, depth and leaf kind.  An array that occurs once is filled with
-    the float reprs ``json.dumps`` writes.  An array that occurs more than
-    once, as the global descriptors do in every partition's set, has the
-    reprs of its parts other than ``+0.0`` made once, kept as one compact
-    text until its last occurrence, and every ``+0.0`` part written as the
-    constant ``"0.0"``; the parity superselection rule makes most of a
-    descriptor's parts exact zeros.  Peak memory is the array-free text,
-    the shared arrays' compact texts and one array's leaves, not the whole
-    document's text.
+    length and depth.  Each part is written as its float repr, as
+    ``json.dumps`` writes it, except that every ``+0.0`` part is the
+    constant ``"0.0"``: the parity superselection rule makes most parts of
+    a report's arrays exact zeros.  The reprs of an array's other parts are
+    made once, into one compact text that is kept until the array's last
+    occurrence; the global descriptors occur again in every partition's
+    set.  Peak memory is the array-free text, the compact texts of arrays
+    still to occur and one array's leaves, not the whole document's text.
     """
     placeholder = os.urandom(16).hex()
     arrays = []
@@ -275,28 +270,22 @@ def write_json(data, write) -> None:
     pieces = json.dumps(data, sort_keys=True, indent=2, default=hook).split(f'"{placeholder}"')
     if len(pieces) != len(arrays) + 1:
         raise ValidationError("internal_inconsistency", "a report string equals the array placeholder")
-    left = Counter(map(id, arrays))
-    shared = {key for key, count in left.items() if count > 1}
-    texts = {}
+    left = Counter(map(id, arrays))  # occurrences not yet written
+    texts = {}  # the nonzero text of each array still to occur again
     templates = {}
     write(pieces[0])
     for a, before, piece in zip(arrays, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
         depth = (len(line) - len(line.lstrip(" "))) // 2
         key = id(a)
-        if key in shared:
-            if key not in texts:
-                texts[key] = _nonzero_text(a)
-            leaves, leaf = _shared_leaves(a, texts[key]), "%s"
-            left[key] -= 1
-            if not left[key]:
-                del texts[key]
-        else:
-            leaves, leaf = _pairs(a), "%r"
+        leaves, text = _leaves(a, texts.pop(key, None))
+        left[key] -= 1
+        if left[key]:
+            texts[key] = text
         row, row_depth = a.shape[-1:] + (2,), depth + len(a.shape[:-1])
-        template = templates.get((row, row_depth, leaf))
+        template = templates.get((row, row_depth))
         if template is None:
-            template = templates[row, row_depth, leaf] = _template(row, row_depth, leaf)
+            template = templates[row, row_depth] = _template(row, row_depth)
         _write_rows(write, leaves.reshape(-1, math.prod(row)), a.shape, depth, template)
         write(piece)
     write("\n")

@@ -109,6 +109,14 @@ def test_parity_grade_reads_no_mode_cap(monkeypatch):
     assert caps == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_scaled_to_unit_scales_by_the_largest_part():
+    m = np.array([[1.7e308 + 1.7e308j, 3.0], [0.0, -2.5j]])  # finite parts, no finite modulus
+    g, e = algebra.scaled_to_unit(m)
+    assert np.abs(g.view(float)).max() < 2
+    assert np.array_equal(np.ldexp(g.view(float), e), m.view(float))
+
+
 def test_is_local_examples():
     n0 = fock.creator(3, 0) @ fock.annihilator(3, 0)
     assert algebra.is_local_to(n0, ModeSet((0,), 3))

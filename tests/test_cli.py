@@ -444,10 +444,12 @@ def _terms(*pairs):
     [
         (_terms(([1, 0], [3e200, 0]), ([0, 1], [0, 4e200])), {2: 0.6, 1: 0.8j}),
         (_terms(([1, 0], [1e-13, 0])), {2: 1.0}),
+        (_terms(([1, 0], [1e-300, 0])), {2: 1.0}),
+        (_terms(([1, 0], [5e-324, 0]), ([0, 1], [0, 5e-324])), {2: 2**-0.5, 1: 1j * 2**-0.5}),
         (_terms(([0, 1], [1e308, 0]), ([0, 1], [-1e308, 1e308]), ([1, 0], [0, 1e308])), {1: 1j / 2**0.5, 2: 1j / 2**0.5}),
         (_terms(([1, 0], [1.7e308, 1.7e308])), {2: (1 + 1j) / 2**0.5}),
     ],
-    ids=["huge", "tiny", "huge-sum", "modulus-beyond-range"],
+    ids=["huge", "tiny", "tinier", "subnormal", "huge-sum", "modulus-beyond-range"],
 )
 def test_initial_state_at_extreme_scales_is_normalised(terms, expected):
     from fermidesc import cli

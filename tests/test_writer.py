@@ -175,10 +175,10 @@ def test_dense_arrays_at_every_depth(shape):
 def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
     """Writing the 17.5 MB seed-901 report peaks at about 2.7 MB.
 
-    The peak is the array-free text, the shared arrays' compact texts
-    (about 0.9 MB) and one array's leaves.  Whole-array ``%r`` templates
-    peaked at 3.7 MB, and ``json.dumps`` of the same report allocates
-    about 79 MB.
+    The peak is the array-free text, the compact texts of the arrays still
+    to occur again (about 0.9 MB) and one array's leaves.  Whole-array
+    ``%r`` templates peaked at 3.7 MB, and ``json.dumps`` of the same
+    report allocates about 79 MB.
     """
     with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
         tracemalloc.start()
@@ -191,19 +191,20 @@ def test_writing_holds_one_array_not_the_report(report_901, tmp_path):
     assert peak < 4_000_000
 
 
-def test_shared_parts_formatted_once_and_templates_one_row(report_901, monkeypatch):
+def test_parts_formatted_once_per_array_and_templates_one_row(report_901, monkeypatch):
     from conftest import count_calls
 
     arrays = []
     json.dumps(report_901, default=lambda value: arrays.append(value.array))
     occurrences = Counter(map(id, arrays))
-    shared = sorted(key for key, count in occurrences.items() if count > 1)
-    assert len(shared) == 8  # the seven global descriptors and the Heisenberg vector
-    texts = count_calls(monkeypatch, serialize, "_nonzero_text")
+    # the seven global descriptors and the Heisenberg vector occur more than once
+    assert sum(count > 1 for count in occurrences.values()) == 8
+    leaves = count_calls(monkeypatch, serialize, "_leaves")
     templates = count_calls(monkeypatch, serialize, "_template")
     written(report_901)
-    assert sorted(id(a) for (a,) in texts) == shared
-    assert templates and all(len(shape) == 2 for shape, _, _ in templates)  # one row of [re, im] pairs
+    assert sorted(id(a) for a, text in leaves if text is None) == sorted(occurrences)
+    assert len(leaves) == len(arrays)
+    assert templates and all(len(shape) == 2 for shape, _ in templates)  # one row of [re, im] pairs
     assert len(set(templates)) == len(templates)
 
 
