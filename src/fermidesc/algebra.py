@@ -189,8 +189,8 @@ def _mode_reorder(front: tuple[int, ...], n_modes: int) -> tuple[np.ndarray, np.
 
 
 def _reorder_to_front(subsystem: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+    """The reorder for rows that already exist, so the mode count needs no cap check."""
     subsystem.require_nonempty()
-    _check_n_modes(subsystem.ambient_n)
     return _mode_reorder(subsystem.indices, subsystem.ambient_n)
 
 
@@ -304,6 +304,7 @@ def embed_local_operator(small: np.ndarray, subsystem: ModeSet) -> FockOperator:
     small-space matrix units, so it is a *-isomorphism onto the subsystem's
     local operator algebra.  It is :func:`fold_local` applied to the identity.
     """
+    _check_n_modes(subsystem.ambient_n)  # before the identity is allocated
     matrix = np.eye(2 ** subsystem.ambient_n, dtype=complex)
     fold_local(matrix, small, subsystem)
     return FockOperator(subsystem.ambient_n, matrix)

@@ -49,9 +49,9 @@ from .fock import (
     FockOperator,
     FockVector,
     ModeSet,
+    _ladder_columns,
     annihilator,
     frobenius,
-    ladder_columns,
     parity_sectors,
 )
 from .states import PhenomenalState
@@ -80,6 +80,12 @@ def descriptor_algebra_residual(descriptors: Sequence[np.ndarray], dim: int) -> 
     return worst
 
 
+def _require_odd(d: FockOperator) -> FockOperator:
+    if algebra.parity_grade(d) != algebra.GRADE_ODD:
+        raise ValidationError("not_odd", "descriptors must be parity-odd operators")
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class DescriptorSet:
     """Evolved annihilators of a subsystem plus the fixed Heisenberg state."""
@@ -87,10 +93,10 @@ class DescriptorSet:
     subsystem: ModeSet
     descriptors: tuple[FockOperator, ...]
     heisenberg_state: FockVector
-    # witness W and a bound on its round-trip residual, handed over or built by
-    # a full set's gate; a restriction keeps its parent's, which bounds its own
+    # witness W and a bound on its round-trip residual, handed over by _derived
+    # or built by a full set's gate; a restriction keeps its parent's
     _witness: tuple[PSUnitary, float] | None = field(
-        default=None, kw_only=True, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -106,10 +112,7 @@ class DescriptorSet:
                 raise ValidationError(
                     "dimension_mismatch", "descriptors must act on the ambient space"
                 )
-            if algebra.parity_grade(d) != algebra.GRADE_ODD:
-                raise ValidationError(
-                    "not_odd", "descriptors must be parity-odd operators"
-                )
+            _require_odd(d)
         if self.heisenberg_state.n_modes != n:
             raise ValidationError(
                 "dimension_mismatch", "Heisenberg state must live in the ambient space"
@@ -228,7 +231,7 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
     rows = np.flatnonzero(empty)
     signs = np.ones(len(rows))
     for a in reversed(modes):
-        partner, sign = ladder_columns(n_modes, a)
+        partner, sign = _ladder_columns(n_modes, a)
         x_d = np.hstack([x_d, desc[a].conj().T @ x_d])
         signs = np.hstack([signs, signs * sign[partner[rows]]])
         rows = np.hstack([rows, partner[rows]])
@@ -255,6 +258,20 @@ def _witness_of(d: DescriptorSet) -> tuple[PSUnitary, float]:
     return d._witness or _intertwiner(d.matrices(), d.n_modes)
 
 
+def _derived(d: DescriptorSet, subsystem: ModeSet, descriptors: tuple, witness) -> DescriptorSet:
+    """A copy of the validated ``d`` with validated descriptors of its system and a new witness.
+
+    Nothing is graded again; only a full set's canonical-relation gate runs.
+    """
+    out = copy.copy(d)
+    object.__setattr__(out, "subsystem", subsystem)
+    object.__setattr__(out, "descriptors", descriptors)
+    object.__setattr__(out, "_witness", witness)
+    if subsystem.is_full:
+        out._require_canonical_relations()
+    return out
+
+
 def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     """Group action of a transformation on an ontic state.
 
@@ -273,6 +290,8 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     The moved modes must be tracked, otherwise the partial set cannot
     determine the result and a coverage error is raised; descriptors on
     them that no unitary produces are rejected with ``descriptor_algebra``.
+    The result is derived from ``d``: only the new images are graded
+    (``not_odd``), and a full result passes the canonical-relation gate.
     """
     if w.n_modes != d.n_modes:
         raise ValidationError("dimension_mismatch", "transformation/descriptor mode counts differ")
@@ -294,13 +313,11 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
             f"conjugate to the canonical family ({exc})",
         ) from exc
     frame = w @ witness
-    new_descriptors = tuple(
-        FockOperator(d.n_modes, frame.heisenberg(a)) if a in moved else old
-        for a, old in zip(d.subsystem.indices, d.descriptors)
-    )
+    images = {a: _require_odd(FockOperator(d.n_modes, frame.heisenberg(a))) for a in moved}
+    new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
     carried = d._witness and (frame, _witness_residual(frame, unmoved))
-    return DescriptorSet(d.subsystem, new_descriptors, d.heisenberg_state, _witness=carried)
+    return _derived(d, d.subsystem, new_descriptors, carried)
 
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
@@ -308,17 +325,14 @@ def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
 
     Keeps those modes' descriptors and the set's witness, a witness of each
     kept descriptor too; the set's own subsystem gives back ``d`` itself.
-    The restriction is a copy of the validated parent with the subsystem and
-    descriptors replaced, so nothing the parent graded is graded again.
+    The restriction is derived from the validated parent, a proper subset
+    of its modes, so nothing is graded or gated again.
     """
     if subsystem == d.subsystem:
         return d
     subsystem.require_nonempty()
     kept = tuple(d.descriptors[i] for i in subsystem.positions_in(d.subsystem))
-    restricted = copy.copy(d)
-    object.__setattr__(restricted, "subsystem", subsystem)
-    object.__setattr__(restricted, "descriptors", kept)
-    return restricted
+    return _derived(d, subsystem, kept, d._witness)
 
 
 def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
@@ -398,10 +412,11 @@ def _witness_residual(w: PSUnitary, merged: dict[int, np.ndarray]) -> float:
 def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     """Decide whether two local ontic states extend to a common global one.
 
-    Builds the merged descriptor set on the union, which for a full union
-    passes the canonical-relation gate of ``DescriptorSet``, and the witness
-    of its descriptors: a unitary whose descriptors restrict to both inputs,
-    handed over when both inputs carry the same one, as restrictions of one set do.
+    Derives the merged descriptor set on the union from the two validated
+    inputs, grading nothing again (a full union passes the canonical-relation
+    gate), and builds the witness of its descriptors: a unitary whose
+    descriptors restrict to both inputs, handed over when both inputs carry
+    the same one, as restrictions of one set do.
     Either failing gives an incompatible verdict.  Mismatched Heisenberg
     states are a usage error, not incompatibility, and raise instead.
     """
@@ -422,7 +437,7 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     merged = tuple(ops[a] for a in union.indices)
     shared = da._witness if da._witness is db._witness else None  # one of the union too
     try:
-        joined = DescriptorSet(union, merged, da.heisenberg_state, _witness=shared)
+        joined = _derived(da, union, merged, shared)
         witness, residual = _witness_of(joined)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))

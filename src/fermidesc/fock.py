@@ -14,7 +14,9 @@ Everything downstream rests on the conventions fixed here:
 
 Matrices are dense; the default mode cap of 10 keeps them at 1024 x 1024.
 The cap can be raised through the ``FERMIDESC_MODE_CAP`` environment
-variable.
+variable.  It is read where a caller's mode count becomes memory, before
+anything is allocated; functions of values that exist or of counts already
+validated, such as ``_ladder_columns`` and ``parity_sectors``, do not read it.
 """
 
 from __future__ import annotations
@@ -268,14 +270,6 @@ class FockVector:
         return FockOperator(self.n_modes, np.outer(v, v.conj()))
 
 
-def _check_mode(n_modes: int, mode: int) -> None:
-    _check_n_modes(n_modes)
-    if not 0 <= mode < n_modes:
-        raise ValidationError(
-            "mode_out_of_range", f"mode {mode} out of range for {n_modes} modes"
-        )
-
-
 def ladder_columns(n_modes: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """The annihilator of one mode as a signed column map ``(partner, sign)``.
 
@@ -283,12 +277,15 @@ def ladder_columns(n_modes: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
     else; ``sign[j]`` is the string parity of the modes before ``mode``, or 0
     when ``mode`` is empty in ``j``.  So ``A @ f`` is ``A[:, partner] * sign``.
     """
-    _check_mode(n_modes, mode)
+    _check_n_modes(n_modes)
     return _ladder_columns(n_modes, mode)
 
 
 @lru_cache(maxsize=64)
 def _ladder_columns(n_modes: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ladder_columns` of a validated mode count; the mode is checked on a cache miss."""
+    if not 0 <= mode < n_modes:
+        raise ValidationError("mode_out_of_range", f"mode {mode} out of range for {n_modes} modes")
     j = np.arange(2 ** n_modes)
     bit = 1 << (n_modes - 1 - mode)
     before = sum((j >> (n_modes - 1 - b)) & 1 for b in range(mode))
@@ -315,7 +312,7 @@ def build_ladder(n_modes: int, mode: int, kind: str) -> FockOperator:
     all modes of a system satisfies the canonical anticommutation relations
     with exactly zero residual.
     """
-    _check_mode(n_modes, mode)
+    _check_n_modes(n_modes)
     m = _annihilator_matrix(n_modes, mode)
     if kind == "annihilator":
         return FockOperator(n_modes, m)
@@ -346,8 +343,8 @@ def parity_diagonal(n_modes: int) -> np.ndarray:
 
 
 def parity_sectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Increasing Fock basis indices of the even and of the odd sector."""
-    diag = parity_diagonal(n_modes).real
+    """Increasing Fock basis indices of the even and of the odd sector of a validated count."""
+    diag = _parity_diagonal(n_modes).real
     return np.flatnonzero(diag == 1.0), np.flatnonzero(diag == -1.0)
 
 

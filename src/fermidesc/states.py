@@ -24,7 +24,7 @@ import numpy as np
 
 from . import algebra
 from .errors import ValidationError
-from .fock import FockOperator, ModeSet, checked_array
+from .fock import FockOperator, ModeSet, _check_n_modes, checked_array
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -177,6 +177,7 @@ def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
             f"subsystems {a.subsystem.indices} and {b.subsystem.indices} overlap",
         )
     union = a.subsystem.union(b.subsystem)
+    _check_n_modes(len(union))  # before the identity is allocated
     joint = np.eye(2 ** len(union), dtype=complex)
     for s in (a, b):
         algebra.fold_local(joint, s.matrix, ModeSet(s.subsystem.positions_in(union), len(union)))

@@ -24,11 +24,11 @@ from .fock import (
     FockVector,
     ModeSet,
     _check_n_modes,
+    _ladder_columns,
     annihilator,
     checked_array,
     creator,
     frobenius,
-    ladder_columns,
     parity_sectors,
 )
 
@@ -55,7 +55,7 @@ class PSUnitary:
     def __post_init__(self):
         _check_n_modes(self.n_modes)
         m = checked_array(self.matrix, self.n_modes, 2)
-        defect = frobenius(m.conj().T @ m - np.eye(self.dim))
+        defect = _block_defect(m)
         _require_unitary(defect, self.dim)
         # unitarity makes |m| = 2^(N/2) > 1, so the grade's max(1, |m|) scale is |m|
         algebra.require_even(m, "unitary")
@@ -84,7 +84,8 @@ class PSUnitary:
         return 2 ** self.n_modes
 
     def dag(self) -> "PSUnitary":
-        return PSUnitary(self.n_modes, self.matrix.conj().T)
+        """The adjoint: as even and finite as U, and |U U^dag - I| = |U^dag U - I|."""
+        return PSUnitary._trusted(self.n_modes, self.matrix.conj().T.copy(), self.defect)
 
     def __matmul__(self, other: "PSUnitary") -> "PSUnitary":
         if not isinstance(other, PSUnitary):
@@ -98,7 +99,7 @@ class PSUnitary:
 
     def heisenberg(self, mode: int) -> np.ndarray:
         """Heisenberg image U^dag f_mode U: a signed column gather, then one product."""
-        partner, sign = ladder_columns(self.n_modes, mode)
+        partner, sign = _ladder_columns(self.n_modes, mode)
         return (self.matrix.conj().T[:, partner] * sign) @ self.matrix
 
     def apply(self, v: FockVector) -> FockVector:
@@ -243,7 +244,7 @@ def invariance_support(u: PSUnitary) -> ModeSet:
     bound = algebra.LOCALITY_TOL * max(1.0, frobenius(u.matrix))
     moved = []
     for j in range(u.n_modes):
-        sign = ladder_columns(u.n_modes, j)[1].reshape(2 ** j, 2, -1)
+        sign = _ladder_columns(u.n_modes, j)[1].reshape(2 ** j, 2, -1)
         x = u.matrix.reshape(sign.shape * 2)
         if frobenius(x[..., ::-1, :] * sign - (sign[..., None, None, None] * x)[:, ::-1]) > bound:
             moved.append(j)

@@ -109,6 +109,52 @@ def test_parity_grade_reads_no_mode_cap(monkeypatch):
     assert caps == []
 
 
+def test_validated_inputs_read_no_mode_cap(monkeypatch):
+    from conftest import count_calls
+
+    sub = ModeSet((0, 2), 4)
+    u = tf.local_random_ps_unitary(sub, 3)
+    op = u.as_operator()
+    target = np.eye(16, dtype=complex)
+    caps = count_calls(monkeypatch, fock, "mode_cap")
+    u.heisenberg(1)
+    assert tf.invariance_support(u) == sub
+    algebra.fold_local(target, np.eye(4), ModeSet((1, 3), 4))
+    assert algebra.locality_residual(op, sub) < 1e-12
+    assert caps == []
+
+
+def _product_over_cap():
+    a = states.PhenomenalState(ModeSet((0, 1, 2, 3, 4), 10), np.eye(32, dtype=complex) / 32)
+    b = states.PhenomenalState(ModeSet((5, 6, 7, 8, 9), 10), np.eye(32, dtype=complex) / 32)
+    return states.product_state(a, b)
+
+
+@pytest.mark.parametrize(
+    "cap, build",
+    [
+        ("3", lambda: algebra.embed_local_operator(np.eye(2), ModeSet((0,), 11))),
+        ("3", lambda: tf.named_gate("phase", 11, modes=(0,), theta=0.1)),
+        ("3", lambda: tf.local_random_ps_unitary(ModeSet((0, 1), 11), 3)),
+        ("8", _product_over_cap),
+    ],
+    ids=["embed_local_operator", "named_gate", "local_random_ps_unitary", "product_state"],
+)
+def test_cap_is_refused_before_the_identity_is_allocated(monkeypatch, cap, build):
+    import tracemalloc
+
+    monkeypatch.setenv(fock.MODE_CAP_ENV, cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == "cap_exceeded"
+    assert peak < 2 * 2**20  # the 2^N identity alone is 16 MB at N = 10
+
+
 @pytest.mark.filterwarnings("error")
 def test_scaled_to_unit_scales_by_the_largest_part():
     m = np.array([[1.7e308 + 1.7e308j, 3.0], [0.0, -2.5j]])  # finite parts, no finite modulus

@@ -289,6 +289,58 @@ def test_ontic_project_copies_the_parent_without_grading_again(monkeypatch):
     assert d.subsystem == ModeSet.full(4) and len(d.descriptors) == 4
 
 
+@pytest.mark.parametrize("part_b", [(1,), (1, 2)], ids=["proper_union", "full_union"])
+def test_compatible_of_restrictions_grades_nothing_again(monkeypatch, part_b):
+    n_modes = 4
+    d = dsc.evolve_descriptors(
+        tf.random_ps_unitary(n_modes, 76), ModeSet.full(n_modes), random_sector_state(n_modes, 3)
+    )
+    d_a = dsc.ontic_project(d, ModeSet((0, 3), n_modes))
+    d_b = dsc.ontic_project(d, ModeSet(part_b, n_modes))
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    norms = count_calls(monkeypatch, fock.FockVector, "require_normalized")
+    result = dsc.compatible(d_a, d_b)
+    assert result
+    assert grades == [] and norms == []
+    reference = dsc.ontic_project(d, d_a.subsystem.union(d_b.subsystem))
+    assert max_descriptor_distance(result.joined, reference) == 0.0
+
+
+def test_ontic_apply_grades_only_the_moved_images(monkeypatch):
+    n_modes = 4
+    d = dsc.evolve_descriptors(
+        tf.random_ps_unitary(n_modes, 77), ModeSet.full(n_modes), random_sector_state(n_modes, 4)
+    )
+    w = tf.local_random_ps_unitary(ModeSet((0, 2), n_modes), 78)
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    norms = count_calls(monkeypatch, fock.FockVector, "require_normalized")
+    applied = dsc.ontic_apply(w, d)
+    graded = [x for (x, *_) in grades if isinstance(x, fock.FockOperator)]
+    assert graded == [applied.descriptors[0], applied.descriptors[2]]
+    assert len(grades) == 3  # and the frame w W, which its product validates
+    assert norms == []
+    assert applied.descriptors[1] is d.descriptors[1] and applied.descriptors[3] is d.descriptors[3]
+
+
+def test_ontic_apply_refuses_a_near_tolerance_global_transformation_as_not_odd():
+    # w passes as even (its off-block part is 0.9 of the grade's bound), but
+    # its images of the ladders do not pass as odd
+    n_modes = 4
+    d = dsc.evolve_descriptors(
+        tf.random_ps_unitary(n_modes, 79), ModeSet.full(n_modes), fock.vacuum_state(n_modes)
+    )
+    haar = tf.random_ps_unitary(n_modes, 80).matrix
+    even, odd = fock.parity_sectors(n_modes)
+    off = np.zeros_like(haar)
+    off[np.ix_(even, odd)] = np.random.default_rng(81).standard_normal((len(even), len(odd)))
+    off *= 0.45 * 1e-10 * fock.frobenius(haar) / fock.frobenius(off)
+    w = tf.PSUnitary(n_modes, haar + off)
+    assert tf.invariance_support(w) == ModeSet.full(n_modes)
+    with pytest.raises(ValidationError) as err:
+        dsc.ontic_apply(w, d)
+    assert err.value.code == "not_odd"
+
+
 @pytest.mark.parametrize(
     "subsystem, code",
     [

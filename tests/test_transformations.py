@@ -341,6 +341,16 @@ def test_heisenberg_rejects_bad_modes():
         assert err.value.code == "mode_out_of_range"
 
 
+def test_adjoint_is_trusted_and_c_contiguous(monkeypatch):
+    u = tf.local_random_ps_unitary(ModeSet((1, 2), 4), 9)
+    validations = count_calls(monkeypatch, tf.PSUnitary, "__post_init__")
+    adjoint = u.dag()
+    assert validations == []
+    assert adjoint.defect == u.defect
+    assert adjoint.matrix.flags.c_contiguous and not adjoint.matrix.flags.writeable
+    assert adjoint.matrix.tobytes() == np.ascontiguousarray(u.matrix.conj().T).tobytes()
+
+
 def test_local_random_embedding_contracts():
     sub = ModeSet((1, 2), 4)
     u = tf.local_random_ps_unitary(sub, 3)

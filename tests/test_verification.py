@@ -52,6 +52,22 @@ def test_no_signalling_nonlocal_input_rejected():
     assert err.value.code == "not_local"
 
 
+def test_no_signalling_checks_each_unitary_once(monkeypatch):
+    from fermidesc import algebra
+
+    rho = vf.random_phenomenal(3, 4)
+    part_a, part_b = ModeSet((0, 2), 3), ModeSet((1,), 3)
+    u_a = tf.local_random_ps_unitary(part_a, 8)
+    v_b = tf.local_random_ps_unitary(part_b, 9)
+    splits = count_calls(monkeypatch, algebra, "_split_local")
+    assert vf.check_no_signalling(rho, u_a, v_b, part_a, part_b).passed
+    assert [sub for _, sub in splits] == [part_a, part_b]
+    hop = tf.named_gate("tunneling", 3, modes=(0, 1), theta=0.3)
+    with pytest.raises(ValidationError) as err:
+        vf.check_no_signalling(rho, hop, v_b, part_a, part_b)
+    assert err.value.code == "not_local"
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_no_signalling_randomized(seed):
     n_modes = 3
