@@ -282,6 +282,10 @@ def fold_local(target: np.ndarray, small: np.ndarray, subsystem: ModeSet) -> Non
     reorder, ``small`` acts on their leading index and they are scattered
     back, in 2^m 4^N operations with no lift formed.
     """
+    if len(target) != 2 ** subsystem.ambient_n:
+        raise ValidationError(
+            "dimension_mismatch", f"target needs {2 ** subsystem.ambient_n} rows, not {len(target)}"
+        )
     src, sign = _reorder_to_front(subsystem)
     dk = 2 ** len(subsystem)
     small = np.asarray(small, dtype=complex)

@@ -22,9 +22,9 @@ reconstructed unitary up to phase; for a proper subset W is one of the
 global unitaries the descriptors could have come from.
 
 A witness of a set's descriptors is one of every subset of them, so it
-belongs to the ontic state: restrictions keep their parent's, the group
-action and a join of restrictions hand theirs on, a full set's gate checks
-the one it is handed or builds one, and every operation takes it first.
+belongs to the ontic state: an evolved set carries the unitary that made
+it, restrictions keep their parent's, the group action and a join hand
+theirs on, and a full set's gate checks the one it is handed or builds one.
 
 Because conjugation by W maps every polynomial in the f_a to the same
 polynomial in the d_a, the group action ("ontic_apply") is the paper's
@@ -36,7 +36,6 @@ wrong order and is deliberately not what this module does.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -86,6 +85,14 @@ def _require_odd(d: FockOperator) -> FockOperator:
     return d
 
 
+def _require_heisenberg_state(psi0: FockVector, n_modes: int) -> None:
+    if psi0.n_modes != n_modes:
+        raise ValidationError("dimension_mismatch", "Heisenberg state must live in the ambient space")
+    psi0.require_normalized()
+    if algebra.parity_grade(psi0.amplitudes) == algebra.GRADE_MIXED:
+        raise ValidationError("ssr_violation", "Heisenberg state must live in a single parity sector")
+
+
 @dataclass(frozen=True, eq=False)
 class DescriptorSet:
     """Evolved annihilators of a subsystem plus the fixed Heisenberg state."""
@@ -93,11 +100,8 @@ class DescriptorSet:
     subsystem: ModeSet
     descriptors: tuple[FockOperator, ...]
     heisenberg_state: FockVector
-    # witness W and a bound on its round-trip residual, handed over by _derived
-    # or built by a full set's gate; a restriction keeps its parent's
-    _witness: tuple[PSUnitary, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # witness W and a bound on its round-trip residual, handed over or built by the gate
+    _witness: tuple[PSUnitary, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.subsystem.require_nonempty()
@@ -113,15 +117,7 @@ class DescriptorSet:
                     "dimension_mismatch", "descriptors must act on the ambient space"
                 )
             _require_odd(d)
-        if self.heisenberg_state.n_modes != n:
-            raise ValidationError(
-                "dimension_mismatch", "Heisenberg state must live in the ambient space"
-            )
-        self.heisenberg_state.require_normalized()
-        if algebra.parity_grade(self.heisenberg_state.amplitudes) == algebra.GRADE_MIXED:
-            raise ValidationError(
-                "ssr_violation", "Heisenberg state must live in a single parity sector"
-            )
+        _require_heisenberg_state(self.heisenberg_state, n)
         if self.subsystem.is_full:
             self._require_canonical_relations()
 
@@ -130,10 +126,11 @@ class DescriptorSet:
 
         With a witness W, its unitarity defect delta = |W^dag W - I| and
         eps >= max_a |d_a - W^dag f_a W|, every anticommutator residual is
-        at most 3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2.  W is the
-        one the set was handed, else a fresh reconstruction witness.  The
-        set passes when that bound is within CAR_TOL; otherwise, or when no
-        witness exists, the exact O(N^2) residual decides.
+        at most 3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2, so
+        3 delta + 2 delta^2 for an evolved set's (u, 0).  W is the one the
+        set was handed, else a fresh reconstruction witness.  The set passes
+        when that bound is within CAR_TOL; otherwise, or when no witness
+        exists, the exact O(N^2) residual decides.
         """
         try:
             witness = _witness_of(self)
@@ -162,11 +159,14 @@ class DescriptorSet:
 
 
 def evolve_descriptors(u: PSUnitary, subsystem: ModeSet, psi0: FockVector) -> DescriptorSet:
-    """Descriptor set of the subsystem after the unitary u (Heisenberg picture)."""
+    """Descriptor set of the subsystem after u (Heisenberg picture), with u as its witness."""
     if subsystem.ambient_n != u.n_modes:
         raise ValidationError("dimension_mismatch", "subsystem/unitary mode counts differ")
-    descriptors = tuple(FockOperator(u.n_modes, u.heisenberg(a)) for a in subsystem.indices)
-    return DescriptorSet(subsystem, descriptors, psi0)
+    subsystem.require_nonempty()
+    _require_heisenberg_state(psi0, u.n_modes)
+    # graded still: a u that passes as even can have images that fail as odd
+    descriptors = tuple(_require_odd(FockOperator(u.n_modes, u.heisenberg(a))) for a in subsystem)
+    return _assembled(subsystem, descriptors, psi0, (u, 0.0))
 
 
 def canonical_descriptors(subsystem: ModeSet, psi0: FockVector) -> DescriptorSet:
@@ -254,18 +254,16 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
 
 
 def _witness_of(d: DescriptorSet) -> tuple[PSUnitary, float]:
-    """Witness of a set's descriptors: the stored one, else a fresh one."""
+    """Witness of a set's descriptors: the stored one, else one built from its matrices."""
     return d._witness or _intertwiner(d.matrices(), d.n_modes)
 
 
-def _derived(d: DescriptorSet, subsystem: ModeSet, descriptors: tuple, witness) -> DescriptorSet:
-    """A copy of the validated ``d`` with validated descriptors of its system and a new witness.
-
-    Nothing is graded again; only a full set's canonical-relation gate runs.
-    """
-    out = copy.copy(d)
+def _assembled(subsystem: ModeSet, descriptors: tuple, psi0: FockVector, witness) -> DescriptorSet:
+    """A set of validated parts and the witness it is handed; only a full set's gate runs."""
+    out = object.__new__(DescriptorSet)
     object.__setattr__(out, "subsystem", subsystem)
     object.__setattr__(out, "descriptors", descriptors)
+    object.__setattr__(out, "heisenberg_state", psi0)
     object.__setattr__(out, "_witness", witness)
     if subsystem.is_full:
         out._require_canonical_relations()
@@ -278,14 +276,14 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     The result represents the composite (w after whatever produced d): for a
     set obtained from u it equals the descriptor set of w . u.  Each moved
     mode a gets d'_a = W^dag (w^dag f_a w) W, with W the witness of the
-    moved modes' restriction (the one a full set and its restrictions
-    carry).  This is the paper's substitution: w^dag f_a w is a polynomial
-    in the moved modes' ladders, and conjugation by W is the algebra map
-    that replaces every f_b by W^dag f_b W = d_b.  The frame w W is then a
-    witness of the result, exact on the moved modes, which the result
-    carries when ``d`` carries one.  Naive
-    two-sided conjugation of the stored matrices by w would compose in the
-    wrong order and is deliberately not what this does.
+    moved modes' restriction (the one ``d`` carries, else one built from
+    its matrices).  This is the paper's substitution: w^dag f_a w is a
+    polynomial in the moved modes' ladders, and conjugation by W is the
+    algebra map that replaces every f_b by W^dag f_b W = d_b.  The frame
+    w W is then a witness of the result, exact on the moved modes, which
+    the result carries when ``d`` carries one.  Naive two-sided conjugation
+    of the stored matrices by w would compose in the wrong order and is
+    deliberately not what this does.
 
     The moved modes must be tracked, otherwise the partial set cannot
     determine the result and a coverage error is raised; descriptors on
@@ -317,22 +315,21 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
     carried = d._witness and (frame, _witness_residual(frame, unmoved))
-    return _derived(d, d.subsystem, new_descriptors, carried)
+    return _assembled(d.subsystem, new_descriptors, d.heisenberg_state, carried)
 
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
     """Restriction of an ontic state to a subsystem: the same state seen from fewer modes.
 
     Keeps those modes' descriptors and the set's witness, a witness of each
-    kept descriptor too; the set's own subsystem gives back ``d`` itself.
-    The restriction is derived from the validated parent, a proper subset
-    of its modes, so nothing is graded or gated again.
+    kept descriptor too, and grades or gates nothing again; the set's own
+    subsystem gives back ``d`` itself.
     """
     if subsystem == d.subsystem:
         return d
     subsystem.require_nonempty()
     kept = tuple(d.descriptors[i] for i in subsystem.positions_in(d.subsystem))
-    return _derived(d, subsystem, kept, d._witness)
+    return _assembled(subsystem, kept, d.heisenberg_state, d._witness)
 
 
 def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
@@ -367,18 +364,17 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
 def reconstruct_with_residual(d: DescriptorSet) -> tuple[PSUnitary, float]:
     """Recover the unique (up to phase) unitary behind a full descriptor set.
 
-    The full-set case of the witness construction: the joint vacuum of a
-    full set is one vector, which must be even, so the witness is fixed up
-    to a global phase: ``canonical_phase``'s for a witness the gate built,
-    ``w``'s for an ``ontic_apply`` frame.  The set passed that gate when it
-    was built, which kept the witness it was handed or stored the one it
-    built.  Returns U and its round-trip residual max_a |U^dag f_a U - d_a|.
+    The full-set case of the witness construction, run on the descriptor
+    matrices alone, not on the witness the set carries: the joint vacuum of
+    a full set is one vector, which must be even, so the witness is fixed
+    up to the global phase ``canonical_phase`` picks, whatever made the set.
+    Returns U and its round-trip residual max_a |U^dag f_a U - d_a|.
     """
     if not d.subsystem.is_full:
         raise ValidationError(
             "not_full", "reconstruction requires descriptors for every mode"
         )
-    return _witness_of(d)
+    return _intertwiner(d.matrices(), d.n_modes)
 
 
 def reconstruct_unitary(d: DescriptorSet) -> PSUnitary:
@@ -412,7 +408,7 @@ def _witness_residual(w: PSUnitary, merged: dict[int, np.ndarray]) -> float:
 def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     """Decide whether two local ontic states extend to a common global one.
 
-    Derives the merged descriptor set on the union from the two validated
+    Assembles the merged descriptor set on the union from the two validated
     inputs, grading nothing again (a full union passes the canonical-relation
     gate), and builds the witness of its descriptors: a unitary whose
     descriptors restrict to both inputs, handed over when both inputs carry
@@ -437,7 +433,7 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     merged = tuple(ops[a] for a in union.indices)
     shared = da._witness if da._witness is db._witness else None  # one of the union too
     try:
-        joined = _derived(da, union, merged, shared)
+        joined = _assembled(union, merged, da.heisenberg_state, shared)
         witness, residual = _witness_of(joined)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))

@@ -124,6 +124,18 @@ def test_validated_inputs_read_no_mode_cap(monkeypatch):
     assert caps == []
 
 
+@pytest.mark.parametrize("rows", [4, 16])
+def test_fold_local_refuses_a_target_of_the_wrong_row_count(monkeypatch, rows):
+    from conftest import count_calls
+
+    reorders = count_calls(monkeypatch, algebra, "_reorder_to_front")
+    with pytest.raises(ValidationError) as err:
+        algebra.fold_local(np.eye(rows, dtype=complex), np.eye(2), ModeSet((0,), 3))
+    assert err.value.code == "dimension_mismatch"
+    assert err.value.args[0] == f"target needs 8 rows, not {rows}"
+    assert reorders == []  # refused before the reorder is built
+
+
 def _product_over_cap():
     a = states.PhenomenalState(ModeSet((0, 1, 2, 3, 4), 10), np.eye(32, dtype=complex) / 32)
     b = states.PhenomenalState(ModeSet((5, 6, 7, 8, 9), 10), np.eye(32, dtype=complex) / 32)

@@ -1,0 +1,59 @@
+"""Descriptor sets are validated once, at the boundary.
+
+``DescriptorSet(...)`` grades every descriptor and the Heisenberg state, so
+the library calls it only where bare matrices enter; sets derived from
+validated ones go through ``descriptors._assembled``.  The witness builder
+``_intertwiner`` runs only for a set with no witness to hand over and in
+reconstruction.  These tests read the source with ``ast`` and pin both
+caller lists, so a refactor cannot quietly route sets back through either.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fermidesc"
+
+
+class _Calls(ast.NodeVisitor):
+    """Each call of ``name``, as ``module:function`` of its innermost enclosing function."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+        self.scope = ["<module>"]
+        self.found = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == self.name:
+            self.found.append(f"{self.module}:{self.scope[-1]}")
+        self.generic_visit(node)
+
+
+def callers(name: str) -> list[str]:
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _Calls(path.stem, name)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found += visitor.found
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, allowed",
+    [
+        ("DescriptorSet", ["descriptors:canonical_descriptors", "serialize:json_to_descriptor_set"]),
+        ("_intertwiner", ["descriptors:_witness_of", "descriptors:reconstruct_with_residual"]),
+    ],
+)
+def test_validating_calls_stay_at_the_boundary(name, allowed):
+    assert sorted(callers(name)) == allowed

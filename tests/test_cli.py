@@ -269,9 +269,10 @@ def test_scenario_runs_no_eigvalsh_at_the_full_dimension(monkeypatch):
     )
     assert report["checks"][0]["passed"]
     assert all(len(m) < 2 ** n_modes for (m,) in spectra)
-    # the total and the witness the full descriptor set's gate builds; each
-    # no_signalling instance conjugates by u_a and v_b in turn, so it forms
-    # no product u_a @ v_b to validate
+    # the total and the reconstruction's witness (the full descriptor set
+    # carries the total, so its gate builds none); each no_signalling
+    # instance conjugates by u_a and v_b in turn, so it forms no product
+    # u_a @ v_b to validate
     assert len(witnesses) == 1 and len(products) == 0
     assert len(validations) == 1 + len(witnesses)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fermidesc import descriptors as dsc, fock, states, transformations as tf
+from fermidesc import algebra, descriptors as dsc, fock, states, transformations as tf
 from fermidesc import verification as vf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
@@ -330,3 +330,92 @@ def test_run_sweep_all_green():
         "ontic_property_list_negative_control",
         "qubit_ladders",
     } <= names
+
+
+# Planted-bug controls: each case plants one physics bug in a kernel, bound
+# everywhere the library reads it, and the sweep must notice, by a failed
+# family or by a ValidationError raised mid-sweep.  A tolerance squeeze shows
+# that a check can fail on rounding; these show that it fails on wrong physics.
+
+def _heisenberg_in_the_wrong_order(self, mode):
+    partner, sign = fock._ladder_columns(self.n_modes, mode)
+    return (self.matrix[:, partner] * sign) @ self.matrix.conj().T  # U f U^dag
+
+
+def _ladders_without_the_string(n_modes, mode):
+    j = np.arange(2 ** n_modes)
+    bit = 1 << (n_modes - 1 - mode)
+    return j ^ bit, np.where(j & bit, 1.0, 0.0)
+
+
+def _phenomenal_without_the_vacuum(d):
+    ys = d.heisenberg_state.amplitudes[None, :]
+    for da in (x.matrix for x in d.descriptors):
+        ys = np.stack([ys, ys @ da.T], axis=1).reshape(-1, ys.shape[1])
+    return states.PhenomenalState(d.subsystem, (ys.conj() @ ys.T).T)
+
+
+def _naive_ontic_apply(w, d):
+    conjugated = (w.matrix.conj().T @ x.matrix @ w.matrix for x in d.descriptors)
+    ops = tuple(fock.FockOperator(d.n_modes, m) for m in conjugated)
+    return dsc.DescriptorSet(d.subsystem, ops, d.heisenberg_state)
+
+
+def _plant(monkeypatch, bug):
+    if bug == "heisenberg_u_f_udag":
+        monkeypatch.setattr(tf.PSUnitary, "heisenberg", _heisenberg_in_the_wrong_order)
+    elif bug == "ladders_without_jordan_wigner":
+        for module in (fock, dsc, tf, vf):
+            monkeypatch.setattr(module, "_ladder_columns", _ladders_without_the_string)
+    elif bug == "phenomenal_without_vacuum":
+        monkeypatch.setattr(dsc, "phenomenal_of", _phenomenal_without_the_vacuum)
+    elif bug == "naive_ontic_apply":
+        monkeypatch.setattr(dsc, "ontic_apply", _naive_ontic_apply)
+    elif bug == "unsigned_mode_reorder":
+        signed = algebra._mode_reorder
+        monkeypatch.setattr(
+            algebra, "_mode_reorder", lambda front, n: (signed(front, n)[0], np.ones(2 ** n))
+        )
+    elif bug == "foreign_evolved_witness":
+        evolve = dsc.evolve_descriptors
+
+        def with_a_foreign_witness(u, subsystem, psi0):
+            d = evolve(u, subsystem, psi0)
+            object.__setattr__(d, "_witness", (tf.random_ps_unitary(u.n_modes, 999), 0.0))
+            return d
+
+        monkeypatch.setattr(dsc, "evolve_descriptors", with_a_foreign_witness)
+
+
+@pytest.fixture
+def fresh_kernel_caches():
+    caches = (fock._ladder_columns, fock._annihilator_matrix, algebra._mode_reorder)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:  # a planted bug may have filled them with wrong entries
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "bug",
+    [
+        "heisenberg_u_f_udag",
+        "ladders_without_jordan_wigner",
+        "phenomenal_without_vacuum",
+        "naive_ontic_apply",
+        "unsigned_mode_reorder",
+        "foreign_evolved_witness",
+    ],
+)
+def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
+    _plant(monkeypatch, bug)
+    try:
+        results = vf.run_sweep(3, 0, 6)
+    except ValidationError:
+        return
+    assert not all(r.passed for r in results), [r.name for r in results]
+
+
+def test_sweep_without_a_planted_bug_is_green(fresh_kernel_caches):
+    assert all(r.passed for r in vf.run_sweep(3, 0, 6))
