@@ -79,12 +79,6 @@ def descriptor_algebra_residual(descriptors: Sequence[np.ndarray], dim: int) -> 
     return worst
 
 
-def _require_odd(d: FockOperator) -> FockOperator:
-    if algebra.parity_grade(d) != algebra.GRADE_ODD:
-        raise ValidationError("not_odd", "descriptors must be parity-odd operators")
-    return d
-
-
 def _require_heisenberg_state(psi0: FockVector, n_modes: int) -> None:
     if psi0.n_modes != n_modes:
         raise ValidationError("dimension_mismatch", "Heisenberg state must live in the ambient space")
@@ -116,7 +110,8 @@ class DescriptorSet:
                 raise ValidationError(
                     "dimension_mismatch", "descriptors must act on the ambient space"
                 )
-            _require_odd(d)
+            if algebra.parity_grade(d) != algebra.GRADE_ODD:
+                raise ValidationError("not_odd", "descriptors must be parity-odd operators")
         _require_heisenberg_state(self.heisenberg_state, n)
         if self.subsystem.is_full:
             self._require_canonical_relations()
@@ -159,13 +154,15 @@ class DescriptorSet:
 
 
 def evolve_descriptors(u: PSUnitary, subsystem: ModeSet, psi0: FockVector) -> DescriptorSet:
-    """Descriptor set of the subsystem after u (Heisenberg picture), with u as its witness."""
+    """Descriptor set of the subsystem after u (Heisenberg picture), with u as its witness.
+
+    The images U^dag f_a U of the exactly even u are exactly odd and are not graded.
+    """
     if subsystem.ambient_n != u.n_modes:
         raise ValidationError("dimension_mismatch", "subsystem/unitary mode counts differ")
     subsystem.require_nonempty()
     _require_heisenberg_state(psi0, u.n_modes)
-    # graded still: a u that passes as even can have images that fail as odd
-    descriptors = tuple(_require_odd(FockOperator(u.n_modes, u.heisenberg(a))) for a in subsystem)
+    descriptors = tuple(FockOperator(u.n_modes, u.heisenberg(a)) for a in subsystem)
     return _assembled(subsystem, descriptors, psi0, (u, 0.0))
 
 
@@ -288,8 +285,8 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     The moved modes must be tracked, otherwise the partial set cannot
     determine the result and a coverage error is raised; descriptors on
     them that no unitary produces are rejected with ``descriptor_algebra``.
-    The result is derived from ``d``: only the new images are graded
-    (``not_odd``), and a full result passes the canonical-relation gate.
+    The result is derived from ``d`` and grades nothing (the new images are
+    exactly odd); a full result passes the canonical-relation gate.
     """
     if w.n_modes != d.n_modes:
         raise ValidationError("dimension_mismatch", "transformation/descriptor mode counts differ")
@@ -311,7 +308,7 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
             f"conjugate to the canonical family ({exc})",
         ) from exc
     frame = w @ witness
-    images = {a: _require_odd(FockOperator(d.n_modes, frame.heisenberg(a))) for a in moved}
+    images = {a: FockOperator(d.n_modes, frame.heisenberg(a)) for a in moved}
     new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
     carried = d._witness and (frame, _witness_residual(frame, unmoved))

@@ -1,9 +1,10 @@
 """The group of physical transformations: parity-superselected unitaries.
 
-Superselection means every unitary here commutes with the parity operator,
-i.e. is block-diagonal over the even/odd occupation sectors.  Random
-sampling draws independent Haar blocks on the two sectors; since parity is
-diagonal in the Fock basis, assembling the blocks is pure index placement.
+Superselection means every unitary here commutes with the parity operator:
+a ``PSUnitary``'s entries between the even and odd occupation sectors are
+exact zeros, so its products, adjoint and Heisenberg images are even or odd
+by construction and are not graded.  Random and exponential unitaries are
+assembled from their two sector blocks (``_from_blocks``).
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ UNITARY_TOL = 1e-10
 class PSUnitary:
     """Unitary on the N-mode Fock space commuting with the parity operator.
 
-    The constructor validates its matrix in full: the array rule, the
-    exact defect ``|M^dag M - I|`` and the parity grade.  Unitaries the
-    library builds from validated parts go through :meth:`_trusted`
-    instead, carrying a defect that is exact or measured on the parity
-    blocks; ``@`` measures its product's defect again, since a carried
-    bound would leave out the product's own rounding.
+    Its entries between the parity sectors are exact zeros.  The constructor
+    applies the array rule and the parity grade, then stores the even part
+    (the input itself when it is exactly even) and its defect ``|M^dag M - I|``.
+    Unitaries built from such parts go through :meth:`_trusted`, carrying
+    their defect; ``@`` measures its product's defect, which a bound from
+    the factors would leave out, and grades nothing.
     """
 
     n_modes: int
@@ -55,10 +56,14 @@ class PSUnitary:
     def __post_init__(self):
         _check_n_modes(self.n_modes)
         m = checked_array(self.matrix, self.n_modes, 2)
+        algebra.require_even(m, "unitary")
+        even, odd = parity_sectors(self.n_modes)
+        if m[np.ix_(even, odd)].any() or m[np.ix_(odd, even)].any():
+            m = m.copy()
+            m[np.ix_(even, odd)] = m[np.ix_(odd, even)] = 0.0
+            m.setflags(write=False)
         defect = _block_defect(m)
         _require_unitary(defect, self.dim)
-        # unitarity makes |m| = 2^(N/2) > 1, so the grade's max(1, |m|) scale is |m|
-        algebra.require_even(m, "unitary")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "defect", defect)
 
@@ -66,8 +71,8 @@ class PSUnitary:
     def _trusted(cls, n_modes: int, matrix: np.ndarray, defect: float) -> "PSUnitary":
         """A unitary the library built from validated parts, with its defect carried.
 
-        ``matrix`` is a fresh complex 2^N x 2^N array, even by construction,
-        and ``defect`` its exact or block-measured ``|M^dag M - I|``; no
+        ``matrix`` is a fresh complex 2^N x 2^N array, exactly even,
+        and ``defect`` its exact or measured ``|M^dag M - I|``; no
         array rule, dense ``M^dag M`` or parity grade runs, but a defect
         above the tolerance is still refused.
         """
@@ -95,7 +100,8 @@ class PSUnitary:
                 "dimension_mismatch",
                 f"unitaries act on different systems ({self.n_modes} vs {other.n_modes} modes)",
             )
-        return PSUnitary(self.n_modes, self.matrix @ other.matrix)
+        product = self.matrix @ other.matrix  # exactly even, as both factors are
+        return PSUnitary._trusted(self.n_modes, product, _block_defect(product))
 
     def heisenberg(self, mode: int) -> np.ndarray:
         """Heisenberg image U^dag f_mode U: a signed column gather, then one product."""
@@ -138,22 +144,25 @@ def exp_hamiltonian(h: FockOperator) -> PSUnitary:
 
     Taken as V e^{i lambda} V^dag from ``eigh`` of each parity block of
     ``h / 2^e`` (``algebra.scaled_to_unit``), with the eigenvalues scaled
-    back by ``2^e``.  The blocks between the sectors are exact zeros, and
-    the result is unitary to rounding at any finite scale of ``h``.  It is
-    even by construction, and its defect is measured on the two blocks,
-    whose squared defects add up to the dense one.
+    back by ``2^e``, and assembled by ``_from_blocks``; the result is
+    unitary to rounding at any finite scale of ``h``.
     """
     g, e = algebra.scaled_to_unit(h.matrix)
     algebra.require_hermitian(g, "generator")
     algebra.require_even(g, "generator")
-    u = np.zeros_like(g)
+    eighs = (np.linalg.eigh(g[np.ix_(idx, idx)]) for idx in parity_sectors(h.n_modes))
+    blocks = ((v * np.exp(1j * np.ldexp(lam, e))) @ v.conj().T for lam, v in eighs)
+    return _from_blocks(h.n_modes, blocks)
+
+
+def _from_blocks(n_modes: int, blocks) -> PSUnitary:
+    """The unitary with these (even, odd) sector blocks; the blocks' squared defects add up."""
+    u = np.zeros((2 ** n_modes,) * 2, dtype=complex)
     defects = []
-    for idx in parity_sectors(h.n_modes):
-        lam, v = np.linalg.eigh(g[np.ix_(idx, idx)])
-        block = (v * np.exp(1j * np.ldexp(lam, e))) @ v.conj().T
+    for idx, block in zip(parity_sectors(n_modes), blocks):
         u[np.ix_(idx, idx)] = block
         defects.append(_block_defect(block))
-    return PSUnitary._trusted(h.n_modes, u, math.hypot(*defects))
+    return PSUnitary._trusted(n_modes, u, math.hypot(*defects))
 
 
 _GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}
@@ -252,20 +261,10 @@ def invariance_support(u: PSUnitary) -> ModeSet:
 
 
 def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:
-    """Haar-random unitary on each parity sector, deterministic per seed.
-
-    Even by construction; its defect is measured on the two Haar blocks.
-    """
+    """Haar-random unitary on each parity sector, deterministic per seed."""
     _check_n_modes(n_modes)
     rng = np.random.default_rng(seed)
-    dim = 2 ** n_modes
-    u = np.zeros((dim, dim), dtype=complex)
-    defects = []
-    for idx in parity_sectors(n_modes):
-        block = _haar(len(idx), rng)
-        u[np.ix_(idx, idx)] = block
-        defects.append(_block_defect(block))
-    return PSUnitary._trusted(n_modes, u, math.hypot(*defects))
+    return _from_blocks(n_modes, (_haar(len(idx), rng) for idx in parity_sectors(n_modes)))
 
 
 def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -247,8 +247,9 @@ def check_ontic_property_list(
         union = a.union(b)
         d_full = dsc.evolve_descriptors(u, full, psi0)
 
-        # 1. V * [U] = [VU], compared after restriction to a
-        applied = dsc.ontic_project(dsc.ontic_apply(v, d_full), a)
+        # 1. V * [U] = [VU] after restriction to a, V applied to the bare matrices
+        bare = dsc._assembled(full, d_full.descriptors, psi0, None)
+        applied = dsc.ontic_project(dsc.ontic_apply(v, bare), a)
         composed = dsc.evolve_descriptors(v @ u, a, psi0)
         r1 = _descriptor_distance(applied, composed)
 

@@ -1,11 +1,16 @@
-"""Descriptor sets are validated once, at the boundary.
+"""Descriptor sets and unitaries are validated once, at the boundary.
 
 ``DescriptorSet(...)`` grades every descriptor and the Heisenberg state, so
 the library calls it only where bare matrices enter; sets derived from
 validated ones go through ``descriptors._assembled``.  The witness builder
 ``_intertwiner`` runs only for a set with no witness to hand over and in
-reconstruction.  These tests read the source with ``ast`` and pin both
-caller lists, so a refactor cannot quietly route sets back through either.
+reconstruction.  ``PSUnitary(...)`` grades its matrix and stores the even
+part, so it is called only where a matrix enters (a scenario's total, JSON,
+``validate_ps_unitary``, the witness-uniqueness check's phase); products
+and lifts go through ``PSUnitary._trusted``.  ``parity_grade`` runs only
+in those boundary checks.  These tests read the source with ``ast`` and
+pin each caller list, so a refactor cannot quietly route values back
+through a check.
 """
 
 import ast
@@ -53,6 +58,25 @@ def callers(name: str) -> list[str]:
     [
         ("DescriptorSet", ["descriptors:canonical_descriptors", "serialize:json_to_descriptor_set"]),
         ("_intertwiner", ["descriptors:_witness_of", "descriptors:reconstruct_with_residual"]),
+        (
+            "PSUnitary",
+            [
+                "cli:run_scenario",
+                "serialize:json_to_unitary",
+                "transformations:validate_ps_unitary",
+                "verification:check_ontic_property_list",
+            ],
+        ),
+        (
+            "parity_grade",
+            [
+                "algebra:require_even",
+                "algebra:wedge",
+                "algebra:wedge",
+                "descriptors:__post_init__",
+                "descriptors:_require_heisenberg_state",
+            ],
+        ),
     ],
 )
 def test_validating_calls_stay_at_the_boundary(name, allowed):

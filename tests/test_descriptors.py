@@ -307,7 +307,7 @@ def test_compatible_of_restrictions_grades_nothing_again(monkeypatch, part_b):
     assert max_descriptor_distance(result.joined, reference) == 0.0
 
 
-def test_ontic_apply_grades_only_the_moved_images(monkeypatch):
+def test_ontic_apply_grades_nothing(monkeypatch):
     n_modes = 4
     d = dsc.evolve_descriptors(
         tf.random_ps_unitary(n_modes, 77), ModeSet.full(n_modes), random_sector_state(n_modes, 4)
@@ -316,11 +316,23 @@ def test_ontic_apply_grades_only_the_moved_images(monkeypatch):
     grades = count_calls(monkeypatch, algebra, "parity_grade")
     norms = count_calls(monkeypatch, fock.FockVector, "require_normalized")
     applied = dsc.ontic_apply(w, d)
-    graded = [x for (x, *_) in grades if isinstance(x, fock.FockOperator)]
-    assert graded == [applied.descriptors[0], applied.descriptors[2]]
-    assert len(grades) == 3  # and the frame w W, which its product validates
+    assert grades == []  # the frame w W is an exact product, its images exactly odd
     assert norms == []
     assert applied.descriptors[1] is d.descriptors[1] and applied.descriptors[3] is d.descriptors[3]
+    for a in (0, 2):
+        assert algebra.parity_grade(applied.descriptors[a]) == algebra.GRADE_ODD
+
+
+@pytest.mark.parametrize("modes", [(1, 2), (0, 1, 2, 3)], ids=["proper", "full"])
+def test_evolve_descriptors_grades_only_the_heisenberg_state(monkeypatch, modes):
+    n_modes = 4
+    u = tf.random_ps_unitary(n_modes, 82)
+    psi0 = random_sector_state(n_modes, 83)
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    d = dsc.evolve_descriptors(u, ModeSet(modes, n_modes), psi0)
+    assert len(grades) == 1 and grades[0][0] is psi0.amplitudes  # no image is graded
+    for x in d.descriptors:
+        assert algebra.parity_grade(x) == algebra.GRADE_ODD
 
 
 @pytest.mark.parametrize(
@@ -331,10 +343,10 @@ def test_ontic_apply_grades_only_the_moved_images(monkeypatch):
     ],
     ids=["ontic_apply", "evolve_descriptors"],
 )
-def test_ontic_apply_refuses_a_near_tolerance_global_transformation_as_not_odd(entry):
-    # w passes as even (its off-block part is 0.9 of the grade's bound), but
-    # its images of the ladders do not pass as odd, as the group action's
-    # new descriptors or as an evolved set's
+def test_near_tolerance_transformation_acts_through_its_even_part(entry):
+    # w's off-block part is 0.9 of the grade's bound, so w passes as even and
+    # is stored without it; its images, as the group action's new
+    # descriptors or as an evolved set's, are then exactly odd
     n_modes = 4
     d = dsc.evolve_descriptors(
         tf.random_ps_unitary(n_modes, 79), ModeSet.full(n_modes), fock.vacuum_state(n_modes)
@@ -345,10 +357,12 @@ def test_ontic_apply_refuses_a_near_tolerance_global_transformation_as_not_odd(e
     off[np.ix_(even, odd)] = np.random.default_rng(81).standard_normal((len(even), len(odd)))
     off *= 0.45 * 1e-10 * fock.frobenius(haar) / fock.frobenius(off)
     w = tf.PSUnitary(n_modes, haar + off)
+    assert np.array_equal(w.matrix, haar)
     assert tf.invariance_support(w) == ModeSet.full(n_modes)
-    with pytest.raises(ValidationError) as err:
-        entry(w, d)
-    assert err.value.code == "not_odd"
+    result, clean = entry(w, d), entry(tf.PSUnitary(n_modes, haar), d)
+    for x, y in zip(result.descriptors, clean.descriptors):
+        assert algebra.parity_grade(x) == algebra.GRADE_ODD
+        assert np.array_equal(x.matrix, y.matrix)
 
 
 @pytest.mark.parametrize(

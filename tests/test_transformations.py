@@ -10,9 +10,10 @@ import pytest
 import scipy.linalg
 
 from conftest import count_calls
-from fermidesc import algebra, fock, transformations as tf
+from fermidesc import algebra, descriptors as dsc, fock, transformations as tf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
+from fermidesc.verification import random_sector_state
 
 
 def expm_eigh_oracle(h: np.ndarray) -> np.ndarray:
@@ -36,6 +37,24 @@ def test_validate_rejects_non_unitary():
     with pytest.raises(ValidationError) as err:
         tf.validate_ps_unitary(np.diag([1.0, 2.0]).astype(complex))
     assert err.value.code == "not_unitary"
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "matrix, code",
+    [
+        (2 * HADAMARD, "ssr_violation"),  # neither even nor unitary: the grade runs first
+        (np.diag([1.0, 2.0]).astype(complex), "not_unitary"),
+        (HADAMARD, "ssr_violation"),
+    ],
+    ids=["neither", "even_not_unitary", "unitary_not_even"],
+)
+def test_the_grade_is_refused_before_the_defect(matrix, code):
+    with pytest.raises(ValidationError) as err:
+        tf.validate_ps_unitary(matrix)
+    assert err.value.code == code
 
 
 @pytest.mark.parametrize(
@@ -436,6 +455,68 @@ def test_local_random_unitary_grades_only_its_small_unitary(monkeypatch):
     assert validations == []
     assert tf.is_local_unitary(u, ModeSet((1, 4), 6))
     assert tf.is_local_unitary(gate, ModeSet((2, 5), 6))
+
+
+def off_sector(u: tf.PSUnitary) -> np.ndarray:
+    even, odd = fock.parity_sectors(u.n_modes)
+    return np.concatenate([u.matrix[np.ix_(even, odd)].ravel(), u.matrix[np.ix_(odd, even)].ravel()])
+
+
+def test_every_unitary_the_library_builds_is_exactly_even():
+    n_modes = 4
+    number = fock.creator(n_modes, 1) @ fock.annihilator(n_modes, 1)
+    u = tf.random_ps_unitary(n_modes, 3)
+    v = tf.local_random_ps_unitary(ModeSet((0, 2), n_modes), 4)
+    d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), random_sector_state(n_modes, 5))
+    built = {
+        "random": u,
+        "local_random": v,
+        "exp_hamiltonian": tf.exp_hamiltonian(1.3 * number + 0.4 * (number @ number)),
+        "product": u @ v,
+        "adjoint": v.dag(),
+        "reconstruction_witness": dsc.reconstruct_with_residual(d)[0],
+    }
+    for kind, modes in (("phase", (2,)), ("tunneling", (3, 0)), ("interaction", (1, 2))):
+        built[kind] = tf.named_gate(kind, n_modes, modes=modes, theta=0.9)
+    for name, w in built.items():
+        assert not off_sector(w).any(), name
+
+
+def test_the_boundary_stores_the_even_part_of_a_near_tolerance_input():
+    # the off-block part is 0.45 of the grade's bound: the input passes as
+    # even, and the stored matrix is its sector blocks bit for bit, with
+    # exact zeros between them and the defect measured on what is stored
+    n_modes = 4
+    haar = tf.random_ps_unitary(n_modes, 80).matrix
+    even, odd = fock.parity_sectors(n_modes)
+    off = np.zeros_like(haar)
+    off[np.ix_(odd, even)] = np.random.default_rng(81).standard_normal((len(odd), len(even)))
+    off *= 0.45 * 1e-10 * fock.frobenius(haar) / fock.frobenius(off)
+    noisy = haar + off
+    w = tf.PSUnitary(n_modes, noisy)
+    assert w.matrix is not noisy and not w.matrix.flags.writeable
+    assert not off_sector(w).any()
+    block = w.matrix[np.ix_(odd, even)]
+    assert not (np.signbit(block.real) | np.signbit(block.imag)).any()  # +0.0, not -0.0
+    for idx in (even, odd):
+        assert np.array_equal(w.matrix[np.ix_(idx, idx)], noisy[np.ix_(idx, idx)])
+    assert w.defect == dense_defect(w)
+
+
+def test_the_boundary_keeps_an_exactly_even_input_without_a_copy():
+    m = np.array(tf.random_ps_unitary(3, 6).matrix)
+    assert tf.PSUnitary(3, m).matrix is m
+
+
+def test_a_product_grades_and_validates_nothing(monkeypatch):
+    u, v = tf.random_ps_unitary(4, 1), tf.local_random_ps_unitary(ModeSet((1, 3), 4), 2)
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    validations = count_calls(monkeypatch, tf.PSUnitary, "__post_init__")
+    product = u @ v
+    assert grades == [] and validations == []
+    assert product.matrix.tobytes() == (u.matrix @ v.matrix).tobytes()
+    assert product.defect == dense_defect(product)
+    assert not product.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])

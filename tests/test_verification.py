@@ -361,6 +361,11 @@ def _naive_ontic_apply(w, d):
     return dsc.DescriptorSet(d.subsystem, ops, d.heisenberg_state)
 
 
+def _trusted_product_in_the_wrong_order(self, other):
+    product = other.matrix @ self.matrix
+    return tf.PSUnitary._trusted(self.n_modes, product, tf._block_defect(product))
+
+
 def _plant(monkeypatch, bug):
     if bug == "heisenberg_u_f_udag":
         monkeypatch.setattr(tf.PSUnitary, "heisenberg", _heisenberg_in_the_wrong_order)
@@ -376,6 +381,8 @@ def _plant(monkeypatch, bug):
         monkeypatch.setattr(
             algebra, "_mode_reorder", lambda front, n: (signed(front, n)[0], np.ones(2 ** n))
         )
+    elif bug == "trusted_product_in_the_wrong_order":
+        monkeypatch.setattr(tf.PSUnitary, "__matmul__", _trusted_product_in_the_wrong_order)
     elif bug == "foreign_evolved_witness":
         evolve = dsc.evolve_descriptors
 
@@ -406,6 +413,7 @@ def fresh_kernel_caches():
         "naive_ontic_apply",
         "unsigned_mode_reorder",
         "foreign_evolved_witness",
+        "trusted_product_in_the_wrong_order",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
