@@ -21,10 +21,11 @@ parity sector.  For the full mode set V_d is one even vector and W is the
 reconstructed unitary up to phase; for a proper subset W is one of the
 global unitaries the descriptors could have come from.
 
-A witness of a set's descriptors is one of every subset of them, so it
+Every set, proper or full, obeys the canonical relations, as images U^dag f_a U
+do.  A witness of a set's descriptors is one of every subset of them, so it
 belongs to the ontic state: an evolved set carries the unitary that made
 it, restrictions keep their parent's, the group action and a join hand
-theirs on, and a full set's gate checks the one it is handed or builds one.
+theirs on, and every set's gate checks the one it is handed or builds one.
 
 Because conjugation by W maps every polynomial in the f_a to the same
 polynomial in the d_a, the group action ("ontic_apply") is the paper's
@@ -113,22 +114,22 @@ class DescriptorSet:
             if algebra.parity_grade(d) != algebra.GRADE_ODD:
                 raise ValidationError("not_odd", "descriptors must be parity-odd operators")
         _require_heisenberg_state(self.heisenberg_state, n)
-        if self.subsystem.is_full:
-            self._require_canonical_relations()
+        self._require_canonical_relations()
 
     def _require_canonical_relations(self) -> None:
-        """The canonical-relation gate of a full set, witness first.
+        """The canonical-relation gate of every set, witness first.
 
         With a witness W, its unitarity defect delta = |W^dag W - I| and
         eps >= max_a |d_a - W^dag f_a W|, every anticommutator residual is
         at most 3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2, so
         3 delta + 2 delta^2 for an evolved set's (u, 0).  W is the one the
-        set was handed, else a fresh reconstruction witness.  The set passes
-        when that bound is within CAR_TOL; otherwise, or when no witness
-        exists, the exact O(N^2) residual decides.
+        set was handed, else one built from its matrices and stored (the one
+        place a set's witness is built).  The set passes when that bound is
+        within CAR_TOL; otherwise, or when no witness exists, the exact
+        O(m^2) residual decides.
         """
         try:
-            witness = _witness_of(self)
+            witness = self._witness or _intertwiner(self.matrices(), self.n_modes)
         except (ValidationError, np.linalg.LinAlgError):
             pass
         else:
@@ -142,7 +143,7 @@ class DescriptorSet:
         if residual > CAR_TOL:
             raise ValidationError(
                 "descriptor_algebra",
-                f"full descriptor set violates the canonical relations ({residual:.3e})",
+                f"descriptor set violates the canonical relations ({residual:.3e})",
             )
 
     @property
@@ -250,20 +251,14 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
     return witness, residual
 
 
-def _witness_of(d: DescriptorSet) -> tuple[PSUnitary, float]:
-    """Witness of a set's descriptors: the stored one, else one built from its matrices."""
-    return d._witness or _intertwiner(d.matrices(), d.n_modes)
-
-
 def _assembled(subsystem: ModeSet, descriptors: tuple, psi0: FockVector, witness) -> DescriptorSet:
-    """A set of validated parts and the witness it is handed; only a full set's gate runs."""
+    """A set of validated parts and the witness it is handed; only the relation gate runs."""
     out = object.__new__(DescriptorSet)
     object.__setattr__(out, "subsystem", subsystem)
     object.__setattr__(out, "descriptors", descriptors)
     object.__setattr__(out, "heisenberg_state", psi0)
     object.__setattr__(out, "_witness", witness)
-    if subsystem.is_full:
-        out._require_canonical_relations()
+    out._require_canonical_relations()
     return out
 
 
@@ -273,10 +268,10 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     The result represents the composite (w after whatever produced d): for a
     set obtained from u it equals the descriptor set of w . u.  Each moved
     mode a gets d'_a = W^dag (w^dag f_a w) W, with W the witness of the
-    moved modes' restriction (the one ``d`` carries, else one built from
-    its matrices).  This is the paper's substitution: w^dag f_a w is a
-    polynomial in the moved modes' ladders, and conjugation by W is the
-    algebra map that replaces every f_b by W^dag f_b W = d_b.  The frame
+    moved modes' restriction, which its gate holds.  This is the paper's
+    substitution: w^dag f_a w is a polynomial in the moved modes' ladders,
+    and conjugation by W is the algebra map that replaces every f_b by
+    W^dag f_b W = d_b.  The frame
     w W is then a witness of the result, exact on the moved modes, which
     the result carries when ``d`` carries one.  Naive two-sided conjugation
     of the stored matrices by w would compose in the wrong order and is
@@ -286,7 +281,7 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     determine the result and a coverage error is raised; descriptors on
     them that no unitary produces are rejected with ``descriptor_algebra``.
     The result is derived from ``d`` and grades nothing (the new images are
-    exactly odd); a full result passes the canonical-relation gate.
+    exactly odd); it passes the canonical-relation gate.
     """
     if w.n_modes != d.n_modes:
         raise ValidationError("dimension_mismatch", "transformation/descriptor mode counts differ")
@@ -299,15 +294,13 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
             f"transformation moves modes {moved.indices} but the descriptor set "
             f"only tracks {d.subsystem.indices}",
         )
-    try:
-        witness, _ = _witness_of(ontic_project(d, moved))
-    except ValidationError as exc:
+    moved_witness = ontic_project(d, moved)._witness
+    if moved_witness is None:
         raise ValidationError(
             "descriptor_algebra",
-            f"descriptors of the moved modes {moved.indices} are not unitarily "
-            f"conjugate to the canonical family ({exc})",
-        ) from exc
-    frame = w @ witness
+            f"descriptors of the moved modes {moved.indices} have no parity-preserving witness",
+        )
+    frame = w @ moved_witness[0]
     images = {a: FockOperator(d.n_modes, frame.heisenberg(a)) for a in moved}
     new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
@@ -319,8 +312,8 @@ def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
     """Restriction of an ontic state to a subsystem: the same state seen from fewer modes.
 
     Keeps those modes' descriptors and the set's witness, a witness of each
-    kept descriptor too, and grades or gates nothing again; the set's own
-    subsystem gives back ``d`` itself.
+    kept descriptor too, and grades nothing again; the gate reads the kept
+    witness's bound, and the set's own subsystem gives back ``d`` itself.
     """
     if subsystem == d.subsystem:
         return d
@@ -335,6 +328,8 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
     Expands the identity tr(E(l,p) rho_now) = <psi0| Ebar(l,p) |psi0> where
     Ebar substitutes descriptors into the monomial E(l,p); the adjoint
     pairing makes tr(E(l,p) .) the (p, l) entry of the assembled matrix.
+    By the canonical relations the d_a d_a^dag are commuting projectors, so
+    the result is a Gram matrix of trace 1, even as psi0 has one parity.
     """
     desc = [x.matrix for x in d.descriptors]  # in increasing mode order
     # ys[p] = (annihilators of pattern p, decreasing order) |psi0>, built by
@@ -349,13 +344,7 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
     for da in reversed(desc):
         vac_ys = da @ (da.T @ vac_ys.conj()).conj()
     gamma = ys.conj() @ vac_ys  # gamma[l, p] = <psi0| cre_d(l) vac_d ann_d(p) |psi0>
-    try:
-        return PhenomenalState(d.subsystem, gamma.T)
-    except ValidationError as exc:
-        raise ValidationError(
-            "internal_inconsistency",
-            f"descriptor substitution produced an invalid state ({exc})",
-        ) from exc
+    return PhenomenalState._trusted(d.subsystem, np.ascontiguousarray(gamma.T))
 
 
 def reconstruct_with_residual(d: DescriptorSet) -> tuple[PSUnitary, float]:
@@ -406,12 +395,12 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     """Decide whether two local ontic states extend to a common global one.
 
     Assembles the merged descriptor set on the union from the two validated
-    inputs, grading nothing again (a full union passes the canonical-relation
-    gate), and builds the witness of its descriptors: a unitary whose
-    descriptors restrict to both inputs, handed over when both inputs carry
-    the same one, as restrictions of one set do.
-    Either failing gives an incompatible verdict.  Mismatched Heisenberg
-    states are a usage error, not incompatibility, and raise instead.
+    inputs, grading nothing again; its gate holds the witness of its
+    descriptors: a unitary whose descriptors restrict to both inputs,
+    handed over when both inputs carry the same one, as restrictions of one
+    set do.  A failed gate or no witness gives an incompatible verdict.
+    Mismatched Heisenberg states are a usage error, not incompatibility,
+    and raise instead.
     """
     if not da.subsystem.is_disjoint(db.subsystem):
         raise ValidationError(
@@ -419,9 +408,10 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
             f"subsystems {da.subsystem.indices} and {db.subsystem.indices} overlap",
         )
     union = da.subsystem.union(db.subsystem)  # also checks that the ambient sizes agree
-    pa = da.heisenberg_state.projector().matrix
-    pb = db.heisenberg_state.projector().matrix
-    if frobenius(pa - pb) > 1e-10:
+    # |P_a - P_b|_F of unit vectors a, b is |a - e^{i arg<b|a>} b| sqrt(1 + |<a|b>|)
+    va, vb = da.heisenberg_state.amplitudes, db.heisenberg_state.amplitudes
+    overlap = np.vdot(vb, va)
+    if frobenius(va - np.exp(1j * np.angle(overlap)) * vb) * np.sqrt(1 + abs(overlap)) > 1e-10:
         raise ValidationError(
             "heisenberg_mismatch", "descriptor sets carry different Heisenberg states"
         )
@@ -431,10 +421,11 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     shared = da._witness if da._witness is db._witness else None  # one of the union too
     try:
         joined = _assembled(union, merged, da.heisenberg_state, shared)
-        witness, residual = _witness_of(joined)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))
-    return CompatibilityResult(True, witness, residual, "intertwiner", joined)
+    if joined._witness is None:
+        return CompatibilityResult(False, None, np.inf, "no parity-preserving witness")
+    return CompatibilityResult(True, *joined._witness, "intertwiner", joined)
 
 
 def join(da: DescriptorSet, db: DescriptorSet) -> DescriptorSet:

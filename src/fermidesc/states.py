@@ -14,6 +14,7 @@ Two independent reductions to a smaller mode set are provided:
 
 They implement the same map on parity-superselected states and are cross-
 checked against each other in the test suite and the verification sweep.
+Both, like every state the library derives, check only the trace.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ PSD_TOL = 1e-10
 class PhenomenalState:
     """Validated parity-superselected density operator on a mode subset.
 
-    The constructor validates its matrix in full.  ``U rho U^dag`` of a
-    validated state and unitary goes through :meth:`_trusted` instead.
+    The constructor validates its matrix in full.  States derived from
+    validated values go through :meth:`_trusted` instead.
     """
 
     subsystem: ModeSet
@@ -56,10 +57,15 @@ class PhenomenalState:
 
     @classmethod
     def _trusted(cls, subsystem: ModeSet, matrix: np.ndarray) -> "PhenomenalState":
-        """``U rho U^dag`` of a validated state ``rho`` and unitary ``U``, built by the library.
+        """A state the library derived from validated values; only the O(2^N) trace is checked.
 
-        ``matrix`` is a fresh complex array; conjugation keeps Hermiticity,
-        positivity and the parity grade, so only the O(2^N) trace is checked.
+        ``matrix`` is a complex array nothing else writes to, the image of
+        validated, even states under a trace-preserving positive map, which
+        keeps Hermiticity, positivity and the grade: ``U rho U^dag`` (also
+        ``random_phenomenal``'s), ``partial_trace``, ``partial_trace_jw``,
+        ``product_state``, and ``phenomenal_of`` of a set obeying the
+        canonical relations.  The partial traces' cross-check, not this,
+        catches a wrong reduction that is still a state.
         """
         _require_trace_one(matrix)
         matrix.setflags(write=False)
@@ -114,7 +120,7 @@ def partial_trace(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
     comp_pos = np.array([i for i in range(n) if i not in positions], dtype=int)
     m, s = len(keep_pos), len(comp_pos)
     if s == 0:
-        return PhenomenalState(keep, state.matrix)
+        return PhenomenalState._trusted(keep, state.matrix)
 
     kept_bits, comp_bits = _occupation_bits(m), _occupation_bits(s)
     g = (kept_bits @ (1 << (n - 1 - keep_pos)))[:, None] + comp_bits @ (1 << (n - 1 - comp_pos))
@@ -125,13 +131,7 @@ def partial_trace(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
     out = np.zeros((2 ** m, 2 ** m), dtype=complex)
     for u in range(2 ** s):
         out += (sign[:, u, None] * sign[None, :, u]) * rho[np.ix_(g[:, u], g[:, u])]
-    try:
-        return PhenomenalState(keep, out)
-    except ValidationError as exc:
-        raise ValidationError(
-            "internal_inconsistency",
-            f"partial trace produced an invalid state ({exc})",
-        ) from exc
+    return PhenomenalState._trusted(keep, out)
 
 
 def mode_sort_permutation(
@@ -155,12 +155,12 @@ def partial_trace_jw(state: PhenomenalState, keep: ModeSet) -> PhenomenalState:
     keep_pos = keep.positions_in(state.subsystem)
     m = len(keep_pos)
     if m == n:
-        return PhenomenalState(keep, state.matrix)
+        return PhenomenalState._trusted(keep, state.matrix)
     src, sign = mode_sort_permutation(n, keep_pos)
     reordered = sign[:, None] * state.matrix[np.ix_(src, src)] * sign[None, :]
     dk, dc = 2 ** m, 2 ** (n - m)
     reduced = np.trace(reordered.reshape(dk, dc, dk, dc), axis1=1, axis2=3)
-    return PhenomenalState(keep, reduced)
+    return PhenomenalState._trusted(keep, reduced)
 
 
 def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
@@ -181,7 +181,7 @@ def product_state(a: PhenomenalState, b: PhenomenalState) -> PhenomenalState:
     joint = np.eye(2 ** len(union), dtype=complex)
     for s in (a, b):
         algebra.fold_local(joint, s.matrix, ModeSet(s.subsystem.positions_in(union), len(union)))
-    return PhenomenalState(union, joint)
+    return PhenomenalState._trusted(union, joint)
 
 
 def expectation(state: PhenomenalState, observable: FockOperator) -> float:

@@ -178,7 +178,8 @@ def named_gate(kind: str, n_modes: int, *, modes: tuple[int, ...], theta: float)
     Each exponential is taken in closed form on the gate's own modes
     (``_gate_small``) and lifted to the ambient space by the one lift
     kernel, ``algebra.fold_local`` applied to the identity; the lift carries
-    the small matrix's defect, and only the small matrix is graded.
+    the small matrix's defect, and nothing is graded: the closed forms
+    conserve the particle number, so they are exactly even.
     ``cli.run_scenario`` folds the small matrix into its running product
     with the same kernel and never builds this lift.
     """
@@ -224,14 +225,13 @@ def _gate_small(
 
 
 def _lifted(small: np.ndarray, defect: float, sub: ModeSet) -> PSUnitary:
-    """The lift of a unitary on a subsystem's own modes, validated through the small matrix.
+    """The lift of an exactly even unitary on a subsystem's own modes, its defect carried.
 
     The lift copies entries with exact signs into ``small (x) I`` in the
     reordered frame, so its ``U^dag U - I`` is ``(small^dag small - I) (x) I``
-    reordered, of norm ``defect * 2^((N - m) / 2)``, and it is even exactly
-    when ``small`` is.
+    reordered, of norm ``defect * 2^((N - m) / 2)``, and it is exactly even
+    as ``small`` is; both callers build ``small`` so, and nothing is graded.
     """
-    algebra.require_even(small, "unitary")
     lift = algebra.embed_local_operator(small, sub).matrix
     scale = math.sqrt(2 ** (sub.ambient_n - len(sub)))
     return PSUnitary._trusted(sub.ambient_n, lift, defect * scale)
@@ -281,7 +281,8 @@ def local_random_ps_unitary(subsystem: ModeSet, seed: int) -> PSUnitary:
     Sampled on the subsystem's own Fock space, then lifted through the
     monomial substitution embedding, so it commutes with every ladder
     operator outside the subsystem.  The lift carries the small unitary's
-    defect, and only the small unitary is graded.
+    defect; the small unitary's sector blocks are placed into zeros, so it
+    is exactly even and nothing is graded.
     """
     subsystem.require_nonempty()
     small = random_ps_unitary(len(subsystem), seed)

@@ -13,6 +13,7 @@ guards against vacuous green runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ def random_phenomenal(n_modes: int, seed: int) -> PhenomenalState:
     probs /= probs.sum()
     u = random_ps_unitary(n_modes, seed)
     rho = (u.matrix * probs[None, :]) @ u.matrix.conj().T
-    return PhenomenalState(ModeSet.full(n_modes), rho)
+    return PhenomenalState._trusted(ModeSet.full(n_modes), rho)
 
 
 def random_sector_state(n_modes: int, seed: int) -> FockVector:
@@ -339,7 +340,7 @@ def check_canonical_algebra(n_modes: int, seeds, tol: float = 1e-10) -> CheckRes
 
 
 def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
-    """Forbidden parity-mixing inputs are rejected; sector-Haar samples pass."""
+    """Forbidden parity-mixing inputs are rejected; sector-Haar samples and their squares pass."""
     failures = []
 
     forbidden_state = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -367,10 +368,16 @@ def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
             failures.append(f"unitary rejected with wrong code {exc.code}")
 
     for seed in seeds:
-        try:  # the sampler trusts its own blocks, so its matrix is graded here
-            validate_ps_unitary(random_ps_unitary(n_modes, int(seed)).matrix)
+        sample = random_ps_unitary(n_modes, int(seed))
+        try:  # the sampler and @ trust their parts, so their matrices are graded here
+            validate_ps_unitary(sample.matrix)
+            square = sample @ sample
+            measured = validate_ps_unitary(square.matrix).defect
         except ValidationError:
             failures.append(f"sector-Haar sample rejected at seed {seed}")
+            continue
+        if not math.isclose(square.defect, measured, rel_tol=1e-9):
+            failures.append(f"a product carries a defect its matrix lacks at seed {seed}")
     detail = {"n_modes": n_modes, "failures": failures}
     return CheckResult("ssr_gatekeeping", not failures, float(len(failures)), 0.0, (detail,))
 

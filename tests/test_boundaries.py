@@ -1,16 +1,20 @@
-"""Descriptor sets and unitaries are validated once, at the boundary.
+"""Descriptor sets, unitaries and states are validated once, at the boundary.
 
 ``DescriptorSet(...)`` grades every descriptor and the Heisenberg state, so
 the library calls it only where bare matrices enter; sets derived from
-validated ones go through ``descriptors._assembled``.  The witness builder
-``_intertwiner`` runs only for a set with no witness to hand over and in
-reconstruction.  ``PSUnitary(...)`` grades its matrix and stores the even
-part, so it is called only where a matrix enters (a scenario's total, JSON,
-``validate_ps_unitary``, the witness-uniqueness check's phase); products
-and lifts go through ``PSUnitary._trusted``.  ``parity_grade`` runs only
-in those boundary checks.  These tests read the source with ``ast`` and
-pin each caller list, so a refactor cannot quietly route values back
-through a check.
+validated ones go through ``descriptors._assembled``.  Both run the
+canonical-relation gate of every set, proper or full, the one place a set's
+witness is built (``_intertwiner``) when it has none to hand over;
+reconstruction builds its own.  ``PSUnitary(...)`` grades its matrix and
+stores the even part, so it is called only where a matrix enters (a
+scenario's total, JSON, ``validate_ps_unitary``, the witness-uniqueness
+check's phase); products and lifts go through ``PSUnitary._trusted``.
+``PhenomenalState(...)`` runs ``eigvalsh`` and the grade, so it is called
+only for JSON and ``validate_phenomenal``; reductions, products, conjugations
+and the descriptor substitution go through ``PhenomenalState._trusted``.
+``parity_grade`` and ``require_even`` run only in those boundary checks.
+These tests read the source with ``ast`` and pin each caller list, so a
+refactor cannot quietly route values back through a check.
 """
 
 import ast
@@ -57,7 +61,10 @@ def callers(name: str) -> list[str]:
     "name, allowed",
     [
         ("DescriptorSet", ["descriptors:canonical_descriptors", "serialize:json_to_descriptor_set"]),
-        ("_intertwiner", ["descriptors:_witness_of", "descriptors:reconstruct_with_residual"]),
+        (
+            "_intertwiner",
+            ["descriptors:_require_canonical_relations", "descriptors:reconstruct_with_residual"],
+        ),
         (
             "PSUnitary",
             [
@@ -77,6 +84,16 @@ def callers(name: str) -> list[str]:
                 "descriptors:_require_heisenberg_state",
             ],
         ),
+        (
+            "require_even",
+            [
+                "states:__post_init__",
+                "states:expectation",
+                "transformations:__post_init__",
+                "transformations:exp_hamiltonian",
+            ],
+        ),
+        ("PhenomenalState", ["serialize:json_to_state", "states:validate_phenomenal"]),
     ],
 )
 def test_validating_calls_stay_at_the_boundary(name, allowed):

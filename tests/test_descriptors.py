@@ -168,16 +168,52 @@ def test_ontic_apply_insufficient_coverage():
     assert err.value.code == "insufficient_coverage"
 
 
-def test_ontic_apply_rejects_non_car_moved_descriptor():
-    # a partial set skips the relation gate; the action must not substitute
-    # descriptors that no unitary produces
-    n_modes = 3
-    bent = (0.5 * fock.annihilator(n_modes, 0), fock.annihilator(n_modes, 1))
-    d = dsc.DescriptorSet(ModeSet((0, 1), n_modes), bent, fock.vacuum_state(n_modes))
-    w = tf.named_gate("tunneling", n_modes, modes=(0, 1), theta=0.3)
+def particle_hole_set() -> dsc.DescriptorSet:
+    """The full set {f_0^dag, f_1} at N = 2, which holds no witness.
+
+    It obeys the canonical relations, but its joint vacuum |10> is odd, so
+    no parity-preserving unitary produces it.
+    """
+    ops = (fock.creator(2, 0), fock.annihilator(2, 1))
+    d = dsc.DescriptorSet(ModeSet.full(2), ops, fock.vacuum_state(2))
+    assert d._witness is None
+    return d
+
+
+def test_ontic_apply_rejects_moved_descriptors_without_a_witness():
+    # every set passes the relation gate when it is built; the action must
+    # still not substitute descriptors that no parity-preserving unitary produces
+    w = tf.named_gate("tunneling", 2, modes=(0, 1), theta=0.3)
     with pytest.raises(ValidationError) as err:
-        dsc.ontic_apply(w, d)
+        dsc.ontic_apply(w, particle_hole_set())
     assert err.value.code == "descriptor_algebra"
+
+
+@pytest.mark.parametrize(
+    "subsystem, doctored",
+    [
+        (ModeSet((0,), 2), (0.5 * fock.annihilator(2, 0),)),
+        (ModeSet((0, 1), 3), (0.5 * fock.annihilator(3, 0), fock.annihilator(3, 1))),
+    ],
+    ids=["one_mode", "two_of_three"],
+)
+def test_non_car_proper_set_is_refused_when_built(subsystem, doctored):
+    n_modes = subsystem.ambient_n
+    psi0 = fock.vacuum_state(n_modes)
+    exact = dsc.descriptor_algebra_residual([x.matrix for x in doctored], 2 ** n_modes)
+    message = f"descriptor set violates the canonical relations ({exact:.3e})"
+    with pytest.raises(ValidationError) as err:
+        dsc.DescriptorSet(subsystem, doctored, psi0)
+    assert (err.value.code, err.value.args[0]) == ("descriptor_algebra", message)
+    data = {
+        "modes": list(subsystem.indices),
+        "ambient_n": n_modes,
+        "descriptors": [serialize.matrix_to_json(x.matrix) for x in doctored],
+        "heisenberg_state": serialize.vector_to_json(psi0.amplitudes),
+    }
+    with pytest.raises(ValidationError) as err:
+        serialize.json_to_descriptor_set(json.loads(json.dumps(data, default=serialize.plain)))
+    assert (err.value.code, err.value.field) == ("descriptor_algebra", "descriptor_set")
 
 
 def substituted_basis_images(
@@ -417,6 +453,32 @@ def test_compatible_heisenberg_mismatch_is_an_error():
     with pytest.raises(ValidationError) as err:
         dsc.compatible(d_a, d_b)
     assert err.value.code == "heisenberg_mismatch"
+
+
+@pytest.mark.parametrize("distance", [0.0, 0.5e-10, 0.999e-10, 1.001e-10, 2e-10, 1e-6])
+def test_heisenberg_states_match_as_their_projectors_do(distance):
+    # b is a, turned by a global phase and tilted by an angle t towards a
+    # unit x orthogonal to it, so that |P_a - P_b|_F = sqrt(2) sin(t) = distance
+    n_modes = 3
+    psi0 = random_sector_state(n_modes, 5)
+    a = psi0.amplitudes
+    x = random_sector_state(n_modes, 7).amplitudes  # same sector as a
+    x = x - np.vdot(a, x) * a
+    x /= np.linalg.norm(x)
+    t = np.arcsin(distance / np.sqrt(2))
+    b = np.exp(0.7j) * (np.cos(t) * a + np.sin(t) * x)
+    projector = fock.frobenius(np.outer(a, a.conj()) - np.outer(b, b.conj()))
+    assert projector == pytest.approx(distance, rel=1e-4, abs=1e-15)
+    u = tf.random_ps_unitary(n_modes, 8)
+    d_a = dsc.evolve_descriptors(u, ModeSet((0,), n_modes), psi0)
+    d_b = dsc.evolve_descriptors(u, ModeSet((1, 2), n_modes), fock.FockVector(n_modes, b))
+    try:
+        dsc.compatible(d_a, d_b)
+        matched = True
+    except ValidationError as err:
+        assert err.code == "heisenberg_mismatch"
+        matched = False
+    assert matched == (projector <= 1e-10)
 
 
 def incompatible_pairs():
@@ -739,9 +801,7 @@ def test_gate_verdict_matches_the_exact_residual(n_modes):
             accepted = True
         except ValidationError as err:
             assert err.code == "descriptor_algebra"
-            assert err.args[0] == (
-                f"full descriptor set violates the canonical relations ({exact:.3e})"
-            )
+            assert err.args[0] == f"descriptor set violates the canonical relations ({exact:.3e})"
             accepted = False
         seen.append((exact, accepted))
         if abs(exact / dsc.CAR_TOL - 1) > 1e-6:
@@ -771,9 +831,7 @@ def test_gate_verdict_matches_the_exact_residual(n_modes):
             assert d._witness == (scaled, 0.0)
         except ValidationError as err:
             assert err.code == "descriptor_algebra"
-            assert err.args[0] == (
-                f"full descriptor set violates the canonical relations ({exact:.3e})"
-            )
+            assert err.args[0] == f"descriptor set violates the canonical relations ({exact:.3e})"
             accepted = False
         seen.append(accepted)
         if abs(exact / dsc.CAR_TOL - 1) > 1e-6:
@@ -870,14 +928,14 @@ def test_ontic_apply_hands_on_a_witness_bounding_its_residual(part):
 
 
 def test_ontic_apply_without_a_stored_witness_hands_on_none():
-    n_modes = 4
-    u = tf.random_ps_unitary(n_modes, 65)
-    part = ModeSet((0, 1, 2), n_modes)
-    images = tuple(fock.FockOperator(n_modes, u.heisenberg(a)) for a in part)
-    d = dsc.DescriptorSet(part, images, fock.vacuum_state(n_modes))
-    assert d._witness is None
-    applied = dsc.ontic_apply(tf.local_random_ps_unitary(ModeSet((1,), n_modes), 66), d)
+    # the moved mode's restriction {f_1} has a witness, the whole set none
+    d = particle_hole_set()
+    theta = 0.3
+    applied = dsc.ontic_apply(tf.named_gate("phase", 2, modes=(1,), theta=theta), d)
     assert applied._witness is None
+    assert applied.descriptors[0] is d.descriptors[0]
+    expected = np.exp(1j * theta) * fock.annihilator(2, 1).matrix
+    assert fock.frobenius(applied.descriptors[1].matrix - expected) <= 1e-12
 
 
 def test_reconstruction_of_an_applied_set_matches_a_fresh_witness():
@@ -946,9 +1004,9 @@ def projector_phenomenal(d: dsc.DescriptorSet) -> np.ndarray:
     """Oracle: the dense vacuum projector form ys* . (prod_a d_a d_a^dag) . ys^T.
 
     Each annihilator string on |psi0> is one memoised product, and the
-    product of the d_a d_a^dag is formed as a 2^N x 2^N matrix.  Raises
-    ``internal_inconsistency`` when the result is no state, as
-    ``phenomenal_of`` does.
+    product of the d_a d_a^dag is formed as a 2^N x 2^N matrix.  The result
+    is validated in full, so each comparison also shows that
+    ``phenomenal_of``, which checks only the trace, returns a state.
     """
     modes = d.subsystem.indices
     m = len(modes)
@@ -968,10 +1026,7 @@ def projector_phenomenal(d: dsc.DescriptorSet) -> np.ndarray:
     ]
     ys = np.stack([y_of(p) for p in patterns])
     gamma = (ys.conj() @ vac @ ys.T).T
-    try:
-        states.PhenomenalState(d.subsystem, gamma)
-    except ValidationError as exc:
-        raise ValidationError("internal_inconsistency", str(exc)) from exc
+    states.validate_phenomenal(d.subsystem, gamma)
     return gamma
 
 
@@ -1000,14 +1055,6 @@ def test_phenomenal_of_matches_projector_form_on_particle_hole_set():
     psi0 = random_sector_state(2, 1)
     d = dsc.DescriptorSet(ModeSet((0,), 2), (fock.creator(2, 0),), psi0)
     assert_matches_projector_form(d)
-
-
-def test_doctored_partial_set_is_no_state_in_either_form():
-    d = dsc.DescriptorSet(ModeSet((0,), 2), (0.5 * fock.annihilator(2, 0),), fock.vacuum_state(2))
-    for form in (dsc.phenomenal_of, projector_phenomenal):
-        with pytest.raises(ValidationError) as info:
-            form(d)
-        assert info.value.code == "internal_inconsistency"
 
 
 def test_images_at_the_mode_cap_build_no_dense_ladder(monkeypatch):

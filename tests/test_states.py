@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidesc import algebra, fock, states
+from conftest import count_calls
+from fermidesc import algebra, descriptors as dsc, fock, states
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 from fermidesc.transformations import random_ps_unitary
-from fermidesc.verification import random_phenomenal
+from fermidesc.verification import random_phenomenal, random_sector_state
 
 
 def brute_force_partial_trace(state: states.PhenomenalState, keep: ModeSet) -> np.ndarray:
@@ -310,12 +311,34 @@ def test_expectation_examples():
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
 def test_partial_trace_preserves_ssr_and_trace(n_modes):
+    # the library trusts these outputs, so each is validated in full here
     for seed in range(4):
         rho = random_phenomenal(n_modes, seed)
+        states.validate_phenomenal(rho.subsystem, rho.matrix)
         for size in range(1, n_modes):
             keep = ModeSet(tuple(range(size)), n_modes)
-            reduced = states.partial_trace(rho, keep)  # ctor re-validates everything
-            assert abs(np.trace(reduced.matrix) - 1.0) < 1e-10
+            for reduce in (states.partial_trace, states.partial_trace_jw):
+                kept, rest = reduce(rho, keep), reduce(rho, keep.complement())
+                for out in (kept, rest, states.product_state(kept, rest)):
+                    states.validate_phenomenal(out.subsystem, out.matrix)
+                    assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+
+
+def test_derived_states_are_not_validated_again(monkeypatch):
+    n_modes = 4
+    u = random_ps_unitary(n_modes, 3)
+    d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), random_sector_state(n_modes, 2))
+    keep, full = ModeSet((0, 2), n_modes), ModeSet.full(n_modes)
+    spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    rho = random_phenomenal(n_modes, 4)
+    derived = [rho, dsc.phenomenal_of(d), dsc.phenomenal_of(dsc.ontic_project(d, keep))]
+    for reduce in (states.partial_trace, states.partial_trace_jw):
+        derived += [reduce(rho, keep), reduce(rho, full)]
+    derived.append(states.product_state(derived[-2], states.partial_trace(rho, keep.complement())))
+    assert spectra == [] and grades == []
+    for out in derived:
+        states.validate_phenomenal(out.subsystem, out.matrix)
 
 
 def test_conjugated_states_stay_valid():
@@ -327,8 +350,6 @@ def test_conjugated_states_stay_valid():
 
 
 def test_trusted_state_checks_only_the_trace(monkeypatch):
-    from conftest import count_calls
-
     rho = random_phenomenal(3, 9)
     u = random_ps_unitary(3, 10)
     evolved = u.matrix @ rho.matrix @ u.matrix.conj().T

@@ -425,12 +425,6 @@ def test_lift_carries_the_small_defect_scaled_to_the_ambient_space(stretch, pass
         assert err.value.code == "not_unitary"
 
 
-def test_lift_grades_the_small_matrix():
-    with pytest.raises(ValidationError) as err:
-        tf._lifted(np.array([[0, 1], [1, 0]], dtype=complex), 0.0, ModeSet((1,), 3))
-    assert err.value.code == "ssr_violation"
-
-
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
 def test_carried_defects_match_the_dense_measurement(n_modes):
     number = fock.creator(n_modes, 0) @ fock.annihilator(n_modes, 0)
@@ -445,14 +439,21 @@ def test_carried_defects_match_the_dense_measurement(n_modes):
         assert not u.matrix.flags.writeable
 
 
-def test_local_random_unitary_grades_only_its_small_unitary(monkeypatch):
+def test_lifts_grade_nothing(monkeypatch):
+    # the small matrices are exactly even: the gates' closed forms conserve
+    # the particle number, and the sampler places its blocks into zeros
+    for kind, modes in (("phase", (1,)), ("tunneling", (1, 0)), ("interaction", (0, 1))):
+        small, sub = tf._gate_small(kind, 2, modes=modes, theta=1.1)
+        even, odd = fock.parity_sectors(len(sub))
+        assert not small[np.ix_(even, odd)].any() and not small[np.ix_(odd, even)].any()
     grades = count_calls(monkeypatch, algebra, "parity_grade")
     validations = count_calls(monkeypatch, tf.PSUnitary, "__post_init__")
     u = tf.local_random_ps_unitary(ModeSet((1, 4), 6), 5)
-    assert [m.shape for (m, *_) in grades] == [(4, 4)]
     gate = tf.named_gate("tunneling", 6, modes=(5, 2), theta=1.1)
-    assert [m.shape for (m, *_) in grades] == [(4, 4), (4, 4)]
-    assert validations == []
+    assert grades == [] and validations == []
+    even, odd = fock.parity_sectors(6)
+    for lift in (u, gate):
+        assert not lift.matrix[np.ix_(even, odd)].any() and not lift.matrix[np.ix_(odd, even)].any()
     assert tf.is_local_unitary(u, ModeSet((1, 4), 6))
     assert tf.is_local_unitary(gate, ModeSet((2, 5), 6))
 

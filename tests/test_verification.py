@@ -366,6 +366,10 @@ def _trusted_product_in_the_wrong_order(self, other):
     return tf.PSUnitary._trusted(self.n_modes, product, tf._block_defect(product))
 
 
+def _trusted_product_without_its_defect(self, other):
+    return tf.PSUnitary._trusted(self.n_modes, self.matrix @ other.matrix, 0.0)
+
+
 def _plant(monkeypatch, bug):
     if bug == "heisenberg_u_f_udag":
         monkeypatch.setattr(tf.PSUnitary, "heisenberg", _heisenberg_in_the_wrong_order)
@@ -383,6 +387,8 @@ def _plant(monkeypatch, bug):
         )
     elif bug == "trusted_product_in_the_wrong_order":
         monkeypatch.setattr(tf.PSUnitary, "__matmul__", _trusted_product_in_the_wrong_order)
+    elif bug == "trusted_product_drops_its_defect":
+        monkeypatch.setattr(tf.PSUnitary, "__matmul__", _trusted_product_without_its_defect)
     elif bug == "foreign_evolved_witness":
         evolve = dsc.evolve_descriptors
 
@@ -414,6 +420,7 @@ def fresh_kernel_caches():
         "unsigned_mode_reorder",
         "foreign_evolved_witness",
         "trusted_product_in_the_wrong_order",
+        "trusted_product_drops_its_defect",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
