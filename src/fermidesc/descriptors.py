@@ -21,9 +21,10 @@ parity sector.  For the full mode set V_d is one even vector and W is the
 reconstructed unitary up to phase; for a proper subset W is one of the
 global unitaries the descriptors could have come from.
 
-Every set, proper or full, obeys the canonical relations, as images U^dag f_a U
-do.  A witness of a set's descriptors is one of every subset of them, so it
-belongs to the ontic state: an evolved set carries the unitary that made
+Every set, proper or full, is made of images U^dag f_a U of a
+parity-preserving U, and that U is a witness; a set holds one, or is not
+built.  A witness of a set's descriptors is one of every subset of them, so
+it belongs to the ontic state: an evolved set carries the unitary that made
 it, restrictions keep their parent's, the group action and a join hand
 theirs on, and every set's gate checks the one it is handed or builds one.
 
@@ -95,7 +96,8 @@ class DescriptorSet:
     subsystem: ModeSet
     descriptors: tuple[FockOperator, ...]
     heisenberg_state: FockVector
-    # witness W and a bound on its round-trip residual, handed over or built by the gate
+    # witness W and a bound on its round-trip residual, handed over or built by the gate,
+    # which refuses a set that has none
     _witness: tuple[PSUnitary, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -124,19 +126,20 @@ class DescriptorSet:
         at most 3 delta + 2 delta^2 + 4 (1 + delta) eps + 2 eps^2, so
         3 delta + 2 delta^2 for an evolved set's (u, 0).  W is the one the
         set was handed, else one built from its matrices and stored (the one
-        place a set's witness is built).  The set passes when that bound is
-        within CAR_TOL; otherwise, or when no witness exists, the exact
-        O(m^2) residual decides.
+        place a set's witness is built); a set with none is refused.  The set
+        passes when the bound is within CAR_TOL, else the exact O(m^2)
+        residual decides.
         """
         try:
             witness = self._witness or _intertwiner(self.matrices(), self.n_modes)
-        except (ValidationError, np.linalg.LinAlgError):
-            pass
-        else:
-            object.__setattr__(self, "_witness", witness)
-            delta, eps = witness[0].defect, witness[1]
-            if 3 * delta + 2 * delta**2 + 4 * (1 + delta) * eps + 2 * eps**2 <= CAR_TOL:
-                return
+        except (ValidationError, np.linalg.LinAlgError) as exc:
+            raise ValidationError(
+                "descriptor_algebra", f"descriptor set has no parity-preserving witness ({exc})"
+            ) from exc
+        object.__setattr__(self, "_witness", witness)
+        delta, eps = witness[0].defect, witness[1]
+        if 3 * delta + 2 * delta**2 + 4 * (1 + delta) * eps + 2 * eps**2 <= CAR_TOL:
+            return
         residual = descriptor_algebra_residual(
             [d.matrix for d in self.descriptors], 2 ** self.n_modes
         )
@@ -267,21 +270,20 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
 
     The result represents the composite (w after whatever produced d): for a
     set obtained from u it equals the descriptor set of w . u.  Each moved
-    mode a gets d'_a = W^dag (w^dag f_a w) W, with W the witness of the
-    moved modes' restriction, which its gate holds.  This is the paper's
+    mode a gets d'_a = W^dag (w^dag f_a w) W, with W the witness ``d``
+    holds, one of the moved modes too.  This is the paper's
     substitution: w^dag f_a w is a polynomial in the moved modes' ladders,
     and conjugation by W is the algebra map that replaces every f_b by
-    W^dag f_b W = d_b.  The frame
-    w W is then a witness of the result, exact on the moved modes, which
-    the result carries when ``d`` carries one.  Naive two-sided conjugation
-    of the stored matrices by w would compose in the wrong order and is
-    deliberately not what this does.
+    W^dag f_b W = d_b.  The frame w W is then a witness of the result,
+    exact on the moved modes, which the result carries with its residual
+    over the unmoved ones.  Naive two-sided conjugation of the stored
+    matrices by w would compose in the wrong order and is deliberately not
+    what this does.
 
     The moved modes must be tracked, otherwise the partial set cannot
-    determine the result and a coverage error is raised; descriptors on
-    them that no unitary produces are rejected with ``descriptor_algebra``.
-    The result is derived from ``d`` and grades nothing (the new images are
-    exactly odd); it passes the canonical-relation gate.
+    determine the result and a coverage error is raised.  The result is
+    derived from ``d`` and grades nothing (the new images are exactly odd);
+    it passes the canonical-relation gate.
     """
     if w.n_modes != d.n_modes:
         raise ValidationError("dimension_mismatch", "transformation/descriptor mode counts differ")
@@ -294,18 +296,12 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
             f"transformation moves modes {moved.indices} but the descriptor set "
             f"only tracks {d.subsystem.indices}",
         )
-    moved_witness = ontic_project(d, moved)._witness
-    if moved_witness is None:
-        raise ValidationError(
-            "descriptor_algebra",
-            f"descriptors of the moved modes {moved.indices} have no parity-preserving witness",
-        )
-    frame = w @ moved_witness[0]
+    frame = w @ d._witness[0]
     images = {a: FockOperator(d.n_modes, frame.heisenberg(a)) for a in moved}
     new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
-    carried = d._witness and (frame, _witness_residual(frame, unmoved))
-    return _assembled(d.subsystem, new_descriptors, d.heisenberg_state, carried)
+    witness = (frame, _witness_residual(frame, unmoved))
+    return _assembled(d.subsystem, new_descriptors, d.heisenberg_state, witness)
 
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:
@@ -398,7 +394,9 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
     inputs, grading nothing again; its gate holds the witness of its
     descriptors: a unitary whose descriptors restrict to both inputs,
     handed over when both inputs carry the same one, as restrictions of one
-    set do.  A failed gate or no witness gives an incompatible verdict.
+    set do.  A union its gate refuses, for want of a parity-preserving
+    witness or of the canonical relations, is incompatible, with the gate's
+    message as the reason.
     Mismatched Heisenberg states are a usage error, not incompatibility,
     and raise instead.
     """
@@ -423,8 +421,6 @@ def compatible(da: DescriptorSet, db: DescriptorSet) -> CompatibilityResult:
         joined = _assembled(union, merged, da.heisenberg_state, shared)
     except ValidationError as exc:
         return CompatibilityResult(False, None, np.inf, str(exc))
-    if joined._witness is None:
-        return CompatibilityResult(False, None, np.inf, "no parity-preserving witness")
     return CompatibilityResult(True, *joined._witness, "intertwiner", joined)
 
 

@@ -340,7 +340,11 @@ def check_canonical_algebra(n_modes: int, seeds, tol: float = 1e-10) -> CheckRes
 
 
 def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
-    """Forbidden parity-mixing inputs are rejected; sector-Haar samples and their squares pass."""
+    """Forbidden parity-mixing inputs are rejected; sector-Haar samples and their squares pass.
+
+    The forbidden inputs include a descriptor set that obeys the canonical
+    relations but that no parity-preserving unitary produces.
+    """
     failures = []
 
     forbidden_state = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -366,6 +370,15 @@ def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
     except ValidationError as exc:
         if exc.code != "ssr_violation":
             failures.append(f"unitary rejected with wrong code {exc.code}")
+
+    # canonical, but its joint vacuum |10> is odd: no parity-preserving unitary makes it
+    particle_hole = (creator(2, 0), annihilator(2, 1))
+    try:
+        dsc.DescriptorSet(ModeSet.full(2), particle_hole, vacuum_state(2))
+        failures.append("descriptor set without a parity-preserving witness accepted")
+    except ValidationError as exc:
+        if exc.code != "descriptor_algebra":
+            failures.append(f"descriptor set rejected with wrong code {exc.code}")
 
     for seed in seeds:
         sample = random_ps_unitary(n_modes, int(seed))

@@ -4,8 +4,13 @@
 the library calls it only where bare matrices enter; sets derived from
 validated ones go through ``descriptors._assembled``.  Both run the
 canonical-relation gate of every set, proper or full, the one place a set's
-witness is built (``_intertwiner``) when it has none to hand over;
-reconstruction builds its own.  ``PSUnitary(...)`` grades its matrix and
+witness is built (``_intertwiner``) when it has none to hand over, and a
+set with no witness is refused; reconstruction builds its own.  Apart from
+the ``ssr_gatekeeping`` check's forbidden set, nothing else calls the
+constructor.  The exact O(m^2) residual ``descriptor_algebra_residual`` runs
+only in that gate, when the witness bound cannot certify a set, and in the
+``canonical_algebra`` check, so it cannot spread back into the library's
+hot paths.  ``PSUnitary(...)`` grades its matrix and
 stores the even part, so it is called only where a matrix enters (a
 scenario's total, JSON, ``validate_ps_unitary``, the witness-uniqueness
 check's phase); products and lifts go through ``PSUnitary._trusted``.
@@ -60,7 +65,14 @@ def callers(name: str) -> list[str]:
 @pytest.mark.parametrize(
     "name, allowed",
     [
-        ("DescriptorSet", ["descriptors:canonical_descriptors", "serialize:json_to_descriptor_set"]),
+        (
+            "DescriptorSet",
+            [
+                "descriptors:canonical_descriptors",
+                "serialize:json_to_descriptor_set",
+                "verification:check_ssr_gatekeeping",
+            ],
+        ),
         (
             "_intertwiner",
             ["descriptors:_require_canonical_relations", "descriptors:reconstruct_with_residual"],
@@ -94,6 +106,14 @@ def callers(name: str) -> list[str]:
             ],
         ),
         ("PhenomenalState", ["serialize:json_to_state", "states:validate_phenomenal"]),
+        (
+            "descriptor_algebra_residual",
+            [
+                "descriptors:_require_canonical_relations",
+                "verification:check_canonical_algebra",
+                "verification:check_canonical_algebra",
+            ],
+        ),
     ],
 )
 def test_validating_calls_stay_at_the_boundary(name, allowed):

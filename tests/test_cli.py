@@ -558,6 +558,12 @@ def simulate_report(tmp_path_factory):
 IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 # the canonical annihilator of mode 0 on two modes, twice: odd, but not canonical
 ANNIHILATOR_0_OF_2 = [[[float((i, j) in ((0, 2), (1, 3))), 0.0] for j in range(4)] for i in range(4)]
+# {f_0^dag, f_1} on two modes: canonical, but its joint vacuum |10> is odd, so
+# no parity-preserving unitary produces it
+CREATOR_0_OF_2 = [[[float((i, j) in ((2, 0), (3, 1))), 0.0] for j in range(4)] for i in range(4)]
+ANNIHILATOR_1_OF_2 = [
+    [[{(0, 1): 1.0, (2, 3): -1.0}.get((i, j), 0.0), 0.0] for j in range(4)] for i in range(4)
+]
 
 MALFORMED_DESCRIPTOR_SET_FIELDS = [
     ({"modes": 5}, "global_descriptors.modes", "bad_schema"),
@@ -575,6 +581,8 @@ MALFORMED_DESCRIPTOR_SET_FIELDS = [
     ({"heisenberg_state": [[2, 0], [0, 0], [0, 0], [0, 0]]}, "global_descriptors",
      "not_normalized"),
     ({"descriptors": [ANNIHILATOR_0_OF_2] * 2}, "global_descriptors", "descriptor_algebra"),
+    ({"descriptors": [CREATOR_0_OF_2, ANNIHILATOR_1_OF_2]}, "global_descriptors",
+     "descriptor_algebra"),
 ]
 
 

@@ -168,25 +168,11 @@ def test_ontic_apply_insufficient_coverage():
     assert err.value.code == "insufficient_coverage"
 
 
-def particle_hole_set() -> dsc.DescriptorSet:
-    """The full set {f_0^dag, f_1} at N = 2, which holds no witness.
-
-    It obeys the canonical relations, but its joint vacuum |10> is odd, so
-    no parity-preserving unitary produces it.
-    """
-    ops = (fock.creator(2, 0), fock.annihilator(2, 1))
-    d = dsc.DescriptorSet(ModeSet.full(2), ops, fock.vacuum_state(2))
-    assert d._witness is None
-    return d
-
-
-def test_ontic_apply_rejects_moved_descriptors_without_a_witness():
-    # every set passes the relation gate when it is built; the action must
-    # still not substitute descriptors that no parity-preserving unitary produces
-    w = tf.named_gate("tunneling", 2, modes=(0, 1), theta=0.3)
+def no_witness_message(matrices: dict[int, np.ndarray], n_modes: int) -> str:
+    """The gate's rejection of descriptors whose intertwiner fails."""
     with pytest.raises(ValidationError) as err:
-        dsc.ontic_apply(w, particle_hole_set())
-    assert err.value.code == "descriptor_algebra"
+        dsc._intertwiner(matrices, n_modes)
+    return f"descriptor set has no parity-preserving witness ({err.value})"
 
 
 @pytest.mark.parametrize(
@@ -200,8 +186,9 @@ def test_ontic_apply_rejects_moved_descriptors_without_a_witness():
 def test_non_car_proper_set_is_refused_when_built(subsystem, doctored):
     n_modes = subsystem.ambient_n
     psi0 = fock.vacuum_state(n_modes)
-    exact = dsc.descriptor_algebra_residual([x.matrix for x in doctored], 2 ** n_modes)
-    message = f"descriptor set violates the canonical relations ({exact:.3e})"
+    # d d^dag of d = 0.5 f_0 has eigenvalues 1/4 and 0: the joint vacuum is empty
+    matrices = dict(zip(subsystem.indices, (x.matrix for x in doctored)))
+    message = no_witness_message(matrices, n_modes)
     with pytest.raises(ValidationError) as err:
         dsc.DescriptorSet(subsystem, doctored, psi0)
     assert (err.value.code, err.value.args[0]) == ("descriptor_algebra", message)
@@ -528,6 +515,56 @@ def test_incompatible_result_has_no_joined_set():
     assert result.witness is None
 
 
+def test_incompatible_union_builds_one_witness_and_no_exact_residual(monkeypatch):
+    n_modes = 6
+    psi0 = fock.vacuum_state(n_modes)
+    d_a = dsc.evolve_descriptors(
+        tf.random_ps_unitary(n_modes, 61), ModeSet((0, 1, 2), n_modes), psi0
+    )
+    d_b = dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 62), ModeSet((4, 5), n_modes), psi0)
+    residuals = count_calls(monkeypatch, dsc, "descriptor_algebra_residual")
+    intertwiners = count_calls(monkeypatch, dsc, "_intertwiner")
+    result = dsc.compatible(d_a, d_b)
+    # the union's gate refuses it on its failed intertwiner alone
+    assert not result
+    assert result.reason.startswith(
+        "[descriptor_algebra] descriptor set has no parity-preserving witness ("
+    )
+    assert residuals == [] and len(intertwiners) == 1
+
+
+def library_sets():
+    """(name, set) for each way the library builds a descriptor set."""
+    n_modes = 4
+    psi0 = random_sector_state(n_modes, 11)
+    u = tf.random_ps_unitary(n_modes, 12)
+    full = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
+    bare = dsc.canonical_descriptors(ModeSet((0, 2), n_modes), psi0)
+    w = tf.local_random_ps_unitary(ModeSet((0, 2), n_modes), 13)
+    text = json.dumps(serialize.descriptor_set_to_json(full), default=serialize.plain)
+    yield "canonical", bare
+    yield "json", serialize.json_to_descriptor_set(json.loads(text))
+    yield "evolved_full", full
+    yield "evolved_proper", dsc.evolve_descriptors(u, ModeSet((1, 3), n_modes), psi0)
+    yield "projected", dsc.ontic_project(full, ModeSet((1, 2), n_modes))
+    yield "applied_evolved", dsc.ontic_apply(w, full)
+    yield "applied_bare", dsc.ontic_apply(w, bare)
+    parts = (dsc.ontic_project(full, ModeSet(p, n_modes)) for p in ((0, 3), (1,)))
+    yield "joined", dsc.join(*parts)
+    spare = fock.vacuum_state(3)
+    yield "particle_hole_union", dsc.join(
+        dsc.DescriptorSet(ModeSet((0,), 3), (fock.creator(3, 0),), spare),
+        dsc.canonical_descriptors(ModeSet((1,), 3), spare),
+    )
+
+
+def test_every_library_set_holds_a_witness():
+    for name, d in library_sets():
+        witness, eps = d._witness
+        assert isinstance(witness, tf.PSUnitary), name
+        assert dsc._witness_residual(witness, d.matrices()) <= eps <= dsc.RECONSTRUCT_TOL, name
+
+
 @pytest.mark.parametrize("part_a, part_b", [((0,), (2,)), ((0, 2), (1, 3))])
 def test_compatible_joined_equals_join(part_a, part_b):
     n_modes = 4
@@ -737,13 +774,19 @@ def test_reconstruct_rejects_degenerate_input():
 
 
 def test_reconstruct_rejects_particle_hole_family():
-    # passes the canonical-relation gate, but its vacuum has the wrong parity
+    # obeys the canonical relations, but its vacuum |10> has the wrong parity:
+    # reconstruction's intertwiner finds no witness, so the set is refused
+    # where it enters and never reaches reconstruction
     n_modes = 2
     family = (fock.creator(n_modes, 0), fock.annihilator(n_modes, 1))
-    d = dsc.DescriptorSet(ModeSet.full(n_modes), family, fock.vacuum_state(n_modes))
+    matrices = {a: x.matrix for a, x in enumerate(family)}
+    assert dsc.descriptor_algebra_residual(list(matrices.values()), 2 ** n_modes) == 0.0
     with pytest.raises(ValidationError) as err:
-        dsc.reconstruct_unitary(d)
+        dsc._intertwiner(matrices, n_modes)
     assert err.value.code == "degenerate_reconstruction"
+    with pytest.raises(ValidationError) as err:
+        dsc.DescriptorSet(ModeSet.full(n_modes), family, fock.vacuum_state(n_modes))
+    assert err.value.code == "descriptor_algebra"
 
 
 @pytest.mark.parametrize("n_modes", range(2, 9))
@@ -801,7 +844,13 @@ def test_gate_verdict_matches_the_exact_residual(n_modes):
             accepted = True
         except ValidationError as err:
             assert err.code == "descriptor_algebra"
-            assert err.args[0] == f"descriptor set violates the canonical relations ({exact:.3e})"
+            # refused on its failed intertwiner, else on the exact residual it prints
+            try:
+                dsc._intertwiner(dict(enumerate(matrices)), n_modes)
+                message = f"descriptor set violates the canonical relations ({exact:.3e})"
+            except ValidationError as failed:
+                message = f"descriptor set has no parity-preserving witness ({failed})"
+            assert err.args[0] == message
             accepted = False
         seen.append((exact, accepted))
         if abs(exact / dsc.CAR_TOL - 1) > 1e-6:
@@ -839,16 +888,33 @@ def test_gate_verdict_matches_the_exact_residual(n_modes):
     assert set(seen) == {True, False}
 
 
-def test_particle_hole_family_passes_the_gate_on_the_exact_residual(monkeypatch):
+def test_particle_hole_family_is_refused_where_it_enters(monkeypatch):
+    # a set with no parity-preserving witness is refused by every builder,
+    # on its failed intertwiner, without the exact residual
     n_modes = 2
-    residuals = count_calls(monkeypatch, dsc, "descriptor_algebra_residual")
+    full = ModeSet.full(n_modes)
     family = (fock.creator(n_modes, 0), fock.annihilator(n_modes, 1))
-    d = dsc.DescriptorSet(ModeSet.full(n_modes), family, fock.vacuum_state(n_modes))
-    assert len(residuals) == 1  # no parity-preserving witness exists
-    assert d._witness is None
-    with pytest.raises(ValidationError) as err:
-        dsc.reconstruct_unitary(d)
-    assert err.value.code == "degenerate_reconstruction"
+    psi0 = fock.vacuum_state(n_modes)
+    message = no_witness_message({a: x.matrix for a, x in enumerate(family)}, n_modes)
+    data = {
+        "modes": list(full.indices),
+        "ambient_n": n_modes,
+        "descriptors": [serialize.matrix_to_json(x.matrix) for x in family],
+        "heisenberg_state": serialize.vector_to_json(psi0.amplitudes),
+    }
+    data = json.loads(json.dumps(data, default=serialize.plain))
+    residuals = count_calls(monkeypatch, dsc, "descriptor_algebra_residual")
+    builders = (
+        lambda: dsc.DescriptorSet(full, family, psi0),
+        lambda: dsc._assembled(full, family, psi0, None),
+        lambda: serialize.json_to_descriptor_set(data),
+    )
+    for build in builders:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert (err.value.code, err.value.args[0]) == ("descriptor_algebra", message)
+    assert err.value.field == "descriptor_set"
+    assert residuals == []
 
 
 @pytest.mark.parametrize("n_modes", [2, 5, 8])
@@ -927,15 +993,18 @@ def test_ontic_apply_hands_on_a_witness_bounding_its_residual(part):
     assert eps <= 1e-12
 
 
-def test_ontic_apply_without_a_stored_witness_hands_on_none():
-    # the moved mode's restriction {f_1} has a witness, the whole set none
-    d = particle_hole_set()
-    theta = 0.3
-    applied = dsc.ontic_apply(tf.named_gate("phase", 2, modes=(1,), theta=theta), d)
-    assert applied._witness is None
-    assert applied.descriptors[0] is d.descriptors[0]
-    expected = np.exp(1j * theta) * fock.annihilator(2, 1).matrix
-    assert fock.frobenius(applied.descriptors[1].matrix - expected) <= 1e-12
+def test_ontic_apply_frames_the_set_s_own_witness(monkeypatch):
+    n_modes = 4
+    d = dsc.canonical_descriptors(ModeSet((0, 1, 3), n_modes), random_sector_state(n_modes, 14))
+    w = tf.local_random_ps_unitary(ModeSet((1, 3), n_modes), 15)
+    projections = count_calls(monkeypatch, dsc, "ontic_project")
+    assembled = count_calls(monkeypatch, dsc, "_assembled")
+    applied = dsc.ontic_apply(w, d)
+    # no restriction set is built to read a witness: the set's own is the frame's
+    assert projections == [] and len(assembled) == 1
+    frame, eps = applied._witness
+    assert np.array_equal(frame.matrix, (w @ d._witness[0]).matrix)
+    assert eps == dsc._witness_residual(frame, {0: d.descriptors[0].matrix})
 
 
 def test_reconstruction_of_an_applied_set_matches_a_fresh_witness():

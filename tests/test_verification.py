@@ -370,6 +370,23 @@ def _trusted_product_without_its_defect(self, other):
     return tf.PSUnitary._trusted(self.n_modes, self.matrix @ other.matrix, 0.0)
 
 
+def _gate_keeping_sets_without_a_witness(self):
+    # the exact residual decides whenever no witness is built, and a set
+    # that obeys the canonical relations is kept with none
+    try:
+        witness = self._witness or dsc._intertwiner(self.matrices(), self.n_modes)
+    except (ValidationError, np.linalg.LinAlgError):
+        witness = None
+    if witness is not None:
+        object.__setattr__(self, "_witness", witness)
+        delta, eps = witness[0].defect, witness[1]
+        if 3 * delta + 2 * delta**2 + 4 * (1 + delta) * eps + 2 * eps**2 <= dsc.CAR_TOL:
+            return
+    residual = dsc.descriptor_algebra_residual(list(self.matrices().values()), 2 ** self.n_modes)
+    if residual > dsc.CAR_TOL:
+        raise ValidationError("descriptor_algebra", f"violates the canonical relations ({residual})")
+
+
 def _plant(monkeypatch, bug):
     if bug == "heisenberg_u_f_udag":
         monkeypatch.setattr(tf.PSUnitary, "heisenberg", _heisenberg_in_the_wrong_order)
@@ -398,6 +415,10 @@ def _plant(monkeypatch, bug):
             return d
 
         monkeypatch.setattr(dsc, "evolve_descriptors", with_a_foreign_witness)
+    elif bug == "gate_keeps_a_set_without_a_witness":
+        monkeypatch.setattr(
+            dsc.DescriptorSet, "_require_canonical_relations", _gate_keeping_sets_without_a_witness
+        )
 
 
 @pytest.fixture
@@ -421,6 +442,7 @@ def fresh_kernel_caches():
         "foreign_evolved_witness",
         "trusted_product_in_the_wrong_order",
         "trusted_product_drops_its_defect",
+        "gate_keeps_a_set_without_a_witness",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
