@@ -342,10 +342,51 @@ def parity_diagonal(n_modes: int) -> np.ndarray:
     return _parity_diagonal(n_modes)
 
 
+@lru_cache(maxsize=32)
 def parity_sectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Increasing Fock basis indices of the even and of the odd sector of a validated count."""
+    """Increasing Fock basis indices of the even and of the odd sector of a validated count.
+
+    The two arrays are cached and read-only.
+    """
     diag = _parity_diagonal(n_modes).real
-    return np.flatnonzero(diag == 1.0), np.flatnonzero(diag == -1.0)
+    sectors = np.flatnonzero(diag == 1.0), np.flatnonzero(diag == -1.0)
+    for idx in sectors:
+        idx.setflags(write=False)
+    return sectors
+
+
+@lru_cache(maxsize=32)
+def _sector_pairs(n_modes: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """``np.ix_`` pairs of the (even, even), (odd, odd), (even, odd) and (odd, even) blocks."""
+    even, odd = parity_sectors(n_modes)
+    return np.ix_(even, even), np.ix_(odd, odd), np.ix_(even, odd), np.ix_(odd, even)
+
+
+@lru_cache(maxsize=64)
+def _sector_ladder(n_modes: int, mode: int) -> tuple[tuple, tuple]:
+    """The annihilator of one mode as two in-sector signed gathers.
+
+    A gather ``(cols, rows, sign)`` lists the columns of one sector in
+    which ``mode`` is occupied, by their positions within that sector, the
+    positions of their ``partner`` states within the other sector and their
+    signs: the block of ``f`` from that sector into the other one holds
+    ``sign[k]`` at ``(rows[k], cols[k])`` and zeros elsewhere.  The first
+    gather maps the odd columns into the even rows, the second the even
+    columns into the odd rows; both derive from :func:`_ladder_columns`,
+    which checks the mode on a cache miss.
+    """
+    partner, sign = _ladder_columns(n_modes, mode)
+    even, odd = parity_sectors(n_modes)
+    position = np.empty(2 ** n_modes, dtype=np.intp)
+    position[even] = position[odd] = np.arange(len(even))
+    gathers = []
+    for sector in (odd, even):
+        cols = np.flatnonzero(sign[sector])
+        gather = cols, position[partner[sector[cols]]], sign[sector[cols]]
+        for a in gather:
+            a.setflags(write=False)
+        gathers.append(gather)
+    return tuple(gathers)
 
 
 def parity_operator(n_modes: int) -> FockOperator:

@@ -4,13 +4,16 @@ Superselection means every unitary here commutes with the parity operator:
 a ``PSUnitary``'s entries between the even and odd occupation sectors are
 exact zeros, so its products, adjoint and Heisenberg images are even or odd
 by construction and are not graded.  Random and exponential unitaries are
-assembled from their two sector blocks (``_from_blocks``).
+assembled from their two sector blocks (``_from_blocks``); the storage stays
+dense, and the kernels that would multiply the zero blocks (the Heisenberg
+image, the unitarity defect) read the two sector blocks instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # Nothing here calls scipy.  The bare package stays imported only because
@@ -26,6 +29,8 @@ from .fock import (
     ModeSet,
     _check_n_modes,
     _ladder_columns,
+    _sector_ladder,
+    _sector_pairs,
     annihilator,
     checked_array,
     creator,
@@ -42,10 +47,11 @@ class PSUnitary:
 
     Its entries between the parity sectors are exact zeros.  The constructor
     applies the array rule and the parity grade, then stores the even part
-    (the input itself when it is exactly even) and its defect ``|M^dag M - I|``.
-    Unitaries built from such parts go through :meth:`_trusted`, carrying
-    their defect; ``@`` measures its product's defect, which a bound from
-    the factors would leave out, and grades nothing.
+    (the input itself when it is exactly even) and its defect ``|M^dag M - I|``,
+    measured on the two sector blocks.  Unitaries built from such parts go
+    through :meth:`_trusted`, carrying their defect; ``@`` measures its
+    product's defect, which a bound from the factors would leave out, and
+    grades nothing.
     """
 
     n_modes: int
@@ -57,24 +63,29 @@ class PSUnitary:
         _check_n_modes(self.n_modes)
         m = checked_array(self.matrix, self.n_modes, 2)
         algebra.require_even(m, "unitary")
-        even, odd = parity_sectors(self.n_modes)
-        if m[np.ix_(even, odd)].any() or m[np.ix_(odd, even)].any():
+        _, _, even_odd, odd_even = _sector_pairs(self.n_modes)
+        if m[even_odd].any() or m[odd_even].any():
             m = m.copy()
-            m[np.ix_(even, odd)] = m[np.ix_(odd, even)] = 0.0
+            m[even_odd] = m[odd_even] = 0.0
             m.setflags(write=False)
-        defect = _block_defect(m)
+        blocks = _sector_blocks_of(m, self.n_modes)
+        defect = _sectors_defect(blocks)
         _require_unitary(defect, self.dim)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "_sector_blocks", blocks)
 
     @classmethod
-    def _trusted(cls, n_modes: int, matrix: np.ndarray, defect: float) -> "PSUnitary":
+    def _trusted(
+        cls, n_modes: int, matrix: np.ndarray, defect: float, blocks: tuple | None = None
+    ) -> "PSUnitary":
         """A unitary the library built from validated parts, with its defect carried.
 
         ``matrix`` is a fresh complex 2^N x 2^N array, exactly even,
         and ``defect`` its exact or measured ``|M^dag M - I|``; no
         array rule, dense ``M^dag M`` or parity grade runs, but a defect
-        above the tolerance is still refused.
+        above the tolerance is still refused.  ``blocks``, when given, are
+        the matrix's (even, odd) sector blocks, kept for the block kernels.
         """
         _require_unitary(defect, 2 ** n_modes)
         matrix.setflags(write=False)
@@ -82,7 +93,16 @@ class PSUnitary:
         object.__setattr__(u, "n_modes", n_modes)
         object.__setattr__(u, "matrix", matrix)
         object.__setattr__(u, "defect", defect)
+        if blocks is not None:
+            for block in blocks:
+                block.setflags(write=False)
+            object.__setattr__(u, "_sector_blocks", blocks)
         return u
+
+    @cached_property
+    def _sector_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (even, even) and (odd, odd) blocks of the matrix, gathered once per unitary."""
+        return _sector_blocks_of(self.matrix, self.n_modes)
 
     @property
     def dim(self) -> int:
@@ -101,12 +121,12 @@ class PSUnitary:
                 f"unitaries act on different systems ({self.n_modes} vs {other.n_modes} modes)",
             )
         product = self.matrix @ other.matrix  # exactly even, as both factors are
-        return PSUnitary._trusted(self.n_modes, product, _block_defect(product))
+        blocks = _sector_blocks_of(product, self.n_modes)
+        return PSUnitary._trusted(self.n_modes, product, _sectors_defect(blocks), blocks)
 
     def heisenberg(self, mode: int) -> np.ndarray:
-        """Heisenberg image U^dag f_mode U: a signed column gather, then one product."""
-        partner, sign = _ladder_columns(self.n_modes, mode)
-        return (self.matrix.conj().T[:, partner] * sign) @ self.matrix
+        """Heisenberg image U^dag f_mode U, computed from the two sector blocks of U."""
+        return _sector_image(self.n_modes, mode, *self._sector_blocks)
 
     def apply(self, v: FockVector) -> FockVector:
         """Schroedinger action U|v>."""
@@ -125,6 +145,43 @@ def _require_unitary(defect: float, dim: int) -> None:
 
 def _block_defect(block: np.ndarray) -> float:
     return frobenius(block.conj().T @ block - np.eye(len(block)))
+
+
+def _sectors_defect(blocks) -> float:
+    """|M^dag M - I| of a block-diagonal M: its blocks' squared defects add up."""
+    return math.hypot(*(_block_defect(block) for block in blocks))
+
+
+def _sector_blocks_of(matrix: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    even_even, odd_odd, _, _ = _sector_pairs(n_modes)
+    blocks = matrix[even_even], matrix[odd_odd]
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
+
+
+def _sector_image(n_modes: int, mode: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """U^dag f_mode U of the unitary with sector blocks ``even`` and ``odd``.
+
+    The image maps each sector into the other.  Its block into the even
+    rows is sum_k conj(U_e[rows_k, :])^T sign_k U_o[cols_k, :] over the
+    odd columns in which the mode is occupied (``fock._sector_ladder``), one
+    product of half the rows of U_o, and likewise into the odd rows.  The
+    two blocks are scattered into zeros, so the entries between states of
+    the same parity are exact +0.0.
+    """
+    into_even, into_odd = _sector_ladder(n_modes, mode)
+    _, _, even_odd, odd_even = _sector_pairs(n_modes)
+    image = np.zeros((2 ** n_modes,) * 2, dtype=complex)
+    image[even_odd] = _half_image(even, odd, *into_even)
+    image[odd_even] = _half_image(odd, even, *into_odd)
+    return image
+
+
+def _half_image(target: np.ndarray, source: np.ndarray, cols, rows, sign) -> np.ndarray:
+    left = target[rows].conj()
+    left *= sign[:, None]
+    return left.T @ source[cols]
 
 
 def validate_ps_unitary(matrix: np.ndarray) -> PSUnitary:
@@ -158,11 +215,10 @@ def exp_hamiltonian(h: FockOperator) -> PSUnitary:
 def _from_blocks(n_modes: int, blocks) -> PSUnitary:
     """The unitary with these (even, odd) sector blocks; the blocks' squared defects add up."""
     u = np.zeros((2 ** n_modes,) * 2, dtype=complex)
-    defects = []
-    for idx, block in zip(parity_sectors(n_modes), blocks):
-        u[np.ix_(idx, idx)] = block
-        defects.append(_block_defect(block))
-    return PSUnitary._trusted(n_modes, u, math.hypot(*defects))
+    blocks = tuple(blocks)
+    for pair, block in zip(_sector_pairs(n_modes), blocks):
+        u[pair] = block
+    return PSUnitary._trusted(n_modes, u, _sectors_defect(blocks), blocks)
 
 
 _GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}

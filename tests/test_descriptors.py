@@ -940,6 +940,126 @@ def test_reconstruction_is_built_from_the_matrices(monkeypatch, n_modes):
     assert err.value.args[0] == f"assembled witness fails the round trip (residual {residual:.3e})"
 
 
+def full_sets(n_modes: int):
+    """Full sets evolved by a Haar and a named-gate unitary, and the canonical one."""
+    psi0 = random_sector_state(n_modes, n_modes)
+    full = ModeSet.full(n_modes)
+    yield dsc.evolve_descriptors(tf.random_ps_unitary(n_modes, 70 + n_modes), full, psi0)
+    gate = tf.named_gate("tunneling", n_modes, modes=(n_modes - 1, 0), theta=0.9)
+    yield dsc.evolve_descriptors(gate, full, psi0)
+    yield dsc.canonical_descriptors(full, psi0)
+
+
+def projector_vacuum(d: dsc.DescriptorSet) -> np.ndarray:
+    """The even eigenvector of the dense product of the d_a d_a^dag; the one-vector oracle."""
+    vac = np.eye(2 ** d.n_modes, dtype=complex)
+    for m in d.matrices().values():
+        vac = vac @ (m @ m.conj().T)
+    even = fock.parity_sectors(d.n_modes)[0]
+    evals, evecs = np.linalg.eigh(vac[np.ix_(even, even)])
+    assert np.count_nonzero(evals > 0.5) == 1
+    vector = np.zeros(2 ** d.n_modes, dtype=complex)
+    vector[even] = evecs[:, -1]
+    return vector
+
+
+@pytest.mark.parametrize("n_modes", range(2, 9))
+def test_one_vector_vacuum_matches_the_projector_eigenvector(n_modes):
+    for d in full_sets(n_modes):
+        vacuum = dsc._full_vacuum([x.matrix for x in d.descriptors], n_modes)
+        oracle = projector_vacuum(d)
+        overlap = np.vdot(oracle, vacuum)
+        assert fock.frobenius(vacuum - overlap / abs(overlap) * oracle) <= 1e-12
+
+
+def logging_products(d: dsc.DescriptorSet, shapes: list) -> dsc.DescriptorSet:
+    """``d`` with descriptor matrices that log the shape of every product they enter."""
+
+    class ProductLog(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            def plain(xs):
+                return tuple(x.view(np.ndarray) if isinstance(x, ProductLog) else x for x in xs)
+
+            if "out" in kwargs:
+                kwargs["out"] = plain(kwargs["out"])
+            out = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            if ufunc is np.matmul:
+                shapes.append(out.shape)
+            return out.view(ProductLog) if isinstance(out, np.ndarray) else out
+
+    for op in d.descriptors:
+        object.__setattr__(op, "matrix", op.matrix.view(ProductLog))
+    return d
+
+
+@pytest.mark.parametrize("n_modes", [2, 5, 8])
+def test_full_sets_reconstruct_and_read_without_the_dense_projector(monkeypatch, n_modes):
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    projectors = count_calls(monkeypatch, dsc, "_projected_vacuum")
+    dim = 2 ** n_modes
+    for d in full_sets(n_modes):
+        shapes = []
+        d = logging_products(d, shapes)
+        assert dsc.reconstruct_with_residual(d)[1] <= dsc.RECONSTRUCT_TOL
+        state = dsc.phenomenal_of(d)
+        assert shapes and (dim, dim) not in shapes
+        assert np.abs(state.matrix - projector_phenomenal(d)).max() <= 1e-14
+    assert eighs == [] and projectors == []
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        (fock.creator(2, 0), fock.annihilator(2, 1)),
+        (0.5 * fock.annihilator(2, 0), fock.annihilator(2, 1)),
+    ],
+    ids=["particle_hole", "scaled"],
+)
+def test_full_families_without_an_even_vacuum_keep_their_refusal(monkeypatch, family):
+    # the joint vacuum of {f_0^dag, f_1} is the odd |10>, so the even seed
+    # projects to zero; that of {f_0 / 2, f_1} keeps a quarter of |00>,
+    # below the projector's threshold of one half: the dense projector
+    # names both refusals
+    projectors = count_calls(monkeypatch, dsc, "_projected_vacuum")
+    with pytest.raises(ValidationError) as err:
+        dsc.DescriptorSet(ModeSet.full(2), family, fock.vacuum_state(2))
+    assert (err.value.code, err.value.args[0]) == (
+        "descriptor_algebra",
+        "descriptor set has no parity-preserving witness ([degenerate_reconstruction] "
+        "the descriptors' joint vacuum has 0 even states, the canonical one 1)",
+    )
+    assert len(projectors) == 1
+
+
+def test_a_short_projection_falls_back_to_the_projector(monkeypatch):
+    # a bound above every projected norm stands in for a seed with no
+    # component on V_d: the dense projector builds the same witness
+    n_modes = 5
+    d = next(full_sets(n_modes))
+    expected = dsc.reconstruct_unitary(d)
+    monkeypatch.setattr(dsc, "VACUUM_SEED_NORM", 2.0)
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    rebuilt = dsc.reconstruct_unitary(d)
+    assert len(eighs) == 2  # one per parity sector of the projector
+    assert tf.phase_distance(rebuilt.matrix, expected.matrix) <= 1e-12
+
+
+def test_library_images_come_from_the_sector_kernel(monkeypatch):
+    n_modes = 4
+    full = ModeSet.full(n_modes)
+    u = tf.random_ps_unitary(n_modes, 21)
+    w = tf.local_random_ps_unitary(ModeSet((1, 2), n_modes), 22)
+    kernels = count_calls(monkeypatch, tf, "_sector_image")
+    d = dsc.evolve_descriptors(u, full, fock.vacuum_state(n_modes))
+    assert len(kernels) == n_modes
+    dsc.reconstruct_with_residual(d)  # the round trip's images
+    assert len(kernels) == 2 * n_modes
+    dsc.ontic_apply(w, d)  # two moved images, two unmoved residuals
+    assert len(kernels) == 3 * n_modes
+    assert dsc.equivalent_at(u, u, full)
+    assert len(kernels) == 5 * n_modes
+
+
 def test_ontic_apply_reuses_the_stored_witness(monkeypatch):
     n_modes = 5
     psi0 = random_sector_state(n_modes, 6)
@@ -1138,7 +1258,10 @@ def test_images_at_the_mode_cap_build_no_dense_ladder(monkeypatch):
 
 
 def test_full_set_jobs_at_mode_cap(monkeypatch):
-    """Each full-set job at N=10 ends within 10 s (2 vCPUs: 1.3-1.4, 3.0-3.5, 0.0, 0.0, 1.4 s)."""
+    """Each full-set job at N=10 ends within 10 s.
+
+    On 2 vCPUs they take 0.25-0.45, 0.5-0.55, 0.0, 0.0 and 0.5-0.65 s.
+    """
     monkeypatch.delenv(fock.MODE_CAP_ENV, raising=False)
     n_modes = fock.DEFAULT_MODE_CAP
     budget = 10.0

@@ -277,6 +277,9 @@ def test_parity_sectors_split_the_basis():
         assert list(even) == sorted(even) and list(odd) == sorted(odd)
         assert all(sum(fock.occupation_of(n, int(i))) % 2 == 0 for i in even)
         assert all(sum(fock.occupation_of(n, int(i))) % 2 == 1 for i in odd)
+        # cached and shared, so read-only
+        assert fock.parity_sectors(n) is fock.parity_sectors(n)
+        assert not even.flags.writeable and not odd.flags.writeable
 
 
 def test_operators_are_immutable():

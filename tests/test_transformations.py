@@ -318,12 +318,22 @@ def heisenberg_cases(n_modes: int):
 
 
 @pytest.mark.parametrize("n_modes", range(1, 9))
-def test_heisenberg_image_is_the_explicit_product_bit_for_bit(n_modes):
+def test_heisenberg_image_matches_the_explicit_product(monkeypatch, n_modes):
+    # the sector kernel sums in another order than the dense product, so the
+    # two agree to rounding (about 1e-16 at N = 8), not bit for bit
+    kernels = count_calls(monkeypatch, tf, "_sector_image")
+    even, odd = fock.parity_sectors(n_modes)
+    images = 0
     for u in heisenberg_cases(n_modes):
         for a in range(n_modes):
             f = fock.annihilator(n_modes, a)
             explicit = u.matrix.conj().T @ f.matrix @ u.matrix
-            assert u.heisenberg(a).tobytes() == explicit.tobytes()
+            image = u.heisenberg(a)
+            images += 1
+            assert fock.frobenius(image - explicit) <= 1e-14 * fock.frobenius(explicit)
+            for block in (image[np.ix_(even, even)], image[np.ix_(odd, odd)]):
+                assert not block.view(float).any() and not np.signbit(block.view(float)).any()
+    assert len(kernels) == images
 
 
 def dense_invariance_support(u: tf.PSUnitary, tol: float = 1e-10) -> ModeSet:

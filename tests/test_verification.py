@@ -370,6 +370,20 @@ def _trusted_product_without_its_defect(self, other):
     return tf.PSUnitary._trusted(self.n_modes, self.matrix @ other.matrix, 0.0)
 
 
+def _sector_image_of_the_even_block_twice(n_modes, mode, even, odd, image=tf._sector_image):
+    return image(n_modes, mode, even, even)
+
+
+def _odd_one_vector_vacuum(desc, n_modes):
+    # the projection of an odd seed, normalised whatever its norm: an odd "vacuum"
+    rng = np.random.default_rng(n_modes)
+    odd = fock.parity_sectors(n_modes)[1]
+    seed = np.zeros(2 ** n_modes, dtype=complex)
+    seed[odd] = rng.standard_normal(len(odd)) + 1j * rng.standard_normal(len(odd))
+    vacuum = dsc._vacuum_factors(desc, seed)
+    return vacuum / np.linalg.norm(vacuum)
+
+
 def _gate_keeping_sets_without_a_witness(self):
     # the exact residual decides whenever no witness is built, and a set
     # that obeys the canonical relations is kept with none
@@ -415,6 +429,10 @@ def _plant(monkeypatch, bug):
             return d
 
         monkeypatch.setattr(dsc, "evolve_descriptors", with_a_foreign_witness)
+    elif bug == "sector_image_of_the_even_block_twice":
+        monkeypatch.setattr(tf, "_sector_image", _sector_image_of_the_even_block_twice)
+    elif bug == "odd_one_vector_vacuum":
+        monkeypatch.setattr(dsc, "_full_vacuum", _odd_one_vector_vacuum)
     elif bug == "gate_keeps_a_set_without_a_witness":
         monkeypatch.setattr(
             dsc.DescriptorSet, "_require_canonical_relations", _gate_keeping_sets_without_a_witness
@@ -423,7 +441,14 @@ def _plant(monkeypatch, bug):
 
 @pytest.fixture
 def fresh_kernel_caches():
-    caches = (fock._ladder_columns, fock._annihilator_matrix, algebra._mode_reorder)
+    caches = (
+        fock._ladder_columns,
+        fock._annihilator_matrix,
+        fock._sector_ladder,
+        fock._sector_pairs,
+        fock.parity_sectors,
+        algebra._mode_reorder,
+    )
     for cache in caches:
         cache.cache_clear()
     yield
@@ -443,6 +468,8 @@ def fresh_kernel_caches():
         "trusted_product_in_the_wrong_order",
         "trusted_product_drops_its_defect",
         "gate_keeps_a_set_without_a_witness",
+        "sector_image_of_the_even_block_twice",
+        "odd_one_vector_vacuum",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
