@@ -38,7 +38,6 @@ wrong order and is deliberately not what this module does.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,8 +65,6 @@ from .transformations import (
 CAR_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
 EQUIV_TOL = 1e-10
-# the one-vector vacuum of a full family is kept when its seed projects to at least this norm
-VACUUM_SEED_NORM = 1e-4
 
 
 def descriptor_algebra_residual(descriptors: Sequence[np.ndarray], dim: int) -> float:
@@ -202,9 +199,8 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
     Returns W, fixed in phase by ``canonical_phase``, and its residual
     max_a |W^dag f_a W - desc[a]|.  Raises ``degenerate_reconstruction``
     when the descriptors admit no parity-preserving witness within RECONSTRUCT_TOL.
-    The joint vacuum V_d of a full family is one vector (``_full_vacuum``);
-    a proper family's, or a full one that vector cannot give, comes from the
-    dense projector (``_projected_vacuum``).
+    The joint vacuum V_d of every family, proper or full, comes from one
+    routine, ``_joint_vacuum``; a full family's is one even vector.
     """
     dim = 2 ** n_modes
     modes = sorted(desc)
@@ -212,8 +208,7 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
     empty = (np.arange(dim) & mask) == 0
     # J sends an orthonormal basis of V_d onto the Fock states with every
     # mode of the family empty, in increasing index order
-    vacuum = _full_vacuum([desc[a] for a in modes], n_modes) if len(modes) == n_modes else None
-    x_d = vacuum[:, None] if vacuum is not None else _projected_vacuum(desc, n_modes, empty)
+    x_d = _joint_vacuum(desc, n_modes, empty)
 
     # columns d^dag_S J^dag e and f^dag_S e over every subset S of the modes,
     # creators in increasing mode order; W maps the first set onto the second.
@@ -245,65 +240,48 @@ def _intertwiner(desc: dict[int, np.ndarray], n_modes: int) -> tuple[PSUnitary, 
     return witness, residual
 
 
-def _projected_vacuum(desc: dict[int, np.ndarray], n_modes: int, empty: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of V_d, from the dense projector, sector by sector.
+def _joint_vacuum(desc: dict[int, np.ndarray], n_modes: int, empty: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the descriptors' joint vacuum V_d, sector by sector.
 
     Column k spans the part of V_d that J sends onto the k-th family-empty
-    state; raises ``degenerate_reconstruction`` when a sector of V_d and of
-    the canonical vacuum differ in dimension.
+    state.  For CAR descriptors the product of the d_a d_a^dag is the
+    projector onto V_d.  In each parity sector it is applied to a seeded
+    Gaussian block with one column per family-empty state of that parity,
+    the block's sector rows are orthonormalised (QR), and both steps run
+    once more (subspace iteration); the second Q is the basis.  Raises
+    ``degenerate_reconstruction`` when a diagonal entry of the second R is
+    not above one half, the projector's eigenvalue threshold, that is when
+    a sector of V_d is smaller than the canonical vacuum's.
     """
-    # product of the d_a d_a^dag: for CAR descriptors, the projector onto V_d
-    vac = functools.reduce(np.matmul, (desc[a] @ desc[a].conj().T for a in sorted(desc)))
+    factors = [desc[a] for a in sorted(desc)]
+    rng = np.random.default_rng(n_modes)
     column = np.cumsum(empty) - 1  # column of each family-empty state in x_d
     x_d = np.zeros((len(empty), np.count_nonzero(empty)), dtype=complex)
     for idx, name in zip(parity_sectors(n_modes), ("even", "odd")):
-        evals, evecs = np.linalg.eigh(vac[np.ix_(idx, idx)])
-        kept = evecs[:, evals > 0.5]
         slots = column[idx[empty[idx]]]
-        if kept.shape[1] != len(slots):
+        if not len(slots):  # a full family's odd sector: nothing to find
+            continue
+        block = np.zeros((len(empty), len(slots)), dtype=complex)
+        shape = (len(idx), len(slots))
+        block[idx] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for _ in range(2):
+            block[idx], r = np.linalg.qr(_vacuum_factors(factors, block)[idx])
+        kept = np.count_nonzero(np.abs(np.diagonal(r)) > 0.5)
+        if kept != len(slots):
             raise ValidationError(
                 "degenerate_reconstruction",
-                f"the descriptors' joint vacuum has {kept.shape[1]} {name} states, "
+                f"the descriptors' joint vacuum has {kept} {name} states, "
                 f"the canonical one {len(slots)}",
             )
-        x_d[np.ix_(idx, slots)] = kept
+        x_d[:, slots] = block
     return x_d
 
 
-def _full_vacuum(desc: Sequence[np.ndarray], n_modes: int) -> np.ndarray | None:
-    """The one vector of the joint vacuum of a full family, from a seeded even vector.
-
-    For CAR descriptors the product of the d_a d_a^dag is the projector
-    onto V_d, one even vector for a family with a parity-preserving
-    witness, so applying the factors to a random unit even vector (2N
-    matrix-vector products, last factor first) and normalising gives it.
-    Returns None, for the dense projector to decide, when the projection
-    is shorter than VACUUM_SEED_NORM (an odd or empty V_d, or a seed nearly
-    orthogonal to it) or when applying the factors again keeps less than
-    half of the normalised vector (the eigenvalue threshold of
-    :func:`_projected_vacuum`); a family the projector refuses keeps its
-    refusal.
-    """
-    rng = np.random.default_rng(n_modes)
-    even = parity_sectors(n_modes)[0]
-    seed = np.zeros(2 ** n_modes, dtype=complex)
-    seed[even] = rng.standard_normal(len(even)) + 1j * rng.standard_normal(len(even))
-    seed /= np.linalg.norm(seed)
-    vacuum = _vacuum_factors(desc, seed)
-    norm = np.linalg.norm(vacuum)
-    if not norm >= VACUUM_SEED_NORM:
-        return None
-    vacuum /= norm
-    if not np.linalg.norm(_vacuum_factors(desc, vacuum)) > 0.5:
-        return None
-    return vacuum
-
-
-def _vacuum_factors(desc: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """The product of the d_a d_a^dag applied to v; d^dag v is conj(conj(v) d)."""
+def _vacuum_factors(desc: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """The product of the d_a d_a^dag applied to the columns of y; d^dag y is (y^dag d)^dag."""
     for d in reversed(desc):
-        v = d @ (v.conj() @ d).conj()
-    return v
+        y = d @ (y.conj().T @ d).conj().T
+    return y
 
 
 def _assembled(subsystem: ModeSet, descriptors: tuple, psi0: FockVector, witness) -> DescriptorSet:
@@ -386,18 +364,16 @@ def phenomenal_of(d: DescriptorSet) -> PhenomenalState:
     ys = d.heisenberg_state.amplitudes[None, :]
     for da in desc:
         ys = np.stack([ys, ys @ da.T], axis=1).reshape(-1, ys.shape[1])
-    vacuum = _full_vacuum(desc, d.n_modes) if d.subsystem.is_full else None
-    if vacuum is not None:
-        # the vacuum projector of a full set is |v><v|, so gamma is the pure
-        # state c c^dag with c[p] = <v| ann_d(p) |psi0>
-        c = ys @ vacuum.conj()
+    if d.subsystem.is_full:
+        # the joint vacuum of a full set is one even vector v, so its vacuum
+        # projector is |v><v| and gamma is the pure state c c^dag with
+        # c[p] = <v| ann_d(p) |psi0>
+        vacuum = _joint_vacuum(d.matrices(), d.n_modes, np.arange(2 ** d.n_modes) == 0)
+        c = ys @ vacuum[:, 0].conj()
         return PhenomenalState._trusted(d.subsystem, np.outer(c, c.conj()))
-    # the vacuum factors d_a d_a^dag applied to the 2^m vectors, last factor
-    # first; d^dag z is conj(d^T conj(z)), so no 2^N x 2^N array is formed
-    vac_ys = ys.T
-    for da in reversed(desc):
-        vac_ys = da @ (da.T @ vac_ys.conj()).conj()
-    gamma = ys.conj() @ vac_ys  # gamma[l, p] = <psi0| cre_d(l) vac_d ann_d(p) |psi0>
+    # gamma[l, p] = <psi0| cre_d(l) vac_d ann_d(p) |psi0>, with the vacuum
+    # factors applied to the 2^m vectors, so no 2^N x 2^N array is formed
+    gamma = ys.conj() @ _vacuum_factors(desc, ys.T)
     return PhenomenalState._trusted(d.subsystem, np.ascontiguousarray(gamma.T))
 
 

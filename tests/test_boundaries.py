@@ -18,6 +18,9 @@ check's phase); products and lifts go through ``PSUnitary._trusted``.
 only for JSON and ``validate_phenomenal``; reductions, products, conjugations
 and the descriptor substitution go through ``PhenomenalState._trusted``.
 ``parity_grade`` and ``require_even`` run only in those boundary checks.
+Every family's joint vacuum comes from one routine, ``_joint_vacuum``, and
+the vacuum factors run only there and in ``phenomenal_of``; no dense
+projector is diagonalised, so ``eigh`` runs only in ``exp_hamiltonian``.
 These tests read the source with ``ast`` and pin each caller list, so a
 refactor cannot quietly route values back through a check.
 """
@@ -114,6 +117,9 @@ def callers(name: str) -> list[str]:
                 "verification:check_canonical_algebra",
             ],
         ),
+        ("_joint_vacuum", ["descriptors:_intertwiner", "descriptors:phenomenal_of"]),
+        ("_vacuum_factors", ["descriptors:_joint_vacuum", "descriptors:phenomenal_of"]),
+        ("eigh", ["transformations:exp_hamiltonian"]),
     ],
 )
 def test_validating_calls_stay_at_the_boundary(name, allowed):

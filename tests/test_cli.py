@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from fermidesc import fock
+
 EXAMPLE_SCENARIO = {
     "n_modes": 2,
     "initial_state": [1, 0],
@@ -571,7 +573,8 @@ MALFORMED_DESCRIPTOR_SET_FIELDS = [
     ({"ambient_n": "two"}, "global_descriptors.ambient_n", "bad_schema"),
     ({"ambient_n": 2.0}, "global_descriptors.ambient_n", "bad_schema"),
     ({"descriptors": {"0": []}}, "global_descriptors.descriptors", "bad_schema"),
-    ({"modes": [0], "ambient_n": 11}, "global_descriptors.ambient_n", "cap_exceeded"),
+    ({"modes": [0], "ambient_n": fock.DEFAULT_MODE_CAP + 1}, "global_descriptors.ambient_n",
+     "cap_exceeded"),
     ({"modes": [5], "ambient_n": 2}, "global_descriptors.modes", "mode_out_of_range"),
     ({"descriptors": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 2},
      "global_descriptors.descriptors[0]", "dimension_mismatch"),

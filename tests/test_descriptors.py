@@ -950,30 +950,72 @@ def full_sets(n_modes: int):
     yield dsc.canonical_descriptors(full, psi0)
 
 
-def projector_vacuum(d: dsc.DescriptorSet) -> np.ndarray:
-    """The even eigenvector of the dense product of the d_a d_a^dag; the one-vector oracle."""
+def dense_projector(d: dsc.DescriptorSet) -> np.ndarray:
+    """The dense 2^N x 2^N product of the d_a d_a^dag: for CAR descriptors, the projector onto V_d."""
     vac = np.eye(2 ** d.n_modes, dtype=complex)
     for m in d.matrices().values():
         vac = vac @ (m @ m.conj().T)
+    return vac
+
+
+def projector_vacuum(d: dsc.DescriptorSet) -> np.ndarray:
+    """The even eigenvector of the dense projector of a full set; the one-vector oracle."""
     even = fock.parity_sectors(d.n_modes)[0]
-    evals, evecs = np.linalg.eigh(vac[np.ix_(even, even)])
+    evals, evecs = np.linalg.eigh(dense_projector(d)[np.ix_(even, even)])
     assert np.count_nonzero(evals > 0.5) == 1
     vector = np.zeros(2 ** d.n_modes, dtype=complex)
     vector[even] = evecs[:, -1]
     return vector
 
 
+def family_empty(d: dsc.DescriptorSet) -> np.ndarray:
+    """Which Fock states have every mode of the set's family empty."""
+    mask = sum(1 << (d.n_modes - 1 - a) for a in d.subsystem.indices)
+    return (np.arange(2 ** d.n_modes) & mask) == 0
+
+
 @pytest.mark.parametrize("n_modes", range(2, 9))
 def test_one_vector_vacuum_matches_the_projector_eigenvector(n_modes):
     for d in full_sets(n_modes):
-        vacuum = dsc._full_vacuum([x.matrix for x in d.descriptors], n_modes)
+        vacuum = dsc._joint_vacuum(d.matrices(), n_modes, family_empty(d))
+        assert vacuum.shape == (2 ** n_modes, 1)
         oracle = projector_vacuum(d)
-        overlap = np.vdot(oracle, vacuum)
-        assert fock.frobenius(vacuum - overlap / abs(overlap) * oracle) <= 1e-12
+        overlap = np.vdot(oracle, vacuum[:, 0])
+        assert fock.frobenius(vacuum[:, 0] - overlap / abs(overlap) * oracle) <= 1e-12
 
 
-def logging_products(d: dsc.DescriptorSet, shapes: list) -> dsc.DescriptorSet:
-    """``d`` with descriptor matrices that log the shape of every product they enter."""
+def families(n_modes: int):
+    """Full and proper families of evolved, named-gate and canonical sets."""
+    parts = {
+        tuple(range(n_modes)), (0,), (n_modes - 1,), tuple(range(1, n_modes)),
+        tuple(range(0, n_modes, 2)),
+    }
+    for d in full_sets(n_modes):
+        for part in sorted(parts):
+            yield dsc.ontic_project(d, ModeSet(part, n_modes))
+
+
+@pytest.mark.parametrize("n_modes", range(2, 9))
+def test_joint_vacuum_spans_the_projector_eigenspace(n_modes):
+    # the oracle is the dense projector: for these CAR families its eigenvalues
+    # are 0 and 1, so it is the projector onto its eigenspace above one half
+    parity = fock.parity_diagonal(n_modes).real
+    for d in families(n_modes):
+        empty = family_empty(d)
+        x_d = dsc._joint_vacuum(d.matrices(), n_modes, empty)
+        assert x_d.shape == (2 ** n_modes, np.count_nonzero(empty))
+        projector = dense_projector(d)
+        column_parity = parity[empty]  # of each column's family-empty state
+        for sign in (1.0, -1.0):
+            rows, cols = parity == sign, column_parity == sign
+            assert not x_d[np.ix_(~rows, cols)].any()
+            q = x_d[np.ix_(rows, cols)]
+            assert fock.frobenius(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
+            assert fock.frobenius(q @ q.conj().T - projector[np.ix_(rows, rows)]) <= 1e-12
+
+
+def logging_products(ops, shapes: list) -> None:
+    """Make each operator's matrix log the shape of every product it enters."""
 
     class ProductLog(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -987,24 +1029,33 @@ def logging_products(d: dsc.DescriptorSet, shapes: list) -> dsc.DescriptorSet:
                 shapes.append(out.shape)
             return out.view(ProductLog) if isinstance(out, np.ndarray) else out
 
-    for op in d.descriptors:
+    for op in ops:
         object.__setattr__(op, "matrix", op.matrix.view(ProductLog))
-    return d
 
 
 @pytest.mark.parametrize("n_modes", [2, 5, 8])
 def test_full_sets_reconstruct_and_read_without_the_dense_projector(monkeypatch, n_modes):
+    # and bare proper sets build their witness and read their state without it
     eighs = count_calls(monkeypatch, np.linalg, "eigh")
-    projectors = count_calls(monkeypatch, dsc, "_projected_vacuum")
     dim = 2 ** n_modes
     for d in full_sets(n_modes):
         shapes = []
-        d = logging_products(d, shapes)
+        logging_products(d.descriptors, shapes)
         assert dsc.reconstruct_with_residual(d)[1] <= dsc.RECONSTRUCT_TOL
         state = dsc.phenomenal_of(d)
         assert shapes and (dim, dim) not in shapes
         assert np.abs(state.matrix - projector_phenomenal(d)).max() <= 1e-14
-    assert eighs == [] and projectors == []
+        for part in ((n_modes - 1,), tuple(range(0, n_modes, 2))):
+            subsystem = ModeSet(part, n_modes)
+            ops = tuple(fock.FockOperator(n_modes, d.matrices()[a]) for a in part)
+            shapes = []
+            logging_products(ops, shapes)
+            bare = dsc.DescriptorSet(subsystem, ops, d.heisenberg_state)
+            assert bare._witness[1] <= dsc.RECONSTRUCT_TOL
+            state = dsc.phenomenal_of(bare)
+            assert shapes and (dim, dim) not in shapes
+            assert np.abs(state.matrix - projector_phenomenal(bare)).max() <= 1e-14
+    assert eighs == []
 
 
 @pytest.mark.parametrize(
@@ -1016,11 +1067,10 @@ def test_full_sets_reconstruct_and_read_without_the_dense_projector(monkeypatch,
     ids=["particle_hole", "scaled"],
 )
 def test_full_families_without_an_even_vacuum_keep_their_refusal(monkeypatch, family):
-    # the joint vacuum of {f_0^dag, f_1} is the odd |10>, so the even seed
-    # projects to zero; that of {f_0 / 2, f_1} keeps a quarter of |00>,
-    # below the projector's threshold of one half: the dense projector
-    # names both refusals
-    projectors = count_calls(monkeypatch, dsc, "_projected_vacuum")
+    # the joint vacuum of {f_0^dag, f_1} is the odd |10>, so the even block
+    # projects to zero; that of {f_0 / 2, f_1} keeps a quarter of |00>, and
+    # the second R's diagonal, below one half, names both refusals
+    vacua = count_calls(monkeypatch, dsc, "_joint_vacuum")
     with pytest.raises(ValidationError) as err:
         dsc.DescriptorSet(ModeSet.full(2), family, fock.vacuum_state(2))
     assert (err.value.code, err.value.args[0]) == (
@@ -1028,20 +1078,7 @@ def test_full_families_without_an_even_vacuum_keep_their_refusal(monkeypatch, fa
         "descriptor set has no parity-preserving witness ([degenerate_reconstruction] "
         "the descriptors' joint vacuum has 0 even states, the canonical one 1)",
     )
-    assert len(projectors) == 1
-
-
-def test_a_short_projection_falls_back_to_the_projector(monkeypatch):
-    # a bound above every projected norm stands in for a seed with no
-    # component on V_d: the dense projector builds the same witness
-    n_modes = 5
-    d = next(full_sets(n_modes))
-    expected = dsc.reconstruct_unitary(d)
-    monkeypatch.setattr(dsc, "VACUUM_SEED_NORM", 2.0)
-    eighs = count_calls(monkeypatch, np.linalg, "eigh")
-    rebuilt = dsc.reconstruct_unitary(d)
-    assert len(eighs) == 2  # one per parity sector of the projector
-    assert tf.phase_distance(rebuilt.matrix, expected.matrix) <= 1e-12
+    assert len(vacua) == 1
 
 
 def test_library_images_come_from_the_sector_kernel(monkeypatch):
@@ -1200,9 +1237,7 @@ def projector_phenomenal(d: dsc.DescriptorSet) -> np.ndarray:
     modes = d.subsystem.indices
     m = len(modes)
     desc = d.matrices()
-    vac = np.eye(2 ** d.n_modes, dtype=complex)
-    for a in modes:
-        vac = vac @ (desc[a] @ desc[a].conj().T)
+    vac = dense_projector(d)
     y = {(): d.heisenberg_state.amplitudes}
 
     def y_of(occupied):

@@ -374,14 +374,36 @@ def _sector_image_of_the_even_block_twice(n_modes, mode, even, odd, image=tf._se
     return image(n_modes, mode, even, even)
 
 
-def _odd_one_vector_vacuum(desc, n_modes):
-    # the projection of an odd seed, normalised whatever its norm: an odd "vacuum"
+def _joint_vacuum_seeded_in_the_other_sector(desc, n_modes, empty):
+    # each sector's Gaussian block is drawn on the other sector's rows
+    factors = [desc[a] for a in sorted(desc)]
     rng = np.random.default_rng(n_modes)
-    odd = fock.parity_sectors(n_modes)[1]
-    seed = np.zeros(2 ** n_modes, dtype=complex)
-    seed[odd] = rng.standard_normal(len(odd)) + 1j * rng.standard_normal(len(odd))
-    vacuum = dsc._vacuum_factors(desc, seed)
-    return vacuum / np.linalg.norm(vacuum)
+    column = np.cumsum(empty) - 1
+    x_d = np.zeros((len(empty), np.count_nonzero(empty)), dtype=complex)
+    sectors = fock.parity_sectors(n_modes)
+    for idx, other, name in zip(sectors, sectors[::-1], ("even", "odd")):
+        slots = column[idx[empty[idx]]]
+        shape = (len(other), len(slots))
+        x_d[np.ix_(other, slots)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for _ in range(2):
+            q, r = np.linalg.qr(dsc._vacuum_factors(factors, x_d[:, slots])[idx])
+            x_d[np.ix_(idx, slots)] = q
+        kept = np.count_nonzero(np.abs(np.diagonal(r)) > 0.5)
+        if kept != len(slots):
+            raise ValidationError(
+                "degenerate_reconstruction",
+                f"the descriptors' joint vacuum has {kept} {name} states, "
+                f"the canonical one {len(slots)}",
+            )
+    return x_d
+
+
+def _fold_local_without_its_sign(target, small, subsystem):
+    src, _ = algebra._reorder_to_front(subsystem)
+    dk = 2 ** len(subsystem)
+    target[src] = (np.asarray(small, dtype=complex) @ target[src].reshape(dk, -1)).reshape(
+        target.shape
+    )
 
 
 def _gate_keeping_sets_without_a_witness(self):
@@ -431,12 +453,25 @@ def _plant(monkeypatch, bug):
         monkeypatch.setattr(dsc, "evolve_descriptors", with_a_foreign_witness)
     elif bug == "sector_image_of_the_even_block_twice":
         monkeypatch.setattr(tf, "_sector_image", _sector_image_of_the_even_block_twice)
-    elif bug == "odd_one_vector_vacuum":
-        monkeypatch.setattr(dsc, "_full_vacuum", _odd_one_vector_vacuum)
+    elif bug == "seeded_block_in_the_other_sector":
+        monkeypatch.setattr(dsc, "_joint_vacuum", _joint_vacuum_seeded_in_the_other_sector)
+    elif bug == "unsigned_fold_scatter":
+        monkeypatch.setattr(algebra, "fold_local", _fold_local_without_its_sign)
     elif bug == "gate_keeps_a_set_without_a_witness":
         monkeypatch.setattr(
             dsc.DescriptorSet, "_require_canonical_relations", _gate_keeping_sets_without_a_witness
         )
+
+
+# planted bugs the sweep catches only as a ValidationError from inside a
+# family, with the code a caller would read as bad input, not as a failed family
+RAISED_BY_THE_SWEEP = {
+    "heisenberg_u_f_udag": "degenerate_reconstruction",
+    "phenomenal_without_vacuum": "not_trace_one",
+    "unsigned_mode_reorder": "internal_inconsistency",
+    "seeded_block_in_the_other_sector": "degenerate_reconstruction",
+    "unsigned_fold_scatter": "not_local",
+}
 
 
 @pytest.fixture
@@ -469,15 +504,18 @@ def fresh_kernel_caches():
         "trusted_product_drops_its_defect",
         "gate_keeps_a_set_without_a_witness",
         "sector_image_of_the_even_block_twice",
-        "odd_one_vector_vacuum",
+        "seeded_block_in_the_other_sector",
+        "unsigned_fold_scatter",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
     _plant(monkeypatch, bug)
-    try:
-        results = vf.run_sweep(3, 0, 6)
-    except ValidationError:
+    if bug in RAISED_BY_THE_SWEEP:
+        with pytest.raises(ValidationError) as err:
+            vf.run_sweep(3, 0, 6)
+        assert err.value.code == RAISED_BY_THE_SWEEP[bug]
         return
+    results = vf.run_sweep(3, 0, 6)
     assert not all(r.passed for r in results), [r.name for r in results]
 
 
