@@ -25,11 +25,8 @@ from .fock import (
     vacuum_state,
 )
 from .algebra import (
-    MonomialBasis,
     embed_local_operator,
-    hs_inner,
     is_local_to,
-    monomial_basis,
     parity_grade,
     qubit_ladder,
     wedge,
@@ -40,7 +37,6 @@ from .states import (
     partial_trace,
     partial_trace_jw,
     product_state,
-    validate_phenomenal,
 )
 from .transformations import (
     PSUnitary,
@@ -84,7 +80,6 @@ __all__ = [
     "FockOperator",
     "FockVector",
     "ModeSet",
-    "MonomialBasis",
     "PSUnitary",
     "PhenomenalState",
     "ScenarioParseError",
@@ -107,14 +102,12 @@ __all__ = [
     "exp_hamiltonian",
     "expectation",
     "fock_basis_state",
-    "hs_inner",
     "identity",
     "is_local_to",
     "is_local_unitary",
     "join",
     "local_random_ps_unitary",
     "mode_cap",
-    "monomial_basis",
     "named_gate",
     "occupation_of",
     "ontic_apply",
@@ -130,7 +123,6 @@ __all__ = [
     "random_ps_unitary",
     "reconstruct_unitary",
     "run_sweep",
-    "validate_phenomenal",
     "validate_ps_unitary",
     "vacuum_state",
     "wedge",

@@ -1,4 +1,4 @@
-"""Hilbert-Schmidt geometry, locality and the monomial operator basis.
+"""Locality, superselection grading and the monomial operator basis.
 
 A subsystem's local operators are the algebra generated by its own ladder
 operators.  Relabelling the modes so the subsystem's come first acts on the
@@ -23,14 +23,14 @@ for occupation patterns l, p over the subsystem, built from the ambient
 string-realized ladder operators.  The subsystem vacuum projector is the
 product of f_j f_j^dag over the subsystem's modes.  Each element maps to
 the matrix unit ``|l><p| (x) I`` under the reorder.  The dense
-``4^m x 2^N x 2^N`` stack is kept only as the reference that tests check
-the reorder against.
+``4^m x 2^N x 2^N`` stack of :func:`monomial_basis` is kept only as the
+reference that the tests' monomial oracle checks the reorder against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,70 +51,6 @@ LOCALITY_TOL = 1e-10
 GRADE_EVEN = "even"
 GRADE_ODD = "odd"
 GRADE_MIXED = "mixed"
-
-
-def hs_inner(a: FockOperator, b: FockOperator) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    if a.n_modes != b.n_modes:
-        raise ValidationError(
-            "dimension_mismatch",
-            f"operators act on different systems ({a.n_modes} vs {b.n_modes} modes)",
-        )
-    return complex(np.vdot(a.matrix, b.matrix))
-
-
-@dataclass(frozen=True, eq=False)
-class MonomialBasis:
-    """The 4^m ladder monomials of a subsystem, embedded in the ambient space.
-
-    ``labels[k]`` is the pair of occupation patterns ``(l, p)`` of element k,
-    each a tuple over the subsystem's modes in increasing order.  Elements
-    are pairwise HS-orthogonal with squared norm ``norm_sq = 2^(N - m)``.
-    """
-
-    subsystem: ModeSet
-    elements: tuple[FockOperator, ...]
-    labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    norm_sq: float
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def stacked(self) -> np.ndarray:
-        return _basis_arrays(self.subsystem.indices, self.subsystem.ambient_n)[0]
-
-    def expand(self, op: FockOperator) -> np.ndarray:
-        """Coefficients of ``op`` on this basis, as a (2^m, 2^m) array.
-
-        Entry [l, p] multiplies the element with labels (l, p); indices use
-        the same bit order as the subsystem's own Fock basis.
-        """
-        if op.n_modes != self.subsystem.ambient_n:
-            raise ValidationError("dimension_mismatch", "operator lives in a different ambient space")
-        m = len(self.subsystem)
-        flat = self.stacked().reshape(4 ** m, -1)
-        # conj(E . conj(o)) == conj(E) . o, without copying the stack
-        coeffs = (flat @ op.matrix.reshape(-1).conj()).conj() / self.norm_sq
-        return coeffs.reshape(2 ** m, 2 ** m)
-
-    def synthesize(self, coeffs: np.ndarray) -> FockOperator:
-        """Ambient operator with the given coefficient array (inverse of expand)."""
-        m = len(self.subsystem)
-        flat = np.asarray(coeffs, dtype=complex).reshape(4 ** m)
-        matrix = np.tensordot(flat, self.stacked(), axes=(0, 0))
-        return FockOperator(self.subsystem.ambient_n, matrix)
-
-
-def _occ_subsets(modes: tuple[int, ...]):
-    """Occupation patterns over ``modes`` in subsystem-Fock-index order."""
-    m = len(modes)
-    for bits in range(2 ** m):
-        yield tuple((bits >> (m - 1 - i)) & 1 for i in range(m))
-
-
-def _occupied(modes: tuple[int, ...], pattern: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(mode for mode, occ in zip(modes, pattern) if occ)
 
 
 @lru_cache(maxsize=2)
@@ -138,28 +74,30 @@ def _basis_arrays(indices: tuple[int, ...], ambient_n: int):
         left[occupied] = out
         return out
 
-    stacked = np.empty((4 ** len(indices), dim, dim), dtype=complex)
-    labels = []
-    for l_pat in _occ_subsets(indices):
-        l_occ = _occupied(indices, l_pat)
-        for p_pat in _occ_subsets(indices):
-            p_occ = _occupied(indices, p_pat)
-            # annihilators reversed == adjoint of the creator string
-            e = left_of(l_occ) @ left_of(p_occ).conj().T if p_occ else left_of(l_occ)
-            stacked[len(labels)] = e
-            labels.append((l_pat, p_pat))
+    # occupation patterns in subsystem-Fock-index order, most significant mode first
+    patterns = list(itertools.product((0, 1), repeat=len(indices)))
+    labels = tuple(itertools.product(patterns, repeat=2))
+    stacked = np.empty((len(labels), dim, dim), dtype=complex)
+    for k, (l_pat, p_pat) in enumerate(labels):
+        l_occ = tuple(itertools.compress(indices, l_pat))
+        p_occ = tuple(itertools.compress(indices, p_pat))
+        # annihilators reversed == adjoint of the creator string
+        stacked[k] = left_of(l_occ) @ left_of(p_occ).conj().T if p_occ else left_of(l_occ)
     stacked.setflags(write=False)
-    return stacked, tuple(labels)
+    return stacked, labels
 
 
-def monomial_basis(subsystem: ModeSet) -> MonomialBasis:
-    """All 4^m ladder monomials of a non-empty subsystem."""
+def monomial_basis(subsystem: ModeSet) -> tuple[np.ndarray, tuple]:
+    """The 4^m ladder monomials of a non-empty subsystem, embedded in the ambient space.
+
+    Returns the read-only ``(4^m, 2^N, 2^N)`` stack and its labels:
+    ``labels[k]`` is the pair of occupation patterns ``(l, p)`` of element
+    k, each a tuple over the subsystem's modes in increasing order.  The
+    elements are pairwise HS-orthogonal with squared norm 2^(N - m).
+    """
     subsystem.require_nonempty()
     _check_n_modes(subsystem.ambient_n)
-    stacked, labels = _basis_arrays(subsystem.indices, subsystem.ambient_n)
-    n, m = subsystem.ambient_n, len(subsystem)
-    elements = tuple(FockOperator(n, e) for e in stacked)
-    return MonomialBasis(subsystem, elements, labels, float(2 ** (n - m)))
+    return _basis_arrays(subsystem.indices, subsystem.ambient_n)
 
 
 @lru_cache(maxsize=256)

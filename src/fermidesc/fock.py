@@ -329,17 +329,12 @@ def creator(n_modes: int, mode: int) -> FockOperator:
     return build_ladder(n_modes, mode, "creator")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _parity_diagonal(n_modes: int) -> np.ndarray:
     occ_counts = np.array([bin(b).count("1") for b in range(2 ** n_modes)])
     diag = np.where(occ_counts % 2 == 0, 1.0, -1.0).astype(complex)
     diag.setflags(write=False)
     return diag
-
-
-def parity_diagonal(n_modes: int) -> np.ndarray:
-    _check_n_modes(n_modes)
-    return _parity_diagonal(n_modes)
 
 
 @lru_cache(maxsize=32)

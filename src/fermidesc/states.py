@@ -93,11 +93,6 @@ def _require_trace_one(m: np.ndarray) -> None:
         raise ValidationError("not_trace_one", f"trace is {tr:.6g}, expected 1")
 
 
-def validate_phenomenal(subsystem: ModeSet, matrix: np.ndarray) -> PhenomenalState:
-    """Validate a candidate density matrix; raises with the violated invariant's code."""
-    return PhenomenalState(subsystem, matrix)
-
-
 def _occupation_bits(count: int) -> np.ndarray:
     """Row ``u`` holds the bits of ``u`` over ``count`` modes, most significant first."""
     return (np.arange(2 ** count)[:, None] >> np.arange(count - 1, -1, -1)) & 1

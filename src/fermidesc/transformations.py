@@ -25,7 +25,6 @@ from . import algebra
 from .errors import ValidationError
 from .fock import (
     FockOperator,
-    FockVector,
     ModeSet,
     _check_n_modes,
     _ladder_columns,
@@ -127,12 +126,6 @@ class PSUnitary:
     def heisenberg(self, mode: int) -> np.ndarray:
         """Heisenberg image U^dag f_mode U, computed from the two sector blocks of U."""
         return _sector_image(self.n_modes, mode, *self._sector_blocks)
-
-    def apply(self, v: FockVector) -> FockVector:
-        """Schroedinger action U|v>."""
-        if v.n_modes != self.n_modes:
-            raise ValidationError("dimension_mismatch", "vector/unitary mode counts differ")
-        return FockVector(self.n_modes, self.matrix @ v.amplitudes)
 
     def as_operator(self) -> FockOperator:
         return FockOperator(self.n_modes, self.matrix)

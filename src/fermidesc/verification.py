@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, descriptors as dsc, states
+from . import algebra, descriptors as dsc
 from .errors import ValidationError
 from .fock import (
     FockVector,
@@ -51,6 +51,16 @@ TRACE_CROSS_TOL = 1e-10
 # default tolerance of each check family a scenario can request
 CHECK_TOLERANCES = {
     "diagram": 1e-9, "no_signalling": 1e-9, "locality_invariance": 1e-10, "ontic_properties": 1e-9
+}
+# tolerance of every sweep family, by its result's name; a family that raises reports it too
+SWEEP_TOLERANCES = {
+    "canonical_algebra": 1e-10, "ssr_gatekeeping": 0.0, "qubit_ladders": 0.0,
+    "locality_invariance": CHECK_TOLERANCES["locality_invariance"],
+    "no_signalling": CHECK_TOLERANCES["no_signalling"],
+    "descriptor_equivalence": 1e-9, "reconstruction": 1e-8, "epimorphism": 1e-10,
+    "diagram": CHECK_TOLERANCES["diagram"],
+    "ontic_property_list": CHECK_TOLERANCES["ontic_properties"],
+    "ontic_property_list_negative_control": 0.0,
 }
 
 
@@ -231,7 +241,8 @@ def check_ontic_property_list(
     4. transformations local to a disjoint region act trivially.
 
     With ``negative_control=True`` property 4 is fed a global transformation
-    instead of a local one and the check passes iff the property *fails*.
+    instead of a local one, properties 1-3 are not computed, and the check
+    passes iff the property *fails*.
     """
     if n_modes < 2:
         raise ValidationError("mode_out_of_range", "property list needs at least 2 modes")
@@ -242,9 +253,18 @@ def check_ontic_property_list(
     for seed in seeds:
         rng = np.random.default_rng(int(seed))
         psi0 = random_sector_state(n_modes, int(seed) * 7 + 3)
-        u = random_ps_unitary(n_modes, int(seed) * 7 + 4)
         v = random_ps_unitary(n_modes, int(seed) * 7 + 5)
         a, b = _random_disjoint_pair(rng, n_modes)
+        if negative_control:  # property 4 fed a global transformation, alone
+            w_bad = random_ps_unitary(n_modes, int(seed) * 7 + 7)
+            acted = dsc.evolve_descriptors(w_bad @ v, b, psi0)
+            base = dsc.evolve_descriptors(v, b, psi0)
+            r4 = _descriptor_distance(acted, base)
+            if r4 > tol:
+                control_violations += 1
+            details.append({"seed": int(seed), "control_residual": r4})
+            continue
+        u = random_ps_unitary(n_modes, int(seed) * 7 + 4)
         union = a.union(b)
         d_full = dsc.evolve_descriptors(u, full, psi0)
 
@@ -275,15 +295,6 @@ def check_ontic_property_list(
         r3 = max(r3, dsc._witness_residual(other, joined.matrices()))
 
         # 4. disjoint-local actions are trivial
-        if negative_control:
-            w_bad = random_ps_unitary(n_modes, int(seed) * 7 + 7)
-            acted = dsc.evolve_descriptors(w_bad @ v, b, psi0)
-            base = dsc.evolve_descriptors(v, b, psi0)
-            r4 = _descriptor_distance(acted, base)
-            if r4 > tol:
-                control_violations += 1
-            details.append({"seed": int(seed), "control_residual": r4})
-            continue
         w_a = local_random_ps_unitary(a, int(seed) * 7 + 7)
         db_v = dsc.evolve_descriptors(v, b, psi0)
         acted = dsc.ontic_apply(w_a, db_v)
@@ -301,24 +312,19 @@ def check_ontic_property_list(
                 "disjoint_action_residual": r4,
             }
         )
-    if negative_control:
-        # residual counts missed detections, so passed <=> residual <= 0
-        total = len(details)
-        missed = float(total - control_violations) if total else 1.0
-        return CheckResult(
-            "ontic_property_list_negative_control",
-            missed <= 0.0,
-            missed,
-            0.0,
-            tuple(details),
-        )
+    if negative_control:  # the residual counts missed detections, so passed <=> residual <= 0
+        missed = float(len(details) - control_violations) if details else 1.0
+        name = "ontic_property_list_negative_control"
+        return CheckResult(name, missed <= 0.0, missed, 0.0, tuple(details))
     return CheckResult("ontic_property_list", worst <= tol, worst, tol, tuple(details))
 
 
 # --- sweep families used by the CLI and the acceptance suite ---------------
 
 
-def check_canonical_algebra(n_modes: int, seeds, tol: float = 1e-10) -> CheckResult:
+def check_canonical_algebra(
+    n_modes: int, seeds, tol: float = SWEEP_TOLERANCES["canonical_algebra"]
+) -> CheckResult:
     """Exact relations on constructed operators; stability under conjugation."""
     ladders = [annihilator(n_modes, i).matrix for i in range(n_modes)]
     constructed = dsc.descriptor_algebra_residual(ladders, 2 ** n_modes)
@@ -346,39 +352,26 @@ def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
     relations but that no parity-preserving unitary produces.
     """
     failures = []
-
-    forbidden_state = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    try:
-        states.validate_phenomenal(ModeSet.full(1), forbidden_state)
-        failures.append("parity-mixing state accepted")
-    except ValidationError as exc:
-        if exc.code != "ssr_violation":
-            failures.append(f"state rejected with wrong code {exc.code}")
-
-    gen = annihilator(2, 0) + creator(2, 0)
-    try:
-        exp_hamiltonian(gen)
-        failures.append("parity-odd generator accepted")
-    except ValidationError as exc:
-        if exc.code != "ssr_violation":
-            failures.append(f"generator rejected with wrong code {exc.code}")
-
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    try:
-        validate_ps_unitary(hadamard)
-        failures.append("parity-mixing unitary accepted")
-    except ValidationError as exc:
-        if exc.code != "ssr_violation":
-            failures.append(f"unitary rejected with wrong code {exc.code}")
-
     # canonical, but its joint vacuum |10> is odd: no parity-preserving unitary makes it
     particle_hole = (creator(2, 0), annihilator(2, 1))
-    try:
-        dsc.DescriptorSet(ModeSet.full(2), particle_hole, vacuum_state(2))
-        failures.append("descriptor set without a parity-preserving witness accepted")
-    except ValidationError as exc:
-        if exc.code != "descriptor_algebra":
-            failures.append(f"descriptor set rejected with wrong code {exc.code}")
+    # (what is refused, its noun, the code it must be refused with, the input)
+    forbidden = (
+        ("parity-mixing state", "state", "ssr_violation",
+         lambda: PhenomenalState(ModeSet.full(1), 0.5 * np.ones((2, 2), dtype=complex))),
+        ("parity-odd generator", "generator", "ssr_violation",
+         lambda: exp_hamiltonian(annihilator(2, 0) + creator(2, 0))),
+        ("parity-mixing unitary", "unitary", "ssr_violation",
+         lambda: validate_ps_unitary(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))),
+        ("descriptor set without a parity-preserving witness", "descriptor set", "descriptor_algebra",
+         lambda: dsc.DescriptorSet(ModeSet.full(2), particle_hole, vacuum_state(2))),
+    )
+    for what, noun, code, build in forbidden:
+        try:
+            build()
+            failures.append(f"{what} accepted")
+        except ValidationError as exc:
+            if exc.code != code:
+                failures.append(f"{noun} rejected with wrong code {exc.code}")
 
     for seed in seeds:
         sample = random_ps_unitary(n_modes, int(seed))
@@ -395,7 +388,9 @@ def check_ssr_gatekeeping(n_modes: int, seeds) -> CheckResult:
     return CheckResult("ssr_gatekeeping", not failures, float(len(failures)), 0.0, (detail,))
 
 
-def check_descriptor_equivalence(n_modes: int, seeds, tol: float = 1e-9) -> CheckResult:
+def check_descriptor_equivalence(
+    n_modes: int, seeds, tol: float = SWEEP_TOLERANCES["descriptor_equivalence"]
+) -> CheckResult:
     """Descriptor equality at a mode is exactly off-mode locality of u v^dag."""
     worst = 0.0
     details = []
@@ -439,7 +434,7 @@ def check_descriptor_equivalence(n_modes: int, seeds, tol: float = 1e-9) -> Chec
     return CheckResult("descriptor_equivalence", ok and worst <= tol, worst, tol, tuple(details))
 
 
-def check_reconstruction(runs, tol: float = 1e-8) -> CheckResult:
+def check_reconstruction(runs, tol: float = SWEEP_TOLERANCES["reconstruction"]) -> CheckResult:
     """Forward-evolve, reconstruct, and compare phase-blind; round trip too."""
     worst = 0.0
     details = []
@@ -461,7 +456,7 @@ def check_reconstruction(runs, tol: float = 1e-8) -> CheckResult:
     return CheckResult("reconstruction", worst <= tol, worst, tol, tuple(details))
 
 
-def check_epimorphism(runs, tol: float = 1e-10) -> CheckResult:
+def check_epimorphism(runs, tol: float = SWEEP_TOLERANCES["epimorphism"]) -> CheckResult:
     """Full-set descriptor states equal direct Schroedinger evolution."""
     worst = 0.0
     details = []
@@ -532,57 +527,81 @@ def _merge(name: str, results: list[CheckResult], tol: float) -> CheckResult:
     return CheckResult(name, passed, residual, tol, details)
 
 
+def _family(name: str, run) -> CheckResult:
+    """A family's result; the sweep builds its own inputs, so an error inside is a failure.
+
+    A failed family's residual is infinite; its one detail holds the error's code and message.
+    """
+    try:
+        return run()
+    except ValidationError as exc:
+        detail = {"error": {"code": exc.code, "message": exc.args[0]}}
+        return CheckResult(name, False, math.inf, SWEEP_TOLERANCES[name], (detail,))
+
+
 def run_sweep(n_modes: int, base_seed: int, count: int) -> list[CheckResult]:
-    """The full randomized verification battery at one system size."""
+    """The full randomized verification battery at one system size.
+
+    The arguments, the mode cap included, are checked before any family
+    runs; a family that raises fails (see :func:`_family`).
+    """
     if n_modes < 2:
         raise ValidationError(
             "mode_out_of_range",
             "the sweep needs at least 2 modes (locality and signalling checks "
             "are vacuous on a single mode)",
         )
+    _check_n_modes(n_modes)
     if count < 1:
         raise ValidationError("bad_schema", "count must be at least 1")
     if base_seed < 0:
         raise ValidationError("bad_schema", "the base seed must be >= 0")
     seeds = [base_seed + i for i in range(count)]
-    out = [
-        check_canonical_algebra(n_modes, seeds),
-        check_ssr_gatekeeping(n_modes, seeds),
-        check_qubit_ladders(n_modes),
+
+    def locality():
+        loc = []
+        for subset in proper_subsets(n_modes):
+            for seed in seeds[: max(1, count // max(1, n_modes))]:
+                u = local_random_ps_unitary(subset, seed)
+                loc.append(check_locality_invariance(u, subset))
+        return _merge("locality_invariance", loc, SWEEP_TOLERANCES["locality_invariance"])
+
+    def no_signalling():
+        nosig = []
+        pairs = list(bipartitions(n_modes))
+        for i, seed in enumerate(seeds):
+            part_a, part_b = pairs[i % len(pairs)]
+            rho = random_phenomenal(n_modes, seed)
+            u_a = local_random_ps_unitary(part_a, seed * 2 + 1)
+            v_b = local_random_ps_unitary(part_b, seed * 2 + 2)
+            nosig.append(check_no_signalling(rho, u_a, v_b, part_a, part_b))
+        return _merge("no_signalling", nosig, SWEEP_TOLERANCES["no_signalling"])
+
+    def diagram():
+        diag = []
+        for seed in seeds[: max(1, count // 2)]:
+            u = random_ps_unitary(n_modes, seed)
+            psi0 = random_sector_state(n_modes, seed + 23)
+            d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
+            diag.append(check_diagram(d, list(proper_subsets(n_modes))))
+        return _merge("diagram", diag, SWEEP_TOLERANCES["diagram"])
+
+    runs = [(n_modes, s) for s in seeds]
+    control_seeds = seeds[: max(3, count // 10)]
+    families = [
+        ("canonical_algebra", lambda: check_canonical_algebra(n_modes, seeds)),
+        ("ssr_gatekeeping", lambda: check_ssr_gatekeeping(n_modes, seeds)),
+        ("qubit_ladders", lambda: check_qubit_ladders(n_modes)),
+        ("locality_invariance", locality),
+        ("no_signalling", no_signalling),
+        ("descriptor_equivalence", lambda: check_descriptor_equivalence(n_modes, seeds)),
+        ("reconstruction", lambda: check_reconstruction(runs)),
+        ("epimorphism", lambda: check_epimorphism(runs)),
+        ("diagram", diagram),
+        ("ontic_property_list", lambda: check_ontic_property_list(seeds, n_modes)),
+        (
+            "ontic_property_list_negative_control",
+            lambda: check_ontic_property_list(control_seeds, n_modes, negative_control=True),
+        ),
     ]
-
-    loc = []
-    for subset in proper_subsets(n_modes):
-        for seed in seeds[: max(1, count // max(1, n_modes))]:
-            loc.append(check_locality_invariance(local_random_ps_unitary(subset, seed), subset))
-    out.append(_merge("locality_invariance", loc, CHECK_TOLERANCES["locality_invariance"]))
-
-    nosig = []
-    pairs = list(bipartitions(n_modes))
-    for i, seed in enumerate(seeds):
-        part_a, part_b = pairs[i % len(pairs)]
-        rho = random_phenomenal(n_modes, seed)
-        u_a = local_random_ps_unitary(part_a, seed * 2 + 1)
-        v_b = local_random_ps_unitary(part_b, seed * 2 + 2)
-        nosig.append(check_no_signalling(rho, u_a, v_b, part_a, part_b))
-    out.append(_merge("no_signalling", nosig, CHECK_TOLERANCES["no_signalling"]))
-
-    out.append(check_descriptor_equivalence(n_modes, seeds))
-    out.append(check_reconstruction([(n_modes, s) for s in seeds]))
-    out.append(check_epimorphism([(n_modes, s) for s in seeds]))
-
-    diag = []
-    for seed in seeds[: max(1, count // 2)]:
-        u = random_ps_unitary(n_modes, seed)
-        psi0 = random_sector_state(n_modes, seed + 23)
-        d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
-        diag.append(check_diagram(d, list(proper_subsets(n_modes))))
-    out.append(_merge("diagram", diag, CHECK_TOLERANCES["diagram"]))
-
-    out.append(check_ontic_property_list(seeds, n_modes))
-    out.append(
-        check_ontic_property_list(
-            seeds[: max(3, count // 10)], n_modes, negative_control=True
-        )
-    )
-    return out
+    return [_family(name, run) for name, run in families]

@@ -67,7 +67,7 @@ def test_criterion_2_ssr_gatekeeping():
         failures = []
         forbidden = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
         try:
-            states.validate_phenomenal(ModeSet.full(1), forbidden)
+            states.PhenomenalState(ModeSet.full(1), forbidden)
             failures.append("forbidden state accepted")
         except ValidationError as exc:
             if exc.code != "ssr_violation":

@@ -15,8 +15,9 @@ stores the even part, so it is called only where a matrix enters (a
 scenario's total, JSON, ``validate_ps_unitary``, the witness-uniqueness
 check's phase); products and lifts go through ``PSUnitary._trusted``.
 ``PhenomenalState(...)`` runs ``eigvalsh`` and the grade, so it is called
-only for JSON and ``validate_phenomenal``; reductions, products, conjugations
-and the descriptor substitution go through ``PhenomenalState._trusted``.
+only for JSON and the ``ssr_gatekeeping`` check's forbidden state;
+reductions, products, conjugations and the descriptor substitution go
+through ``PhenomenalState._trusted``.
 ``parity_grade`` and ``require_even`` run only in those boundary checks.
 Every family's joint vacuum comes from one routine, ``_joint_vacuum``, and
 the vacuum factors run only there and in ``phenomenal_of``; no dense
@@ -108,7 +109,7 @@ def callers(name: str) -> list[str]:
                 "transformations:exp_hamiltonian",
             ],
         ),
-        ("PhenomenalState", ["serialize:json_to_state", "states:validate_phenomenal"]),
+        ("PhenomenalState", ["serialize:json_to_state", "verification:check_ssr_gatekeeping"]),
         (
             "descriptor_algebra_residual",
             [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fermidesc import fock
+from fermidesc.errors import ValidationError
 
 EXAMPLE_SCENARIO = {
     "n_modes": 2,
@@ -159,7 +160,7 @@ def even_hamiltonian(n_modes: int, seed: int) -> np.ndarray:
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((2 ** n_modes,) * 2) + 1j * rng.standard_normal((2 ** n_modes,) * 2)
-    parity = fock.parity_diagonal(n_modes)
+    parity = fock._parity_diagonal(n_modes)
     h = (z + z.conj().T) / 2
     return (h + parity[:, None] * h * parity[None, :]) / 2
 
@@ -519,6 +520,37 @@ def test_verify_rejects_negative_base_seed():
     assert proc.returncode == 3, proc.stderr
     assert "[bad_schema]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_beyond_the_mode_cap_exits_3(capsys, monkeypatch):
+    from conftest import count_calls
+    from fermidesc import cli, verification
+
+    families = count_calls(monkeypatch, verification, "check_canonical_algebra")
+    assert cli.main(["verify", "--modes", str(fock.mode_cap() + 1), "--count", "1"]) == 3
+    assert "[cap_exceeded]" in capsys.readouterr().err
+    assert families == []
+
+
+def test_verify_reports_a_library_fault_as_a_failed_family(tmp_path, monkeypatch, capsys):
+    """A fault raised inside a family is no bad input: exit 1, with the full report."""
+    from fermidesc import cli, descriptors
+
+    def degenerate(d):
+        raise ValidationError("degenerate_reconstruction", "planted fault")
+
+    monkeypatch.setattr(descriptors, "reconstruct_with_residual", degenerate)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--modes", "2", "--count", "2", "-o", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert len(checks) == 11
+    failed = checks.pop("reconstruction")
+    assert failed["passed"] is False and failed["residual"] == float("inf")
+    assert failed["details"] == [
+        {"error": {"code": "degenerate_reconstruction", "message": "planted fault"}}
+    ]
+    assert all(c["passed"] for c in checks.values())
+    assert "FAIL reconstruction: residual inf" in capsys.readouterr().err
 
 
 def test_verify_small_sweep(tmp_path):

@@ -13,6 +13,7 @@ from fermidesc.fock import ModeSet
 from fermidesc.verification import random_sector_state
 
 from conftest import count_calls
+from oracles import MonomialBasis
 
 
 def max_descriptor_distance(a: dsc.DescriptorSet, b: dsc.DescriptorSet) -> float:
@@ -209,7 +210,7 @@ def substituted_basis_images(
     """Images of the subsystem monomials with descriptors in place of ladders.
 
     Returns an array indexed like the flat (l, p) label order of
-    ``monomial_basis``: entry l*2^m+p is  cre_d(l) . vac_d . ann_d(p)  where
+    ``MonomialBasis``: entry l*2^m+p is  cre_d(l) . vac_d . ann_d(p)  where
     vac_d is the product of d_j d_j^dag over the subsystem.
     """
     m = len(modes)
@@ -256,7 +257,7 @@ def substitution_oracle(w: tf.PSUnitary, d: dsc.DescriptorSet) -> dict[int, np.n
     ladder monomials and replaces every ladder factor by its descriptor.
     """
     moved = tf.invariance_support(w)
-    basis = algebra.monomial_basis(moved)
+    basis = MonomialBasis.of(moved)
     images = substituted_basis_images(d.matrices(), moved.indices, 2 ** d.n_modes)
     out = d.matrices()
     for a in moved.indices:
@@ -705,8 +706,8 @@ def test_reconstruct_random_round_trip(seed):
 def structured_cases():
     # sparse matrices, sign diagonals, and argmax ties stress the modulus
     # and phase recovery differently than Haar samples
-    yield "parity_2", tf.PSUnitary(2, np.diag(fock.parity_diagonal(2)))
-    yield "parity_3", tf.PSUnitary(3, np.diag(fock.parity_diagonal(3)))
+    yield "parity_2", tf.PSUnitary(2, np.diag(fock._parity_diagonal(2)))
+    yield "parity_3", tf.PSUnitary(3, np.diag(fock._parity_diagonal(3)))
     yield "swap_like", tf.named_gate("tunneling", 3, modes=(0, 2), theta=np.pi / 2)
     yield "interaction", tf.named_gate("interaction", 3, modes=(1, 2), theta=2.2)
     yield "identity_3", tf.PSUnitary(3, np.eye(8, dtype=complex))
@@ -811,7 +812,7 @@ def test_genuine_full_sets_pass_the_gate_on_their_witness(monkeypatch, n_modes):
 
 def odd_direction(n_modes: int, rng: np.random.Generator) -> np.ndarray:
     """A unit-norm random matrix that flips parity, so a perturbed descriptor stays odd."""
-    parity = fock.parity_diagonal(n_modes).real
+    parity = fock._parity_diagonal(n_modes).real
     dim = 2 ** n_modes
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     z[parity[:, None] == parity[None, :]] = 0.0
@@ -999,7 +1000,7 @@ def families(n_modes: int):
 def test_joint_vacuum_spans_the_projector_eigenspace(n_modes):
     # the oracle is the dense projector: for these CAR families its eigenvalues
     # are 0 and 1, so it is the projector onto its eigenspace above one half
-    parity = fock.parity_diagonal(n_modes).real
+    parity = fock._parity_diagonal(n_modes).real
     for d in families(n_modes):
         empty = family_empty(d)
         x_d = dsc._joint_vacuum(d.matrices(), n_modes, empty)
@@ -1250,7 +1251,7 @@ def projector_phenomenal(d: dsc.DescriptorSet) -> np.ndarray:
     ]
     ys = np.stack([y_of(p) for p in patterns])
     gamma = (ys.conj() @ vac @ ys.T).T
-    states.validate_phenomenal(d.subsystem, gamma)
+    states.PhenomenalState(d.subsystem, gamma)
     return gamma
 
 

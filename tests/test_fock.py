@@ -72,6 +72,20 @@ def test_dense_ladder_cache_is_bounded():
     assert fock._annihilator_matrix.cache_info().maxsize is not None
 
 
+def test_every_kernel_cache_is_bounded():
+    from fermidesc import algebra, descriptors, serialize, states, transformations, verification
+
+    modules = (fock, algebra, states, transformations, descriptors, verification, serialize)
+    caches = {
+        f"{module.__name__}.{name}": obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert "fermidesc.fock._parity_diagonal" in caches
+    assert [name for name, cache in caches.items() if cache.cache_info().maxsize is None] == []
+
+
 def test_single_mode_annihilator_shape():
     m = fock.annihilator(1, 0).matrix
     assert np.array_equal(m, np.array([[0, 1], [0, 0]], dtype=complex))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls
+from oracles import MonomialBasis
 from fermidesc import algebra, descriptors as dsc, fock, states
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
@@ -56,25 +57,25 @@ def brute_force_partial_trace(state: states.PhenomenalState, keep: ModeSet) -> n
 def test_validation_examples():
     forbidden = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     with pytest.raises(ValidationError) as err:
-        states.validate_phenomenal(ModeSet.full(1), forbidden)
+        states.PhenomenalState(ModeSet.full(1), forbidden)
     assert err.value.code == "ssr_violation"
 
     vac = fock.vacuum_state(2).projector().matrix
-    assert states.validate_phenomenal(ModeSet.full(2), vac).n_modes == 2
+    assert states.PhenomenalState(ModeSet.full(2), vac).n_modes == 2
 
     mix = 0.5 * vac + 0.5 * fock.fock_basis_state(2, [1, 1]).projector().matrix
-    states.validate_phenomenal(ModeSet.full(2), mix)
+    states.PhenomenalState(ModeSet.full(2), mix)
 
 
 def test_validation_error_codes_distinct():
     with pytest.raises(ValidationError) as err:
-        states.validate_phenomenal(ModeSet.full(1), np.array([[1, 1j], [1j, 0]]))
+        states.PhenomenalState(ModeSet.full(1), np.array([[1, 1j], [1j, 0]]))
     assert err.value.code == "not_hermitian"
     with pytest.raises(ValidationError) as err:
-        states.validate_phenomenal(ModeSet.full(1), np.diag([0.9, 0.0]).astype(complex))
+        states.PhenomenalState(ModeSet.full(1), np.diag([0.9, 0.0]).astype(complex))
     assert err.value.code == "not_trace_one"
     with pytest.raises(ValidationError) as err:
-        states.validate_phenomenal(ModeSet.full(1), np.diag([1.5, -0.5]).astype(complex))
+        states.PhenomenalState(ModeSet.full(1), np.diag([1.5, -0.5]).astype(complex))
     assert err.value.code == "not_positive"
 
 
@@ -200,7 +201,7 @@ def test_partial_trace_defining_property(seed):
 
     # a random Hermitian parity-even observable on the kept modes; the small
     # matrix's entries double as its monomial coefficients under embedding
-    basis = algebra.monomial_basis(keep)
+    basis = MonomialBasis.of(keep)
     dim_small = 2 ** len(keep)
     small = np.zeros((dim_small, dim_small), dtype=complex)
     for k, (l_pat, p_pat) in enumerate(basis.labels):
@@ -314,13 +315,13 @@ def test_partial_trace_preserves_ssr_and_trace(n_modes):
     # the library trusts these outputs, so each is validated in full here
     for seed in range(4):
         rho = random_phenomenal(n_modes, seed)
-        states.validate_phenomenal(rho.subsystem, rho.matrix)
+        states.PhenomenalState(rho.subsystem, rho.matrix)
         for size in range(1, n_modes):
             keep = ModeSet(tuple(range(size)), n_modes)
             for reduce in (states.partial_trace, states.partial_trace_jw):
                 kept, rest = reduce(rho, keep), reduce(rho, keep.complement())
                 for out in (kept, rest, states.product_state(kept, rest)):
-                    states.validate_phenomenal(out.subsystem, out.matrix)
+                    states.PhenomenalState(out.subsystem, out.matrix)
                     assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
 
@@ -338,7 +339,7 @@ def test_derived_states_are_not_validated_again(monkeypatch):
     derived.append(states.product_state(derived[-2], states.partial_trace(rho, keep.complement())))
     assert spectra == [] and grades == []
     for out in derived:
-        states.validate_phenomenal(out.subsystem, out.matrix)
+        states.PhenomenalState(out.subsystem, out.matrix)
 
 
 def test_conjugated_states_stay_valid():
@@ -346,7 +347,7 @@ def test_conjugated_states_stay_valid():
     rho = random_phenomenal(3, 9)
     u = random_ps_unitary(3, 10)
     evolved = u.matrix @ rho.matrix @ u.matrix.conj().T
-    states.validate_phenomenal(ModeSet.full(3), evolved)
+    states.PhenomenalState(ModeSet.full(3), evolved)
 
 
 def test_trusted_state_checks_only_the_trace(monkeypatch):
@@ -357,7 +358,7 @@ def test_trusted_state_checks_only_the_trace(monkeypatch):
     grades = count_calls(monkeypatch, algebra, "parity_grade")
     trusted = states.PhenomenalState._trusted(ModeSet.full(3), evolved.copy())
     assert spectra == [] and grades == []
-    assert np.array_equal(trusted.matrix, states.validate_phenomenal(ModeSet.full(3), evolved).matrix)
+    assert np.array_equal(trusted.matrix, states.PhenomenalState(ModeSet.full(3), evolved).matrix)
     assert not trusted.matrix.flags.writeable
     with pytest.raises(ValidationError) as err:
         states.PhenomenalState._trusted(ModeSet.full(3), 0.9 * evolved)

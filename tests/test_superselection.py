@@ -33,7 +33,7 @@ MODE_COUNTS = range(2, 7)
 
 
 def pure(n_modes: int, v: np.ndarray) -> states.PhenomenalState:
-    return states.validate_phenomenal(ModeSet.full(n_modes), np.outer(v, v.conj()))
+    return states.PhenomenalState(ModeSet.full(n_modes), np.outer(v, v.conj()))
 
 
 def other_subsets(n_modes: int, a: int):

@@ -76,7 +76,7 @@ def test_exp_hamiltonian_zero_gives_identity():
 def test_exp_hamiltonian_matches_spectral_oracle(seed):
     rng = np.random.default_rng(seed)
     n_modes = 3
-    diag = fock.parity_diagonal(n_modes).real
+    diag = fock._parity_diagonal(n_modes).real
     h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = (h + h.conj().T) / 2
     # zero out the parity-mixing blocks to make the generator even
@@ -89,7 +89,7 @@ def test_exp_hamiltonian_matches_spectral_oracle(seed):
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
 def test_exp_hamiltonian_matches_scipy_expm(n_modes):
     rng = np.random.default_rng(n_modes)
-    diag = fock.parity_diagonal(n_modes).real
+    diag = fock._parity_diagonal(n_modes).real
     for _ in range(5):
         h = rng.standard_normal((2**n_modes,) * 2) + 1j * rng.standard_normal((2**n_modes,) * 2)
         h = np.where(np.equal.outer(diag, diag), (h + h.conj().T) / 2, 0.0)

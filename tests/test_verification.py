@@ -1,5 +1,7 @@
 """Checkers: positive cases, negative controls, determinism of evidence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,14 @@ def test_ontic_property_negative_control_detects_nonlocal_action():
     assert result.name == "ontic_property_list_negative_control"
 
 
+def test_negative_control_computes_only_its_own_property(monkeypatch):
+    # properties 1-3 build a bare set's witness and a join; property 4 needs neither
+    intertwiners = count_calls(monkeypatch, dsc, "_intertwiner")
+    joins = count_calls(monkeypatch, dsc, "compatible")
+    assert vf.check_ontic_property_list(range(5), 3, negative_control=True).passed
+    assert intertwiners == joins == []
+
+
 def test_ontic_property_list_at_six_modes():
     # the joins here need witnesses on 64-dimensional Fock spaces
     result = vf.check_ontic_property_list(range(3), 6)
@@ -275,6 +285,30 @@ def test_canonical_algebra_check():
 def test_ssr_gatekeeping_check():
     result = vf.check_ssr_gatekeeping(3, range(10))
     assert result.passed, result.details
+
+
+@pytest.mark.parametrize("refusal", [None, "wrong_code"])
+def test_ssr_gatekeeping_names_each_forbidden_input_it_lets_through(monkeypatch, refusal):
+    def gate(*args, **kwargs):
+        if refusal:
+            raise ValidationError(refusal, "planted")
+
+    for name in ("PhenomenalState", "exp_hamiltonian", "validate_ps_unitary"):
+        monkeypatch.setattr(vf, name, gate)
+    monkeypatch.setattr(dsc, "DescriptorSet", gate)
+    failures = vf.check_ssr_gatekeeping(2, []).details[0]["failures"]
+    if refusal is None:
+        assert failures == [
+            "parity-mixing state accepted",
+            "parity-odd generator accepted",
+            "parity-mixing unitary accepted",
+            "descriptor set without a parity-preserving witness accepted",
+        ]
+    else:
+        assert failures == [
+            f"{noun} rejected with wrong code wrong_code"
+            for noun in ("state", "generator", "unitary", "descriptor set")
+        ]
 
 
 def test_descriptor_equivalence_check():
@@ -333,8 +367,8 @@ def test_run_sweep_all_green():
 
 
 # Planted-bug controls: each case plants one physics bug in a kernel, bound
-# everywhere the library reads it, and the sweep must notice, by a failed
-# family or by a ValidationError raised mid-sweep.  A tolerance squeeze shows
+# everywhere the library reads it, and the sweep must notice by a failed
+# family; an error raised inside a family fails it.  A tolerance squeeze shows
 # that a check can fail on rounding; these show that it fails on wrong physics.
 
 def _heisenberg_in_the_wrong_order(self, mode):
@@ -463,17 +497,6 @@ def _plant(monkeypatch, bug):
         )
 
 
-# planted bugs the sweep catches only as a ValidationError from inside a
-# family, with the code a caller would read as bad input, not as a failed family
-RAISED_BY_THE_SWEEP = {
-    "heisenberg_u_f_udag": "degenerate_reconstruction",
-    "phenomenal_without_vacuum": "not_trace_one",
-    "unsigned_mode_reorder": "internal_inconsistency",
-    "seeded_block_in_the_other_sector": "degenerate_reconstruction",
-    "unsigned_fold_scatter": "not_local",
-}
-
-
 @pytest.fixture
 def fresh_kernel_caches():
     caches = (
@@ -481,6 +504,7 @@ def fresh_kernel_caches():
         fock._annihilator_matrix,
         fock._sector_ladder,
         fock._sector_pairs,
+        fock._parity_diagonal,
         fock.parity_sectors,
         algebra._mode_reorder,
     )
@@ -510,13 +534,28 @@ def fresh_kernel_caches():
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
     _plant(monkeypatch, bug)
-    if bug in RAISED_BY_THE_SWEEP:
-        with pytest.raises(ValidationError) as err:
-            vf.run_sweep(3, 0, 6)
-        assert err.value.code == RAISED_BY_THE_SWEEP[bug]
-        return
-    results = vf.run_sweep(3, 0, 6)
+    results = vf.run_sweep(3, 0, 6)  # a fault raised inside a family fails that family
     assert not all(r.passed for r in results), [r.name for r in results]
+
+
+def test_sweep_refuses_modes_beyond_the_cap_before_any_family(monkeypatch):
+    families = count_calls(monkeypatch, vf, "check_canonical_algebra")
+    with pytest.raises(ValidationError) as err:
+        vf.run_sweep(fock.mode_cap() + 1, 0, 1)
+    assert err.value.code == "cap_exceeded"
+    assert families == []
+
+
+def test_a_family_that_raises_fails_with_the_error_in_its_details(monkeypatch):
+    def degenerate(d):
+        raise ValidationError("degenerate_reconstruction", "planted")
+
+    monkeypatch.setattr(dsc, "reconstruct_with_residual", degenerate)
+    results = {r.name: r for r in vf.run_sweep(2, 0, 2)}
+    failed = results.pop("reconstruction")
+    assert (failed.passed, failed.residual, failed.tolerance) == (False, math.inf, 1e-8)
+    assert failed.details == ({"error": {"code": "degenerate_reconstruction", "message": "planted"}},)
+    assert all(r.passed for r in results.values())
 
 
 def test_sweep_without_a_planted_bug_is_green(fresh_kernel_caches):
