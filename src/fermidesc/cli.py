@@ -329,11 +329,15 @@ def _emit(data: dict, out):
 
 
 def _summarize(checks: list[dict]) -> int:
-    """Print one line per check to stderr; the exit code of the verdicts."""
+    """Print one line per check to stderr; the exit code of the verdicts.
+
+    A null residual, a family that raised, prints as inf.
+    """
     for check in checks:
         status = "pass" if check["passed"] else "FAIL"
+        residual = math.inf if check["residual"] is None else check["residual"]
         print(
-            f"{status} {check['name']}: residual {check['residual']:.3e}"
+            f"{status} {check['name']}: residual {residual:.3e}"
             f" (tolerance {check['tolerance']:g})",
             file=sys.stderr,
         )

@@ -38,6 +38,7 @@ wrong order and is deliberately not what this module does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,6 +58,7 @@ from .fock import (
 from .states import PhenomenalState
 from .transformations import (
     PSUnitary,
+    _commutator_norms,
     canonical_phase,
     invariance_support,
     validate_ps_unitary,
@@ -65,6 +67,7 @@ from .transformations import (
 CAR_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
 EQUIV_TOL = 1e-10
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def descriptor_algebra_residual(descriptors: Sequence[np.ndarray], dim: int) -> float:
@@ -81,10 +84,11 @@ def descriptor_algebra_residual(descriptors: Sequence[np.ndarray], dim: int) -> 
 
 
 def _require_heisenberg_state(psi0: FockVector, n_modes: int) -> None:
+    """A unit vector of the ambient space in one parity sector; each vector is graded once."""
     if psi0.n_modes != n_modes:
         raise ValidationError("dimension_mismatch", "Heisenberg state must live in the ambient space")
     psi0.require_normalized()
-    if algebra.parity_grade(psi0.amplitudes) == algebra.GRADE_MIXED:
+    if psi0._grade == algebra.GRADE_MIXED:
         raise ValidationError("ssr_violation", "Heisenberg state must live in a single parity sector")
 
 
@@ -165,7 +169,7 @@ def evolve_descriptors(u: PSUnitary, subsystem: ModeSet, psi0: FockVector) -> De
         raise ValidationError("dimension_mismatch", "subsystem/unitary mode counts differ")
     subsystem.require_nonempty()
     _require_heisenberg_state(psi0, u.n_modes)
-    descriptors = tuple(FockOperator(u.n_modes, u.heisenberg(a)) for a in subsystem)
+    descriptors = tuple(FockOperator._trusted(u.n_modes, u.heisenberg(a)) for a in subsystem)
     return _assembled(subsystem, descriptors, psi0, (u, 0.0))
 
 
@@ -305,10 +309,20 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
     substitution: w^dag f_a w is a polynomial in the moved modes' ladders,
     and conjugation by W is the algebra map that replaces every f_b by
     W^dag f_b W = d_b.  The frame w W is then a witness of the result,
-    exact on the moved modes, which the result carries with its residual
-    over the unmoved ones.  Naive two-sided conjugation of the stored
-    matrices by w would compose in the wrong order and is deliberately not
-    what this does.
+    exact on the moved modes, which the result carries with a bound on its
+    residual over the unmoved ones.  Naive two-sided conjugation of the
+    stored matrices by w would compose in the wrong order and is
+    deliberately not what this does.
+
+    A lift (``transformations._lifted``) acts through the local factor it
+    carries: its moved modes come from the factor, and the frame is
+    ``algebra.fold_local(W.matrix.copy(), small, subsystem)``, with no dense
+    product, and only the moved modes get Heisenberg images.  The frame's
+    defect and its unmoved residual are bounded, not measured:
+    delta_F <= delta_W + (1 + delta_W) delta_L + 2 s rho + rho^2 and
+    eps_F <= eps_W + (1 + delta_W)(delta_L + c) + 2 s rho + rho^2, with the
+    terms of :func:`_folded_frame`.  A bare ``w`` (JSON, a product) takes the
+    dense path: the frame is ``w @ W``, its defect and residual measured.
 
     The moved modes must be tracked, otherwise the partial set cannot
     determine the result and a coverage error is raised.  The result is
@@ -326,12 +340,51 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
             f"transformation moves modes {moved.indices} but the descriptor set "
             f"only tracks {d.subsystem.indices}",
         )
-    frame = w @ d._witness[0]
-    images = {a: FockOperator(d.n_modes, frame.heisenberg(a)) for a in moved}
-    new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
-    witness = (frame, _witness_residual(frame, unmoved))
+    if w._local is None:
+        frame = w @ d._witness[0]
+        witness = (frame, _witness_residual(frame, unmoved))
+    else:
+        witness = _folded_frame(w, d._witness, unmoved)
+    images = {a: FockOperator._trusted(d.n_modes, witness[0].heisenberg(a)) for a in moved}
+    new_descriptors = tuple(images.get(a, old) for a, old in zip(d.subsystem, d.descriptors))
     return _assembled(d.subsystem, new_descriptors, d.heisenberg_state, witness)
+
+
+def _folded_frame(
+    lift: PSUnitary, witness: tuple[PSUnitary, float], unmoved: dict[int, np.ndarray]
+) -> tuple[PSUnitary, float]:
+    """The frame ``lift @ W`` of a lift, folded from its factor, and a bound on its residual.
+
+    With delta_L the lift's carried defect, (W, eps_W) the witness and
+    delta_W its defect, s = sqrt((1 + delta_L)(1 + delta_W)) bounds the
+    spectral norm of the exact product L W.  The fold is one product of
+    ``small`` with the gathered rows of W, so its rounding E has
+    |E| <= rho = sqrt(2) gamma_(2^m + 2) |small| |W| (Higham's complex
+    matrix-product bound, gamma_k = k u / (1 - k u), u = 2^-53).  Then
+
+        |F^dag F - I| <= delta_W + (1 + delta_W) delta_L + 2 s rho + rho^2,
+        max_b |F^dag f_b F - d_b| <= eps_W + (1 + delta_W)(delta_L + c) + 2 s rho + rho^2,
+
+    the latter over the unmoved modes b, where c = sqrt(1 + delta_L) max_b
+    |L f_b - f_b L|, which is exactly 0 for every b off the lift's
+    subsystem: there L^dag f_b L - f_b = (L^dag L - I) f_b.
+    """
+    small, sub = lift._local
+    w_frame, eps_w = witness
+    delta_l, delta_w = lift.defect, w_frame.defect
+    matrix = w_frame.matrix.copy()
+    algebra.fold_local(matrix, small, sub)
+    k = 2 ** len(sub) + 2
+    gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    rho = math.sqrt(2) * gamma * frobenius(small) * frobenius(w_frame.matrix)
+    rounding = 2 * math.sqrt((1 + delta_l) * (1 + delta_w)) * rho + rho**2
+    norms = _commutator_norms(lift)[0]
+    c = math.sqrt(1 + delta_l) * max((norms.get(b, 0.0) for b in unmoved), default=0.0)
+    frame = PSUnitary._trusted(
+        lift.n_modes, matrix, delta_w + (1 + delta_w) * delta_l + rounding
+    )
+    return frame, eps_w + (1 + delta_w) * (delta_l + c) + rounding
 
 
 def ontic_project(d: DescriptorSet, subsystem: ModeSet) -> DescriptorSet:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,6 +205,19 @@ class FockOperator:
         _check_n_modes(self.n_modes)
         object.__setattr__(self, "matrix", checked_array(self.matrix, self.n_modes, 2))
 
+    @classmethod
+    def _trusted(cls, n_modes: int, matrix: np.ndarray) -> "FockOperator":
+        """An operator the library built from validated parts, such as a Heisenberg image.
+
+        ``matrix`` is a fresh finite complex 2^N x 2^N array; it is made
+        read-only and kept, with no array rule, finiteness check or copy.
+        """
+        matrix.setflags(write=False)
+        o = object.__new__(cls)
+        object.__setattr__(o, "n_modes", n_modes)
+        object.__setattr__(o, "matrix", matrix)
+        return o
+
     @property
     def dim(self) -> int:
         return 2 ** self.n_modes
@@ -264,6 +277,13 @@ class FockVector:
                 "not_normalized", f"state norm is {self.norm():.3e}, expected 1"
             )
         return self
+
+    @cached_property
+    def _grade(self) -> str:
+        """The parity grade of the amplitudes, taken once: they are read-only."""
+        from .algebra import parity_grade  # algebra is built on this module
+
+        return parity_grade(self.amplitudes)
 
     def projector(self) -> FockOperator:
         v = self.amplitudes

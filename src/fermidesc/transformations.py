@@ -50,13 +50,19 @@ class PSUnitary:
     measured on the two sector blocks.  Unitaries built from such parts go
     through :meth:`_trusted`, carrying their defect; ``@`` measures its
     product's defect, which a bound from the factors would leave out, and
-    grades nothing.
+    grades nothing.  A lift (``_lifted``) also carries its local factor
+    ``(small, subsystem)``; ``@``, JSON and bare matrices carry none.
     """
 
     n_modes: int
     matrix: np.ndarray
     # |M^dag M - I| in the Frobenius norm, kept for the canonical-relation gate
     defect: float = field(init=False, repr=False, compare=False)
+    # (small, subsystem) of a lift, whose matrix is small (x) I in the frame putting
+    # the subsystem's modes first; read by invariance_support and ontic_apply only
+    _local: tuple[np.ndarray, ModeSet] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         _check_n_modes(self.n_modes)
@@ -76,7 +82,12 @@ class PSUnitary:
 
     @classmethod
     def _trusted(
-        cls, n_modes: int, matrix: np.ndarray, defect: float, blocks: tuple | None = None
+        cls,
+        n_modes: int,
+        matrix: np.ndarray,
+        defect: float,
+        blocks: tuple | None = None,
+        local: tuple[np.ndarray, ModeSet] | None = None,
     ) -> "PSUnitary":
         """A unitary the library built from validated parts, with its defect carried.
 
@@ -84,7 +95,8 @@ class PSUnitary:
         and ``defect`` its exact or measured ``|M^dag M - I|``; no
         array rule, dense ``M^dag M`` or parity grade runs, but a defect
         above the tolerance is still refused.  ``blocks``, when given, are
-        the matrix's (even, odd) sector blocks, kept for the block kernels.
+        the matrix's (even, odd) sector blocks, kept for the block kernels;
+        ``local``, when given, is the local factor of a lift.
         """
         _require_unitary(defect, 2 ** n_modes)
         matrix.setflags(write=False)
@@ -92,6 +104,9 @@ class PSUnitary:
         object.__setattr__(u, "n_modes", n_modes)
         object.__setattr__(u, "matrix", matrix)
         object.__setattr__(u, "defect", defect)
+        if local is not None:
+            local[0].setflags(write=False)
+        object.__setattr__(u, "_local", local)
         if blocks is not None:
             for block in blocks:
                 block.setflags(write=False)
@@ -108,8 +123,17 @@ class PSUnitary:
         return 2 ** self.n_modes
 
     def dag(self) -> "PSUnitary":
-        """The adjoint: as even and finite as U, and |U U^dag - I| = |U^dag U - I|."""
-        return PSUnitary._trusted(self.n_modes, self.matrix.conj().T.copy(), self.defect)
+        """The adjoint: as even and finite as U, and |U U^dag - I| = |U^dag U - I|.
+
+        The adjoint of a lift is the lift of its factor's adjoint, and carries that.
+        """
+        local = None
+        if self._local is not None:
+            small, sub = self._local
+            local = (small.conj().T.copy(), sub)
+        return PSUnitary._trusted(
+            self.n_modes, self.matrix.conj().T.copy(), self.defect, local=local
+        )
 
     def __matmul__(self, other: "PSUnitary") -> "PSUnitary":
         if not isinstance(other, PSUnitary):
@@ -280,10 +304,16 @@ def _lifted(small: np.ndarray, defect: float, sub: ModeSet) -> PSUnitary:
     reordered frame, so its ``U^dag U - I`` is ``(small^dag small - I) (x) I``
     reordered, of norm ``defect * 2^((N - m) / 2)``, and it is exactly even
     as ``small`` is; both callers build ``small`` so, and nothing is graded.
+    The lift keeps its factor ``(small, sub)``: ``invariance_support`` runs
+    its rule on ``small`` and ``descriptors.ontic_apply`` folds ``small``
+    into its frame, so neither reads the 2^N x 2^N matrix.  The theorem
+    checks read the matrix, never the factor.
     """
     lift = algebra.embed_local_operator(small, sub).matrix
     scale = math.sqrt(2 ** (sub.ambient_n - len(sub)))
-    return PSUnitary._trusted(sub.ambient_n, lift, defect * scale)
+    return PSUnitary._trusted(
+        sub.ambient_n, lift, defect * scale, local=(np.array(small, dtype=complex), sub)
+    )
 
 
 def is_local_unitary(u: PSUnitary, subsystem: ModeSet, tol: float = 1e-10) -> bool:
@@ -297,16 +327,35 @@ def invariance_support(u: PSUnitary) -> ModeSet:
     A parity-even unitary commutes with every annihilator outside a mode set
     exactly when it is local to that set, so this is its locality support
     (empty for a global phase): the modes j with |U f_j - f_j U| above
-    LOCALITY_TOL max(1, |U|), each product a signed gather reversing U's mode-j axis.
+    LOCALITY_TOL max(1, |U|) (see :func:`_commutator_norms`).
     """
-    bound = algebra.LOCALITY_TOL * max(1.0, frobenius(u.matrix))
-    moved = []
-    for j in range(u.n_modes):
-        sign = _ladder_columns(u.n_modes, j)[1].reshape(2 ** j, 2, -1)
-        x = u.matrix.reshape(sign.shape * 2)
-        if frobenius(x[..., ::-1, :] * sign - (sign[..., None, None, None] * x)[:, ::-1]) > bound:
-            moved.append(j)
-    return ModeSet(tuple(moved), u.n_modes)
+    norms, norm = _commutator_norms(u)
+    bound = algebra.LOCALITY_TOL * max(1.0, norm)
+    return ModeSet(tuple(j for j, r in norms.items() if r > bound), u.n_modes)
+
+
+def _commutator_norms(u: PSUnitary) -> tuple[dict[int, float], float]:
+    """|U f_j - f_j U| of every mode j that U can move, and |U|, in the Frobenius norm.
+
+    Each product is a signed gather reversing the matrix's mode-j axis.  A
+    lift is ``small (x) I`` in the frame putting its m modes first, where
+    each of those modes' annihilators is ``f (x) I`` with ``f`` on the small
+    space, so its norms are the factor's scaled by 2^((N - m) / 2); it
+    commutes exactly with every annihilator off its subsystem, whose modes
+    are left out.  No 2^N x 2^N array is read for a lift.
+    """
+    if u._local is None:
+        matrix, modes, scale = u.matrix, range(u.n_modes), 1.0
+    else:
+        matrix, sub = u._local
+        modes, scale = sub.indices, math.sqrt(2 ** (u.n_modes - len(sub)))
+    norms = {}
+    for p, mode in enumerate(modes):
+        sign = _ladder_columns(len(modes), p)[1].reshape(2 ** p, 2, -1)
+        x = matrix.reshape(sign.shape * 2)
+        gathered = x[..., ::-1, :] * sign - (sign[..., None, None, None] * x)[:, ::-1]
+        norms[mode] = scale * frobenius(gathered)
+    return norms, scale * frobenius(matrix)
 
 
 def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:

@@ -75,10 +75,12 @@ class CheckResult:
     details: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
+        """The report entry; a non-finite residual (a family that raised) is written as null."""
+        residual = float(self.residual)
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "residual": float(self.residual),
+            "residual": residual if math.isfinite(residual) else None,
             "tolerance": float(self.tolerance),
             "details": list(self.details),
         }

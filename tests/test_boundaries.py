@@ -18,7 +18,8 @@ check's phase); products and lifts go through ``PSUnitary._trusted``.
 only for JSON and the ``ssr_gatekeeping`` check's forbidden state;
 reductions, products, conjugations and the descriptor substitution go
 through ``PhenomenalState._trusted``.
-``parity_grade`` and ``require_even`` run only in those boundary checks.
+``parity_grade`` and ``require_even`` run only in those boundary checks; a
+Heisenberg state's grade is taken once per ``FockVector`` (``FockVector._grade``).
 Every family's joint vacuum comes from one routine, ``_joint_vacuum``, and
 the vacuum factors run only there and in ``phenomenal_of``; no dense
 projector is diagonalised, so ``eigh`` runs only in ``exp_hamiltonian``.
@@ -97,7 +98,7 @@ def callers(name: str) -> list[str]:
                 "algebra:wedge",
                 "algebra:wedge",
                 "descriptors:__post_init__",
-                "descriptors:_require_heisenberg_state",
+                "fock:_grade",
             ],
         ),
         (

@@ -542,10 +542,14 @@ def test_verify_reports_a_library_fault_as_a_failed_family(tmp_path, monkeypatch
     monkeypatch.setattr(descriptors, "reconstruct_with_residual", degenerate)
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--modes", "2", "--count", "2", "-o", str(out)]) == 1
-    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+
+    def refuse(token):
+        raise AssertionError(f"the report holds the non-JSON token {token}")
+
+    checks = {c["name"]: c for c in json.loads(out.read_text(), parse_constant=refuse)["checks"]}
     assert len(checks) == 11
     failed = checks.pop("reconstruction")
-    assert failed["passed"] is False and failed["residual"] == float("inf")
+    assert failed["passed"] is False and failed["residual"] is None
     assert failed["details"] == [
         {"error": {"code": "degenerate_reconstruction", "message": "planted fault"}}
     ]

@@ -1,6 +1,7 @@
 """Superselected unitaries: validation, generators, gates, locality, sampling."""
 
 import itertools
+import json
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import count_calls
+from conftest import count_calls, lift_cases
 from fermidesc import algebra, descriptors as dsc, fock, transformations as tf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
@@ -574,3 +575,44 @@ def test_canonical_phase_pins_first_block_entry():
     rotated = tf.canonical_phase(np.exp(0.77j) * u, 3)
     base = tf.canonical_phase(u, 3)
     assert fock.frobenius(rotated - base) < 1e-12
+
+
+@pytest.mark.parametrize("n_modes", range(2, 8))
+def test_invariance_support_of_a_lift_reads_only_its_factor(monkeypatch, n_modes):
+    cases = lift_cases(n_modes)
+    assert all(u._local is not None for u in cases)
+    norms = []
+    frobenius = tf.frobenius
+    monkeypatch.setattr(tf, "frobenius", lambda a: norms.append(a.size) or frobenius(a))
+    for u in cases:
+        norms.clear()
+        support = tf.invariance_support(u)
+        assert norms and set(norms) == {4 ** len(u._local[1])}  # no 4^N gather
+        monkeypatch.setattr(tf, "frobenius", frobenius)
+        assert support == tf.invariance_support(tf.PSUnitary(n_modes, u.matrix))
+        assert support.is_subset_of(u._local[1])
+        monkeypatch.setattr(tf, "frobenius", lambda a: norms.append(a.size) or frobenius(a))
+    assert tf.invariance_support(cases[-1]).is_empty  # tunneling at theta = 0 moves nothing
+
+
+def test_only_a_lift_and_its_adjoint_carry_the_factor():
+    from fermidesc import serialize
+
+    sub = ModeSet((1, 3), 4)
+    lift = tf.local_random_ps_unitary(sub, 5)
+    small, carried = lift._local
+    assert carried == sub and not small.flags.writeable
+    assert np.array_equal(small, tf.random_ps_unitary(2, 5).matrix)
+    adjoint = lift.dag()
+    assert adjoint._local[1] == sub
+    assert np.array_equal(adjoint._local[0], small.conj().T)
+    others = (
+        lift @ lift,
+        tf.PSUnitary(4, lift.matrix),
+        serialize.json_to_unitary(
+            json.loads(json.dumps(serialize.unitary_to_json(lift), default=serialize.plain))
+        ),
+        tf.random_ps_unitary(4, 5),
+        tf.local_random_ps_unitary(ModeSet.full(4), 5),
+    )
+    assert all(u._local is None for u in others)

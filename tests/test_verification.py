@@ -440,6 +440,17 @@ def _fold_local_without_its_sign(target, small, subsystem):
     )
 
 
+def _lifted_with_a_shifted_subsystem(small, defect, sub, lifted=tf._lifted):
+    # the matrix is the lift on sub; the carried subsystem trades sub's last
+    # mode for the first mode outside it
+    lift = lifted(small, defect, sub)
+    free = [j for j in range(sub.ambient_n) if j not in sub]
+    if free:
+        shifted = ModeSet.of(sub.indices[:-1] + (free[0],), sub.ambient_n)
+        object.__setattr__(lift, "_local", (lift._local[0], shifted))
+    return lift
+
+
 def _gate_keeping_sets_without_a_witness(self):
     # the exact residual decides whenever no witness is built, and a set
     # that obeys the canonical relations is kept with none
@@ -491,6 +502,8 @@ def _plant(monkeypatch, bug):
         monkeypatch.setattr(dsc, "_joint_vacuum", _joint_vacuum_seeded_in_the_other_sector)
     elif bug == "unsigned_fold_scatter":
         monkeypatch.setattr(algebra, "fold_local", _fold_local_without_its_sign)
+    elif bug == "lift_carries_a_shifted_subsystem":
+        monkeypatch.setattr(tf, "_lifted", _lifted_with_a_shifted_subsystem)
     elif bug == "gate_keeps_a_set_without_a_witness":
         monkeypatch.setattr(
             dsc.DescriptorSet, "_require_canonical_relations", _gate_keeping_sets_without_a_witness
@@ -530,6 +543,7 @@ def fresh_kernel_caches():
         "sector_image_of_the_even_block_twice",
         "seeded_block_in_the_other_sector",
         "unsigned_fold_scatter",
+        "lift_carries_a_shifted_subsystem",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
@@ -560,3 +574,15 @@ def test_a_family_that_raises_fails_with_the_error_in_its_details(monkeypatch):
 
 def test_sweep_without_a_planted_bug_is_green(fresh_kernel_caches):
     assert all(r.passed for r in vf.run_sweep(3, 0, 6))
+
+
+def test_the_sweep_grades_each_heisenberg_state_once(monkeypatch):
+    grades = count_calls(monkeypatch, algebra, "parity_grade")
+    rules = [count_calls(monkeypatch, module, "checked_array") for module in (fock, tf, states)]
+    assert all(r.passed for r in vf.run_sweep(4, 101, 50))
+    vectors = [args[0] for args in grades if getattr(args[0], "ndim", 2) == 1]
+    assert len({id(v) for v in vectors}) == len(vectors)  # the calls keep each array alive
+    # 522 grades (286 of them Heisenberg states) and 2325 array rules when
+    # each entry point graded its state and each image passed the rule
+    assert len(grades) <= 417
+    assert sum(map(len, rules)) <= 1237
