@@ -12,6 +12,9 @@ image, the unitarity defect) read the two sector blocks instead.
 from __future__ import annotations
 
 import math
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +30,7 @@ from .fock import (
     FockOperator,
     ModeSet,
     _check_n_modes,
+    _is_int,
     _ladder_columns,
     _sector_ladder,
     _sector_pairs,
@@ -359,18 +363,94 @@ def _commutator_norms(u: PSUnitary) -> tuple[dict[int, float], float]:
 
 
 def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:
-    """Haar-random unitary on each parity sector, deterministic per seed."""
+    """Haar-random unitary on each parity sector, deterministic per seed.
+
+    Each ``(n_modes, seed)`` is drawn once while the sample memo holds it
+    (``SAMPLE_MEMO_BYTES``): a later call returns the same immutable object.
+    The mode cap is read on every call, so a lowered cap refuses a held size.
+    """
     _check_n_modes(n_modes)
-    rng = np.random.default_rng(seed)
-    return _from_blocks(n_modes, (_haar(len(idx), rng) for idx in parity_sectors(n_modes)))
+    key = (n_modes, _checked_seed(seed))
+    u = _samples.get(key)
+    if u is None:
+        u = _from_blocks(n_modes, _haar_sectors(n_modes, key[1]))
+        _samples.put(key, u)
+    return u
 
 
-def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+def _checked_seed(seed) -> int:
+    """A caller's seed as an int; anything but an integer >= 0 is refused before a draw."""
+    if not _is_int(seed) or seed < 0:
+        raise ValidationError("bad_schema", f"a seed must be an integer >= 0, got {seed!r}")
+    return operator.index(seed)
+
+
+def _haar_sectors(n_modes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (even, odd) sector blocks of a sample, by one draw and one stacked QR.
+
+    Mezzadri's Haar QR (math-ph/0609050): Q of a complex Gaussian matrix,
+    each column times the phase of R's diagonal entry.  One
+    ``(2, 2, d, d)`` normal draw holds each sector's real and imaginary
+    parts in the order a per-sector loop draws them, and ``np.linalg.qr``
+    runs over the ``(2, d, d)`` stack, so the blocks are the loop's.
+    """
+    d = 2 ** (n_modes - 1)
+    parts = np.random.default_rng(seed).standard_normal((2, 2, d, d))
+    q, r = np.linalg.qr((parts[:, 0] + 1.0j * parts[:, 1]) / np.sqrt(2.0))
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)
-    return q * phases[None, :]
+    q *= phases[:, None, :]
+    return q[0], q[1]
+
+
+class _SampleMemo:
+    """Drawn samples by ``(n_modes, seed)``, least recently used first, bounded in bytes.
+
+    A sample's bytes are those of its matrix and its two sector blocks
+    (``24 * 4^N``); the oldest samples go when a new one would pass the
+    cap, and a sample larger than the cap is never held.  The samples are
+    immutable and carry no lift factor, so a hit can be shared.  A lock
+    keeps the order and the byte count consistent across threads.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self._held: OrderedDict[tuple[int, int], PSUnitary] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple[int, int]) -> PSUnitary | None:
+        with self._lock:
+            u = self._held.get(key)
+            if u is not None:
+                self._held.move_to_end(key)
+            return u
+
+    def put(self, key: tuple[int, int], u: PSUnitary) -> None:
+        size = _sample_bytes(u)
+        with self._lock:
+            if size > self.cap or key in self._held:  # another thread drew it meanwhile
+                return
+            self._held[key] = u
+            self.nbytes += size
+            while self.nbytes > self.cap:
+                _, old = self._held.popitem(last=False)
+                self.nbytes -= _sample_bytes(old)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self.nbytes = 0
+
+
+def _sample_bytes(u: PSUnitary) -> int:
+    return u.matrix.nbytes + sum(block.nbytes for block in u._sector_blocks)
+
+
+# bytes of matrix plus sector blocks the sample memo holds: every sample up
+# to N = 7 (384 KiB each) fits, none from N = 8 (1.5 MiB) on
+SAMPLE_MEMO_BYTES = 1 << 20
+_samples = _SampleMemo(SAMPLE_MEMO_BYTES)
 
 
 def local_random_ps_unitary(subsystem: ModeSet, seed: int) -> PSUnitary:

@@ -38,6 +38,7 @@ from .fock import (
 from .states import PhenomenalState, partial_trace, partial_trace_jw
 from .transformations import (
     PSUnitary,
+    _checked_seed,
     exp_hamiltonian,
     is_local_unitary,
     local_random_ps_unitary,
@@ -88,7 +89,8 @@ class CheckResult:
 
 def random_phenomenal(n_modes: int, seed: int) -> PhenomenalState:
     """Random parity-superselected density operator (mixed, full rank a.s.)."""
-    rng = np.random.default_rng(seed)
+    _check_n_modes(n_modes)  # before anything of that size is allocated
+    rng = np.random.default_rng(_checked_seed(seed))
     probs = rng.random(2 ** n_modes)
     probs /= probs.sum()
     u = random_ps_unitary(n_modes, seed)
@@ -99,6 +101,7 @@ def random_phenomenal(n_modes: int, seed: int) -> PhenomenalState:
 def random_sector_state(n_modes: int, seed: int) -> FockVector:
     """Random pure state supported on a single parity sector."""
     _check_n_modes(n_modes)  # before anything of that size is allocated
+    seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
     idx = parity_sectors(n_modes)[seed % 2]
     v = np.zeros(2 ** n_modes, dtype=complex)
@@ -244,10 +247,14 @@ def check_ontic_property_list(
 
     With ``negative_control=True`` property 4 is fed a global transformation
     instead of a local one, properties 1-3 are not computed, and the check
-    passes iff the property *fails*.
+    passes iff the property *fails*.  An empty seed list is refused, since
+    it would pass vacuously.
     """
     if n_modes < 2:
         raise ValidationError("mode_out_of_range", "property list needs at least 2 modes")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValidationError("bad_schema", "property list needs at least one seed")
     full = ModeSet.full(n_modes)
     details = []
     worst = 0.0
@@ -315,7 +322,7 @@ def check_ontic_property_list(
             }
         )
     if negative_control:  # the residual counts missed detections, so passed <=> residual <= 0
-        missed = float(len(details) - control_violations) if details else 1.0
+        missed = float(len(details) - control_violations)
         name = "ontic_property_list_negative_control"
         return CheckResult(name, missed <= 0.0, missed, 0.0, tuple(details))
     return CheckResult("ontic_property_list", worst <= tol, worst, tol, tuple(details))

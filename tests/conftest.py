@@ -1,9 +1,21 @@
 """Helpers shared by the test modules."""
 
 import numpy as np
+import pytest
 
 from fermidesc import transformations as tf
 from fermidesc.fock import ModeSet
+
+
+@pytest.fixture(autouse=True)
+def fresh_samples():
+    """Each test draws its random unitaries itself: the sample memo starts empty.
+
+    A call counted inside a draw then does not depend on which tests ran before.
+    """
+    tf._samples.cache_clear()
+    yield
+    tf._samples.cache_clear()
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

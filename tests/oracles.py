@@ -1,10 +1,13 @@
-"""The monomial-basis oracle shared by the test modules.
+"""Reference implementations shared by the test modules.
 
 The library's locality kernels work in the signed-reorder frame and never
 form the paper's ladder monomials.  ``algebra.monomial_basis`` keeps the
-dense ``4^m x 2^N x 2^N`` stack of them as a reference; this class expands
-operators on it and synthesizes them from coefficients, by Hilbert-Schmidt
-inner products, so tests can check the reorder against the definition.
+dense ``4^m x 2^N x 2^N`` stack of them as a reference; ``MonomialBasis``
+expands operators on it and synthesizes them from coefficients, by
+Hilbert-Schmidt inner products, so tests can check the reorder against the
+definition.  ``haar_sector_blocks`` is the sampler's per-sector loop, one
+draw and one QR per parity sector, against which the stacked draw is
+checked bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fermidesc import algebra
-from fermidesc.fock import FockOperator, ModeSet
+from fermidesc.fock import FockOperator, ModeSet, parity_sectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,3 +71,17 @@ class MonomialBasis:
         flat = np.asarray(coeffs, dtype=complex).reshape(4 ** m)
         matrix = np.tensordot(flat, self._stacked, axes=(0, 0))
         return FockOperator(self.subsystem.ambient_n, matrix)
+
+
+def haar_sector_blocks(n_modes: int, seed: int) -> list[np.ndarray]:
+    """The (even, odd) blocks of ``random_ps_unitary(n_modes, seed)``, one sector at a time."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for idx in parity_sectors(n_modes):
+        dim = len(idx)
+        z = (rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        phases = np.diag(r).copy()
+        phases /= np.abs(phases)
+        blocks.append(q * phases[None, :])
+    return blocks

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fermidesc import algebra, fock, states, transformations as tf
+from fermidesc import algebra, fock, states, transformations as tf, verification
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
@@ -144,8 +144,12 @@ def _product_over_cap():
         ("3", lambda: tf.named_gate("phase", 11, modes=(0,), theta=0.1)),
         ("3", lambda: tf.local_random_ps_unitary(ModeSet((0, 1), 11), 3)),
         ("8", _product_over_cap),
+        ("3", lambda: verification.random_phenomenal(22, 0)),  # 2^22 weights drawn first
     ],
-    ids=["embed_local_operator", "named_gate", "local_random_ps_unitary", "product_state"],
+    ids=[
+        "embed_local_operator", "named_gate", "local_random_ps_unitary", "product_state",
+        "random_phenomenal",
+    ],
 )
 def test_cap_is_refused_before_the_identity_is_allocated(monkeypatch, cap, build):
     import tracemalloc

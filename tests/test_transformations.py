@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 import scipy.linalg
 
 from conftest import count_calls, lift_cases
+from oracles import haar_sector_blocks
 from fermidesc import algebra, descriptors as dsc, fock, transformations as tf
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
-from fermidesc.verification import random_sector_state
+from fermidesc.verification import random_phenomenal, random_sector_state
 
 
 def expm_eigh_oracle(h: np.ndarray) -> np.ndarray:
@@ -379,6 +381,105 @@ def test_adjoint_is_trusted_and_c_contiguous(monkeypatch):
     assert adjoint.defect == u.defect
     assert adjoint.matrix.flags.c_contiguous and not adjoint.matrix.flags.writeable
     assert adjoint.matrix.tobytes() == np.ascontiguousarray(u.matrix.conj().T).tobytes()
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_stacked_draw_equals_the_per_sector_loop_bit_for_bit(n_modes):
+    for seed in (0, 1, 7, 123456, 2**40):
+        u = tf.random_ps_unitary(n_modes, seed)
+        blocks = haar_sector_blocks(n_modes, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(u._sector_blocks, blocks))
+        assert u.defect == tf._sectors_defect(blocks)
+        for pair, block in zip(fock._sector_pairs(n_modes), blocks):
+            assert np.array_equal(u.matrix[pair], block)
+
+
+def test_a_seed_is_drawn_once_and_shared(monkeypatch):
+    draws = count_calls(monkeypatch, tf, "_haar_sectors")
+    u = tf.random_ps_unitary(4, 11)
+    assert tf.random_ps_unitary(4, 11) is u
+    assert tf.random_ps_unitary(4, np.int64(11)) is u  # one entry for both integer types
+    assert tf.local_random_ps_unitary(ModeSet.full(4), 11) is u
+    assert draws == [(4, 11)] and len(tf._samples._held) == 1
+    assert u._local is None
+    assert not u.matrix.flags.writeable
+    assert not any(block.flags.writeable for block in u._sector_blocks)
+    assert tf.random_ps_unitary(3, 11) is not u  # the key holds the mode count
+    assert draws == [(4, 11), (3, 11)]
+
+
+def test_the_sample_memo_stays_within_its_byte_cap(monkeypatch):
+    draws = count_calls(monkeypatch, tf, "_haar_sectors")
+    memo = tf._samples
+    for seed in range(60):
+        for n_modes in range(1, 8):
+            tf.random_ps_unitary(n_modes, seed)
+            assert memo.nbytes <= tf.SAMPLE_MEMO_BYTES
+            assert memo.nbytes == sum(map(tf._sample_bytes, memo._held.values()))
+    assert len(draws) == 60 * 7
+    assert tf.random_ps_unitary(7, 59) is tf.random_ps_unitary(7, 59)  # the newest stays
+    held = len(memo._held)
+    big = tf.random_ps_unitary(8, 0)
+    assert tf._sample_bytes(big) > tf.SAMPLE_MEMO_BYTES
+    assert len(memo._held) == held and tf.random_ps_unitary(8, 0) is not big
+    assert np.array_equal(tf.random_ps_unitary(8, 0).matrix, big.matrix)
+
+
+def test_the_sample_memo_keeps_its_count_across_threads():
+    samples = [tf.random_ps_unitary(n_modes, 0) for n_modes in (1, 2, 3)]
+    memo = tf._SampleMemo(3 * tf._sample_bytes(samples[-1]))  # evicts all the time
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def hammer(k):
+            try:
+                for i in range(15000):
+                    key = (i + k) % 3, (i * 7 + k) % 13
+                    if memo.get(key) is None:
+                        memo.put(key, samples[key[0]])
+            except Exception as exc:  # a lost update shows as a KeyError
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert memo.nbytes == sum(map(tf._sample_bytes, memo._held.values()))
+    assert memo.nbytes <= memo.cap
+
+
+def test_a_lowered_mode_cap_refuses_a_held_size(monkeypatch):
+    tf.random_ps_unitary(4, 3)
+    monkeypatch.setenv(fock.MODE_CAP_ENV, "3")
+    with pytest.raises(ValidationError) as err:
+        tf.random_ps_unitary(4, 3)
+    assert err.value.code == "cap_exceeded"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda seed: tf.random_ps_unitary(3, seed),
+        lambda seed: tf.local_random_ps_unitary(ModeSet((0, 2), 3), seed),
+        lambda seed: random_sector_state(3, seed),
+        lambda seed: random_phenomenal(3, seed),
+    ],
+    ids=["random_ps_unitary", "local_random_ps_unitary", "random_sector_state", "random_phenomenal"],
+)
+def test_a_bad_seed_is_refused_before_a_draw(monkeypatch, sample, seed):
+    draws = count_calls(monkeypatch, tf, "_haar_sectors")
+    rngs = count_calls(monkeypatch, np.random, "default_rng")
+    with pytest.raises(ValidationError) as err:
+        sample(seed)
+    assert err.value.code == "bad_schema"
+    assert draws == [] and rngs == [] and len(tf._samples._held) == 0
 
 
 def test_local_random_embedding_contracts():

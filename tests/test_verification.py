@@ -1,10 +1,14 @@
 """Checkers: positive cases, negative controls, determinism of evidence."""
 
+import functools
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import fermidesc
 from fermidesc import algebra, descriptors as dsc, fock, states, transformations as tf
 from fermidesc import verification as vf
 from fermidesc.errors import ValidationError
@@ -216,6 +220,15 @@ def test_ontic_property_list_randomized(n_modes):
     result = vf.check_ontic_property_list(range(10), n_modes)
     assert result.passed
     assert result.residual < 1e-9
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+def test_ontic_property_list_refuses_an_empty_seed_list(monkeypatch, negative_control):
+    draws = count_calls(monkeypatch, vf, "random_sector_state")
+    with pytest.raises(ValidationError) as err:
+        vf.check_ontic_property_list(iter([]), 3, negative_control=negative_control)
+    assert err.value.code == "bad_schema"
+    assert draws == []
 
 
 def test_ontic_property_list_calls_compatible_once_per_seed(monkeypatch):
@@ -451,6 +464,15 @@ def _lifted_with_a_shifted_subsystem(small, defect, sub, lifted=tf._lifted):
     return lift
 
 
+class _SampleMemoKeyedByTheSeedAlone(tf._SampleMemo):
+    # a sample drawn at one mode count comes back for the same seed at another
+    def get(self, key):
+        return super().get(key[1])
+
+    def put(self, key, u):
+        super().put(key[1], u)
+
+
 def _gate_keeping_sets_without_a_witness(self):
     # the exact residual decides whenever no witness is built, and a set
     # that obeys the canonical relations is kept with none
@@ -504,28 +526,64 @@ def _plant(monkeypatch, bug):
         monkeypatch.setattr(algebra, "fold_local", _fold_local_without_its_sign)
     elif bug == "lift_carries_a_shifted_subsystem":
         monkeypatch.setattr(tf, "_lifted", _lifted_with_a_shifted_subsystem)
+    elif bug == "sample_memo_keyed_by_the_seed_alone":
+        monkeypatch.setattr(tf, "_samples", _SampleMemoKeyedByTheSeedAlone(tf.SAMPLE_MEMO_BYTES))
     elif bug == "gate_keeps_a_set_without_a_witness":
         monkeypatch.setattr(
             dsc.DescriptorSet, "_require_canonical_relations", _gate_keeping_sets_without_a_witness
         )
 
 
+# every module-level cache of the package; test_kernel_caches_are_all_cleared pins the list
+KERNEL_CACHES = (
+    fock._ladder_columns,
+    fock._annihilator_matrix,
+    fock._sector_ladder,
+    fock._sector_pairs,
+    fock._parity_diagonal,
+    fock.parity_sectors,
+    algebra._basis_arrays,
+    algebra._mode_reorder,
+    tf._samples,
+)
+
+
+def _clear_kernel_caches():
+    for cache in KERNEL_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fresh_kernel_caches():
-    caches = (
-        fock._ladder_columns,
-        fock._annihilator_matrix,
-        fock._sector_ladder,
-        fock._sector_pairs,
-        fock._parity_diagonal,
-        fock.parity_sectors,
-        algebra._mode_reorder,
-    )
-    for cache in caches:
-        cache.cache_clear()
+    _clear_kernel_caches()
     yield
-    for cache in caches:  # a planted bug may have filled them with wrong entries
-        cache.cache_clear()
+    _clear_kernel_caches()  # a planted bug may have filled them with wrong entries
+
+
+def _package_caches() -> dict:
+    """Every functools lru cache and sample memo bound at the top of a fermidesc module."""
+    caches = {}
+    for info in pkgutil.iter_modules(fermidesc.__path__):
+        module = importlib.import_module(f"fermidesc.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, (functools._lru_cache_wrapper, tf._SampleMemo)):
+                caches[id(value)] = value
+    return caches
+
+
+def test_kernel_caches_are_all_cleared():
+    caches = _package_caches()
+    assert set(caches) == {id(cache) for cache in KERNEL_CACHES}
+    algebra.monomial_basis(ModeSet((0,), 2))  # the one path that fills _basis_arrays
+    assert all(r.passed for r in vf.run_sweep(2, 0, 1))
+    sizes = lambda: {
+        repr(c): len(c._held) if isinstance(c, tf._SampleMemo) else c.cache_info().currsize
+        for c in caches.values()
+    }
+    assert all(sizes().values()), sizes()
+    _clear_kernel_caches()
+    assert not any(sizes().values()), sizes()
+    assert tf._samples.nbytes == 0
 
 
 @pytest.mark.parametrize(
@@ -544,6 +602,7 @@ def fresh_kernel_caches():
         "seeded_block_in_the_other_sector",
         "unsigned_fold_scatter",
         "lift_carries_a_shifted_subsystem",
+        "sample_memo_keyed_by_the_seed_alone",
     ],
 )
 def test_sweep_catches_a_planted_bug(monkeypatch, fresh_kernel_caches, bug):
@@ -574,6 +633,15 @@ def test_a_family_that_raises_fails_with_the_error_in_its_details(monkeypatch):
 
 def test_sweep_without_a_planted_bug_is_green(fresh_kernel_caches):
     assert all(r.passed for r in vf.run_sweep(3, 0, 6))
+
+
+def test_the_sweep_draws_each_sample_once(monkeypatch):
+    calls = [count_calls(monkeypatch, module, "random_ps_unitary") for module in (tf, vf)]
+    draws = count_calls(monkeypatch, tf, "_haar_sectors")
+    assert all(r.passed for r in vf.run_sweep(4, 101, 50))
+    # 872 calls for 510 distinct (n_modes, seed) pairs, each call a draw before the memo
+    assert sum(map(len, calls)) == 872 and len(set(draws)) == 510
+    assert len(draws) <= 560  # 520: a few pairs are drawn again after eviction
 
 
 def test_the_sweep_grades_each_heisenberg_state_once(monkeypatch):
