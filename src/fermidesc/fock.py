@@ -315,8 +315,6 @@ def _ladder_columns(n_modes: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
     return partner, sign
 
 
-# one workload touches about ten (n_modes, mode) keys; an entry is 16 MB at N=10
-@lru_cache(maxsize=16)
 def _annihilator_matrix(n_modes: int, mode: int) -> np.ndarray:
     """The dense annihilator: the scatter of :func:`ladder_columns`."""
     partner, sign = _ladder_columns(n_modes, mode)

@@ -436,7 +436,7 @@ REPORT_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "passed": {"type": "boolean"},
-                    "residual": {"type": "number"},
+                    "residual": {"type": ["number", "null"], "description": "null if the family raised"},
                     "tolerance": {"type": "number"},
                     "details": {"type": "array"},
                 },

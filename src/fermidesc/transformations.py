@@ -3,10 +3,11 @@
 Superselection means every unitary here commutes with the parity operator:
 a ``PSUnitary``'s entries between the even and odd occupation sectors are
 exact zeros, so its products, adjoint and Heisenberg images are even or odd
-by construction and are not graded.  Random and exponential unitaries are
-assembled from their two sector blocks (``_from_blocks``); the storage stays
-dense, and the kernels that would multiply the zero blocks (the Heisenberg
-image, the unitarity defect) read the two sector blocks instead.
+by construction and are not graded.  Random and exponential unitaries and
+products are assembled from their two sector blocks (``_from_blocks``): a
+product is the two half-size products of its factors' blocks.  The storage
+stays dense, and the kernels that would multiply the zero blocks (the
+Heisenberg image, the unitarity defect) read the two sector blocks instead.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ class PSUnitary:
     applies the array rule and the parity grade, then stores the even part
     (the input itself when it is exactly even) and its defect ``|M^dag M - I|``,
     measured on the two sector blocks.  Unitaries built from such parts go
-    through :meth:`_trusted`, carrying their defect; ``@`` measures its
-    product's defect, which a bound from the factors would leave out, and
-    grades nothing.  A lift (``_lifted``) also carries its local factor
-    ``(small, subsystem)``; ``@``, JSON and bare matrices carry none.
+    through :meth:`_trusted`, carrying their defect; ``@`` multiplies the
+    factors' sector blocks, measures its product's defect on them, which a
+    bound from the factors would leave out, and grades nothing.  Only a lift
+    (``_lifted``) carries its local factor ``(small, subsystem)``; its
+    adjoint, ``@``, JSON and bare matrices carry none.
     """
 
     n_modes: int
@@ -127,17 +129,8 @@ class PSUnitary:
         return 2 ** self.n_modes
 
     def dag(self) -> "PSUnitary":
-        """The adjoint: as even and finite as U, and |U U^dag - I| = |U^dag U - I|.
-
-        The adjoint of a lift is the lift of its factor's adjoint, and carries that.
-        """
-        local = None
-        if self._local is not None:
-            small, sub = self._local
-            local = (small.conj().T.copy(), sub)
-        return PSUnitary._trusted(
-            self.n_modes, self.matrix.conj().T.copy(), self.defect, local=local
-        )
+        """The adjoint: as even and finite as U, and |U U^dag - I| = |U^dag U - I|."""
+        return PSUnitary._trusted(self.n_modes, self.matrix.conj().T.copy(), self.defect)
 
     def __matmul__(self, other: "PSUnitary") -> "PSUnitary":
         if not isinstance(other, PSUnitary):
@@ -147,16 +140,15 @@ class PSUnitary:
                 "dimension_mismatch",
                 f"unitaries act on different systems ({self.n_modes} vs {other.n_modes} modes)",
             )
-        product = self.matrix @ other.matrix  # exactly even, as both factors are
-        blocks = _sector_blocks_of(product, self.n_modes)
-        return PSUnitary._trusted(self.n_modes, product, _sectors_defect(blocks), blocks)
+        pairs = zip(self._sector_blocks, other._sector_blocks)
+        return _from_blocks(self.n_modes, (a @ b for a, b in pairs))
 
     def heisenberg(self, mode: int) -> np.ndarray:
         """Heisenberg image U^dag f_mode U, computed from the two sector blocks of U."""
         return _sector_image(self.n_modes, mode, *self._sector_blocks)
 
     def as_operator(self) -> FockOperator:
-        return FockOperator(self.n_modes, self.matrix)
+        return FockOperator._trusted(self.n_modes, self.matrix)  # read-only, checked once
 
 
 def _require_unitary(defect: float, dim: int) -> None:

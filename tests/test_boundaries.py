@@ -14,6 +14,10 @@ hot paths.  ``PSUnitary(...)`` grades its matrix and
 stores the even part, so it is called only where a matrix enters (a
 scenario's total, JSON, ``validate_ps_unitary``, the witness-uniqueness
 check's phase); products and lifts go through ``PSUnitary._trusted``.
+Unitaries built from sector blocks, products included, are assembled by one
+routine, ``_from_blocks``; the blocks are gathered from a dense matrix only
+at the constructor and lazily for a unitary built without them, and only a
+lift carries its local factor.
 ``PhenomenalState(...)`` runs ``eigvalsh`` and the grade, so it is called
 only for JSON and the ``ssr_gatekeeping`` check's forbidden state;
 reductions, products, conjugations and the descriptor substitution go
@@ -38,8 +42,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fermidesc"
 class _Calls(ast.NodeVisitor):
     """Each call of ``name``, as ``module:function`` of its innermost enclosing function."""
 
-    def __init__(self, module: str, name: str):
-        self.module, self.name = module, name
+    def __init__(self, module: str, name: str, picks):
+        self.module, self.name, self.picks = module, name, picks
         self.scope = ["<module>"]
         self.found = []
 
@@ -53,15 +57,16 @@ class _Calls(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if called == self.name:
+        if called == self.name and self.picks(node):
             self.found.append(f"{self.module}:{self.scope[-1]}")
         self.generic_visit(node)
 
 
-def callers(name: str) -> list[str]:
+def callers(name: str, picks=lambda call: True) -> list[str]:
+    """Callers of ``name``, keeping only the calls ``picks`` accepts."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        visitor = _Calls(path.stem, name)
+        visitor = _Calls(path.stem, name, picks)
         visitor.visit(ast.parse(path.read_text(), str(path)))
         found += visitor.found
     return found
@@ -126,3 +131,21 @@ def callers(name: str) -> list[str]:
 )
 def test_validating_calls_stay_at_the_boundary(name, allowed):
     assert sorted(callers(name)) == allowed
+
+
+def test_sector_blocks_are_assembled_by_one_routine_and_gathered_only_at_the_constructor():
+    assert sorted(callers("_from_blocks")) == [
+        "transformations:__matmul__",
+        "transformations:exp_hamiltonian",
+        "transformations:random_ps_unitary",
+    ]
+    assert sorted(callers("_sector_blocks_of")) == [
+        "transformations:__post_init__",
+        "transformations:_sector_blocks",
+    ]
+
+
+def test_only_a_lift_is_trusted_with_a_local_factor():
+    # PSUnitary._trusted(n_modes, matrix, defect, blocks, local): local by keyword or fifth
+    with_factor = lambda call: len(call.args) >= 5 or any(k.arg == "local" for k in call.keywords)
+    assert callers("_trusted", with_factor) == ["transformations:_lifted"]

@@ -35,6 +35,16 @@ def run_cli(*args, stdin_text=None):
     )
 
 
+def json_type(value) -> str:
+    """The JSON schema type name of a decoded JSON value."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    kinds = {str: "string", list: "array", dict: "object", type(None): "null"}
+    return kinds[type(value)]
+
+
 def write_scenario(tmp_path, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -534,7 +544,7 @@ def test_verify_beyond_the_mode_cap_exits_3(capsys, monkeypatch):
 
 def test_verify_reports_a_library_fault_as_a_failed_family(tmp_path, monkeypatch, capsys):
     """A fault raised inside a family is no bad input: exit 1, with the full report."""
-    from fermidesc import cli, descriptors
+    from fermidesc import cli, descriptors, serialize
 
     def degenerate(d):
         raise ValidationError("degenerate_reconstruction", "planted fault")
@@ -548,6 +558,9 @@ def test_verify_reports_a_library_fault_as_a_failed_family(tmp_path, monkeypatch
 
     checks = {c["name"]: c for c in json.loads(out.read_text(), parse_constant=refuse)["checks"]}
     assert len(checks) == 11
+    fields = serialize.REPORT_SCHEMA["properties"]["checks"]["items"]["properties"]
+    for check in checks.values():  # each field has a type the schema declares, null included
+        assert all(json_type(check[key]) in np.atleast_1d(fields[key]["type"]) for key in fields)
     failed = checks.pop("reconstruction")
     assert failed["passed"] is False and failed["residual"] is None
     assert failed["details"] == [

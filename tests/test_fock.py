@@ -9,6 +9,8 @@ from fermidesc import fock, serialize, states, transformations
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
+from conftest import count_calls
+
 
 def oracle_annihilator(n_modes: int, mode: int) -> np.ndarray:
     """Bit-arithmetic construction, independent of the tensor-product build.
@@ -68,8 +70,13 @@ def test_ladder_columns_reject_bad_modes(monkeypatch, n_modes, mode, code):
     assert err.value.code == code
 
 
-def test_dense_ladder_cache_is_bounded():
-    assert fock._annihilator_matrix.cache_info().maxsize is not None
+def test_dense_ladders_are_built_per_call_and_not_held(monkeypatch):
+    # a held 2^N x 2^N ladder would keep 16 MB alive at N = 10
+    assert not hasattr(fock._annihilator_matrix, "cache_info")
+    builds = count_calls(monkeypatch, fock, "_annihilator_matrix")
+    first, second = fock.annihilator(3, 1), fock.creator(3, 1)
+    assert builds == [(3, 1), (3, 1)]
+    assert np.array_equal(second.matrix, first.matrix.conj().T)
 
 
 def test_every_kernel_cache_is_bounded():

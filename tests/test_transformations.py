@@ -383,6 +383,13 @@ def test_adjoint_is_trusted_and_c_contiguous(monkeypatch):
     assert adjoint.matrix.tobytes() == np.ascontiguousarray(u.matrix.conj().T).tobytes()
 
 
+def test_as_operator_runs_no_second_array_rule(monkeypatch):
+    u = tf.random_ps_unitary(3, 2)
+    rules = count_calls(monkeypatch, fock, "checked_array")
+    op = u.as_operator()
+    assert rules == [] and op.matrix is u.matrix
+
+
 @pytest.mark.parametrize("n_modes", range(1, 9))
 def test_stacked_draw_equals_the_per_sector_loop_bit_for_bit(n_modes):
     for seed in (0, 1, 7, 123456, 2**40):
@@ -632,6 +639,25 @@ def test_a_product_grades_and_validates_nothing(monkeypatch):
     assert not product.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_a_product_is_assembled_from_its_factors_sector_blocks(monkeypatch, n_modes):
+    u, v = tf.random_ps_unitary(n_modes, 3), tf.random_ps_unitary(n_modes, 4)
+    assemblies = count_calls(monkeypatch, tf, "_from_blocks")
+    gathers = count_calls(monkeypatch, tf, "_sector_blocks_of")
+    product = u @ v
+    assert len(assemblies) == 1 and gathers == []
+    assert "_sector_blocks" in vars(product)  # carried from the assembly, not gathered again
+    dense = u.matrix @ v.matrix
+    assert fock.frobenius(product.matrix - dense) <= 1e-14 * fock.frobenius(dense)
+    pairs = fock._sector_pairs(n_modes)
+    for pair, block, a, b in zip(pairs, product._sector_blocks, u._sector_blocks, v._sector_blocks):
+        assert np.array_equal(block, a @ b) and np.array_equal(product.matrix[pair], block)
+    off = np.concatenate([product.matrix[pair].ravel() for pair in pairs[2:]])
+    assert np.array_equal(off, np.zeros_like(off))
+    assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()  # exact +0.0
+    assert product.defect == tf._sectors_defect(product._sector_blocks)
+
+
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
 def test_group_closure(n_modes):
     for seed in range(3):
@@ -681,22 +707,24 @@ def test_canonical_phase_pins_first_block_entry():
 @pytest.mark.parametrize("n_modes", range(2, 8))
 def test_invariance_support_of_a_lift_reads_only_its_factor(monkeypatch, n_modes):
     cases = lift_cases(n_modes)
-    assert all(u._local is not None for u in cases)
+    assert all(u._local is not None for u in cases[::2])
+    assert all(u._local is None for u in cases[1::2])  # an adjoint is a bare unitary
+    dense = [tf.invariance_support(tf.PSUnitary(n_modes, u.matrix)) for u in cases]
     norms = []
     frobenius = tf.frobenius
     monkeypatch.setattr(tf, "frobenius", lambda a: norms.append(a.size) or frobenius(a))
-    for u in cases:
+    for u, expected in zip(cases, dense):
         norms.clear()
-        support = tf.invariance_support(u)
-        assert norms and set(norms) == {4 ** len(u._local[1])}  # no 4^N gather
-        monkeypatch.setattr(tf, "frobenius", frobenius)
-        assert support == tf.invariance_support(tf.PSUnitary(n_modes, u.matrix))
-        assert support.is_subset_of(u._local[1])
-        monkeypatch.setattr(tf, "frobenius", lambda a: norms.append(a.size) or frobenius(a))
-    assert tf.invariance_support(cases[-1]).is_empty  # tunneling at theta = 0 moves nothing
+        assert tf.invariance_support(u) == expected
+        if u._local is None:
+            assert set(norms) == {4 ** n_modes}  # the dense rule
+        else:
+            assert norms and set(norms) == {4 ** len(u._local[1])}  # no 4^N gather
+            assert expected.is_subset_of(u._local[1])
+    assert dense[-1].is_empty and dense[-2].is_empty  # tunneling at theta = 0 moves nothing
 
 
-def test_only_a_lift_and_its_adjoint_carry_the_factor():
+def test_only_a_lift_carries_its_factor(monkeypatch):
     from fermidesc import serialize
 
     sub = ModeSet((1, 3), 4)
@@ -705,9 +733,14 @@ def test_only_a_lift_and_its_adjoint_carry_the_factor():
     assert carried == sub and not small.flags.writeable
     assert np.array_equal(small, tf.random_ps_unitary(2, 5).matrix)
     adjoint = lift.dag()
-    assert adjoint._local[1] == sub
-    assert np.array_equal(adjoint._local[0], small.conj().T)
+    d = dsc.evolve_descriptors(tf.random_ps_unitary(4, 6), ModeSet.full(4), fock.vacuum_state(4))
+    folds = count_calls(monkeypatch, dsc, "_folded_frame")
+    dsc.ontic_apply(adjoint, d)
+    assert folds == []  # the adjoint's frame is the dense product
+    dsc.ontic_apply(lift, d)
+    assert len(folds) == 1
     others = (
+        adjoint,
         lift @ lift,
         tf.PSUnitary(4, lift.matrix),
         serialize.json_to_unitary(

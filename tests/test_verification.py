@@ -148,10 +148,10 @@ def test_locality_invariance_at_the_mode_cap_builds_no_dense_ladder(monkeypatch)
     n_modes = fock.DEFAULT_MODE_CAP
     inside = ModeSet.of(set(range(n_modes)) - {4}, n_modes)
     u = tf.local_random_ps_unitary(inside, 3)
-    fock._annihilator_matrix.cache_clear()
+    ladders = [count_calls(monkeypatch, module, "_annihilator_matrix") for module in (fock, algebra)]
     result = vf.check_locality_invariance(u, inside)
     assert result.passed and [d["outside_mode"] for d in result.details] == [4]
-    assert fock._annihilator_matrix.cache_info().currsize == 0
+    assert ladders == [[], []]
 
 
 def test_diagram_identity_any_subset():
@@ -329,6 +329,65 @@ def test_descriptor_equivalence_check():
     assert result.passed
 
 
+def test_descriptor_equivalence_fails_a_kernel_that_makes_every_pair_equivalent(monkeypatch):
+    # every image is the bare f_a, so a generic pair (g v, v) looks equivalent
+    monkeypatch.setattr(
+        tf.PSUnitary, "heisenberg", lambda u, mode: fock.annihilator(u.n_modes, mode).matrix
+    )
+    result = vf.check_descriptor_equivalence(3, range(10))
+    assert not result.passed
+    flagged = [d["seed"] for d in result.details if d.get("note") == "false positive equivalence"]
+    assert flagged == list(range(10))
+
+
+# the families that take seeds, each called on one seed or one run at 3 modes
+SEEDED_FAMILIES = {
+    "canonical_algebra": lambda seed: vf.check_canonical_algebra(3, [seed]),
+    "ssr_gatekeeping": lambda seed: vf.check_ssr_gatekeeping(3, [seed]),
+    "descriptor_equivalence": lambda seed: vf.check_descriptor_equivalence(3, [seed]),
+    "reconstruction": lambda seed: vf.check_reconstruction([(3, seed)]),
+    "epimorphism": lambda seed: vf.check_epimorphism([(3, seed)]),
+    "ontic_property_list": lambda seed: vf.check_ontic_property_list([seed], 3),
+    "ontic_property_list_negative_control": lambda seed: vf.check_ontic_property_list(
+        [seed], 3, negative_control=True
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [2.7, "5", True, -1, None])
+@pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
+def test_every_family_refuses_a_seed_that_is_not_an_integer(monkeypatch, family, seed):
+    draws = count_calls(monkeypatch, tf, "_haar_sectors")
+    with pytest.raises(ValidationError) as err:
+        SEEDED_FAMILIES[family](seed)
+    assert err.value.code == "bad_schema"
+    assert draws == []
+
+
+@pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
+def test_every_family_reports_a_numpy_seed_as_the_int_it_is(family):
+    result = SEEDED_FAMILIES[family](np.int64(2))
+    assert result == SEEDED_FAMILIES[family](2)
+    assert all(type(d["seed"]) is int for d in result.details if "seed" in d)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: vf.check_descriptor_equivalence(3, iter([])),
+        lambda: vf.check_reconstruction([]),
+        lambda: vf.check_epimorphism([]),
+    ],
+    ids=["descriptor_equivalence", "reconstruction", "epimorphism"],
+)
+def test_a_family_refuses_an_empty_seed_list(monkeypatch, family):
+    draws = count_calls(monkeypatch, tf, "_haar_sectors")
+    with pytest.raises(ValidationError) as err:
+        family()
+    assert err.value.code == "bad_schema"
+    assert draws == []
+
+
 def test_reconstruction_check():
     result = vf.check_reconstruction([(2, s) for s in range(5)] + [(4, 0)])
     assert result.passed
@@ -415,6 +474,11 @@ def _trusted_product_in_the_wrong_order(self, other):
 
 def _trusted_product_without_its_defect(self, other):
     return tf.PSUnitary._trusted(self.n_modes, self.matrix @ other.matrix, 0.0)
+
+
+def _product_with_the_odd_blocks_reversed(self, other):
+    (even, odd), (other_even, other_odd) = self._sector_blocks, other._sector_blocks
+    return tf._from_blocks(self.n_modes, (even @ other_even, other_odd @ odd))
 
 
 def _sector_image_of_the_even_block_twice(n_modes, mode, even, odd, image=tf._sector_image):
@@ -509,6 +573,8 @@ def _plant(monkeypatch, bug):
         monkeypatch.setattr(tf.PSUnitary, "__matmul__", _trusted_product_in_the_wrong_order)
     elif bug == "trusted_product_drops_its_defect":
         monkeypatch.setattr(tf.PSUnitary, "__matmul__", _trusted_product_without_its_defect)
+    elif bug == "product_of_the_odd_blocks_in_reverse_order":
+        monkeypatch.setattr(tf.PSUnitary, "__matmul__", _product_with_the_odd_blocks_reversed)
     elif bug == "foreign_evolved_witness":
         evolve = dsc.evolve_descriptors
 
@@ -537,7 +603,6 @@ def _plant(monkeypatch, bug):
 # every module-level cache of the package; test_kernel_caches_are_all_cleared pins the list
 KERNEL_CACHES = (
     fock._ladder_columns,
-    fock._annihilator_matrix,
     fock._sector_ladder,
     fock._sector_pairs,
     fock._parity_diagonal,
@@ -597,6 +662,7 @@ def test_kernel_caches_are_all_cleared():
         "foreign_evolved_witness",
         "trusted_product_in_the_wrong_order",
         "trusted_product_drops_its_defect",
+        "product_of_the_odd_blocks_in_reverse_order",
         "gate_keeps_a_set_without_a_witness",
         "sector_image_of_the_even_block_twice",
         "seeded_block_in_the_other_sector",
@@ -653,4 +719,4 @@ def test_the_sweep_grades_each_heisenberg_state_once(monkeypatch):
     # 522 grades (286 of them Heisenberg states) and 2325 array rules when
     # each entry point graded its state and each image passed the rule
     assert len(grades) <= 417
-    assert sum(map(len, rules)) <= 1237
+    assert sum(map(len, rules)) <= 919
