@@ -246,16 +246,17 @@ def run_scenario(scenario: dict) -> dict:
     for small, modes in gates:
         algebra.fold_local(product, small, modes)
     total = PSUnitary(n_modes, product)
+    dense = total.matrix
 
     full = ModeSet.full(n_modes)
-    psi = total.matrix @ psi0.amplitudes
+    psi = dense @ psi0.amplitudes
     final_state = PhenomenalState._trusted(full, np.outer(psi, psi.conj()))
     global_descriptors = dsc.evolve_descriptors(total, full, psi0)
 
     reconstructed, residual = dsc.reconstruct_with_residual(global_descriptors)
     recon = {
         "round_trip_residual": residual,
-        "phase_blind_distance": phase_distance(reconstructed.matrix, total.matrix),
+        "phase_blind_distance": phase_distance(reconstructed.matrix, dense),
     }
 
     partition_blocks = []

@@ -59,6 +59,7 @@ from .states import PhenomenalState
 from .transformations import (
     PSUnitary,
     _commutator_norms,
+    _sector_blocks_of,
     canonical_phase,
     invariance_support,
     validate_ps_unitary,
@@ -316,13 +317,14 @@ def ontic_apply(w: PSUnitary, d: DescriptorSet) -> DescriptorSet:
 
     A lift (``transformations._lifted``) acts through the local factor it
     carries: its moved modes come from the factor, and the frame is
-    ``algebra.fold_local(W.matrix.copy(), small, subsystem)``, with no dense
-    product, and only the moved modes get Heisenberg images.  The frame's
-    defect and its unmoved residual are bounded, not measured:
+    ``algebra.fold_local(W.matrix, small, subsystem)``, folded in place in
+    W's freshly assembled dense form, with no dense product; its blocks
+    are gathered once, and only the moved modes get Heisenberg images.
+    The frame's defect and its unmoved residual are bounded, not measured:
     delta_F <= delta_W + (1 + delta_W) delta_L + 2 s rho + rho^2 and
     eps_F <= eps_W + (1 + delta_W)(delta_L + c) + 2 s rho + rho^2, with the
     terms of :func:`_folded_frame`.  A bare ``w`` (JSON, a product) takes the
-    dense path: the frame is ``w @ W``, its defect and residual measured.
+    product path: the frame is ``w @ W``, its defect and residual measured.
 
     The moved modes must be tracked, otherwise the partial set cannot
     determine the result and a coverage error is raised.  The result is
@@ -373,17 +375,17 @@ def _folded_frame(
     small, sub = lift._local
     w_frame, eps_w = witness
     delta_l, delta_w = lift.defect, w_frame.defect
-    matrix = w_frame.matrix.copy()
-    algebra.fold_local(matrix, small, sub)
+    matrix = w_frame.matrix  # fresh, so it is folded in place
     k = 2 ** len(sub) + 2
     gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-    rho = math.sqrt(2) * gamma * frobenius(small) * frobenius(w_frame.matrix)
+    rho = math.sqrt(2) * gamma * frobenius(small) * frobenius(matrix)
+    matrix.setflags(write=True)
+    algebra.fold_local(matrix, small, sub)
     rounding = 2 * math.sqrt((1 + delta_l) * (1 + delta_w)) * rho + rho**2
     norms = _commutator_norms(lift)[0]
     c = math.sqrt(1 + delta_l) * max((norms.get(b, 0.0) for b in unmoved), default=0.0)
-    frame = PSUnitary._trusted(
-        lift.n_modes, matrix, delta_w + (1 + delta_w) * delta_l + rounding
-    )
+    blocks = _sector_blocks_of(matrix, lift.n_modes)
+    frame = PSUnitary._trusted(lift.n_modes, blocks, delta_w + (1 + delta_w) * delta_l + rounding)
     return frame, eps_w + (1 + delta_w) * (delta_l + c) + rounding
 
 

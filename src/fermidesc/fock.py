@@ -51,6 +51,8 @@ def mode_cap() -> int:
 
 
 def _check_n_modes(n_modes: int) -> None:
+    if not _is_int(n_modes):
+        raise ValidationError("mode_out_of_range", f"n_modes must be an integer, got {n_modes!r}")
     if n_modes < 1:
         raise ValidationError("mode_out_of_range", f"n_modes must be >= 1, got {n_modes}")
     cap = mode_cap()
@@ -449,6 +451,7 @@ def fock_basis_state(n_modes: int, occupation: Sequence[int]) -> FockVector:
 
 
 def vacuum_state(n_modes: int) -> FockVector:
+    _check_n_modes(n_modes)  # before the occupation list is made
     return fock_basis_state(n_modes, [0] * n_modes)
 
 

@@ -1,13 +1,11 @@
 """The group of physical transformations: parity-superselected unitaries.
 
-Superselection means every unitary here commutes with the parity operator:
-a ``PSUnitary``'s entries between the even and odd occupation sectors are
-exact zeros, so its products, adjoint and Heisenberg images are even or odd
-by construction and are not graded.  Random and exponential unitaries and
-products are assembled from their two sector blocks (``_from_blocks``): a
-product is the two half-size products of its factors' blocks.  The storage
-stays dense, and the kernels that would multiply the zero blocks (the
-Heisenberg image, the unitarity defect) read the two sector blocks instead.
+Superselection means every unitary here commutes with the parity operator,
+so it is block-diagonal in (even, odd) and a ``PSUnitary`` stores only its
+two sector blocks.  Its products, adjoint and Heisenberg images are formed
+from the blocks, are even or odd by construction and are not graded; the
+dense 2^N x 2^N matrix is assembled on demand (``PSUnitary.matrix``) for
+JSON, the dense locality rule, folds of a frame and the theorem checks.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 # Nothing here calls scipy.  The bare package stays imported only because
@@ -45,92 +42,88 @@ from .fock import (
 UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PSUnitary:
     """Unitary on the N-mode Fock space commuting with the parity operator.
 
-    Its entries between the parity sectors are exact zeros.  The constructor
-    applies the array rule and the parity grade, then stores the even part
-    (the input itself when it is exactly even) and its defect ``|M^dag M - I|``,
-    measured on the two sector blocks.  Unitaries built from such parts go
-    through :meth:`_trusted`, carrying their defect; ``@`` multiplies the
-    factors' sector blocks, measures its product's defect on them, which a
-    bound from the factors would leave out, and grades nothing.  Only a lift
-    (``_lifted``) carries its local factor ``(small, subsystem)``; its
-    adjoint, ``@``, JSON and bare matrices carry none.
+    It is its two sector blocks ``(U_even, U_odd)``, read-only, and holds
+    no 2^N x 2^N array; :attr:`matrix` assembles one on every read.
+    ``PSUnitary(n_modes, matrix)`` applies the array rule and the parity
+    grade, gathers the input's two sector blocks, drops the input and
+    measures the defect ``|U^dag U - I|`` on the blocks.  Unitaries built
+    from validated parts go through :meth:`_trusted` with their blocks:
+    ``@`` multiplies the factors' blocks and measures its product's
+    defect on them, which a bound from the factors would leave out, and
+    grades nothing.  Only a lift (``_lifted``) carries its local factor
+    ``(small, subsystem)``; its adjoint, ``@``, JSON and bare matrices
+    carry none.
     """
 
     n_modes: int
-    matrix: np.ndarray
-    # |M^dag M - I| in the Frobenius norm, kept for the canonical-relation gate
-    defect: float = field(init=False, repr=False, compare=False)
+    # the (even, even) and (odd, odd) blocks, in increasing Fock index order
+    blocks: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    # |U^dag U - I| in the Frobenius norm, kept for the canonical-relation gate
+    defect: float = field(repr=False)
     # (small, subsystem) of a lift, whose matrix is small (x) I in the frame putting
     # the subsystem's modes first; read by invariance_support and ontic_apply only
-    _local: tuple[np.ndarray, ModeSet] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _local: tuple[np.ndarray, ModeSet] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, n_modes: int, matrix: np.ndarray):
+        object.__setattr__(self, "n_modes", n_modes)
+        self.__post_init__(matrix)  # the validation, named as in the other value classes
+
+    def __post_init__(self, matrix: np.ndarray):
         _check_n_modes(self.n_modes)
-        m = checked_array(self.matrix, self.n_modes, 2)
+        m = checked_array(matrix, self.n_modes, 2)
         algebra.require_even(m, "unitary")
-        _, _, even_odd, odd_even = _sector_pairs(self.n_modes)
-        if m[even_odd].any() or m[odd_even].any():
-            m = m.copy()
-            m[even_odd] = m[odd_even] = 0.0
-            m.setflags(write=False)
         blocks = _sector_blocks_of(m, self.n_modes)
         defect = _sectors_defect(blocks)
         _require_unitary(defect, self.dim)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "_sector_blocks", blocks)
 
     @classmethod
-    def _trusted(
-        cls,
-        n_modes: int,
-        matrix: np.ndarray,
-        defect: float,
-        blocks: tuple | None = None,
-        local: tuple[np.ndarray, ModeSet] | None = None,
-    ) -> "PSUnitary":
-        """A unitary the library built from validated parts, with its defect carried.
+    def _trusted(cls, n_modes: int, blocks, defect: float | None = None, local=None) -> "PSUnitary":
+        """The unitary with these (even, odd) sector blocks, built from validated parts.
 
-        ``matrix`` is a fresh complex 2^N x 2^N array, exactly even,
-        and ``defect`` its exact or measured ``|M^dag M - I|``; no
-        array rule, dense ``M^dag M`` or parity grade runs, but a defect
-        above the tolerance is still refused.  ``blocks``, when given, are
-        the matrix's (even, odd) sector blocks, kept for the block kernels;
+        ``blocks`` are fresh complex 2^(N-1) x 2^(N-1) arrays, made
+        read-only and kept; no array rule or parity grade runs.
+        ``defect``, when carried, is an exact or bounded ``|U^dag U - I|``;
+        otherwise it is measured on the blocks, whose squared defects add
+        up.  A defect above the tolerance is refused either way.
         ``local``, when given, is the local factor of a lift.
         """
+        blocks = tuple(blocks)
+        if defect is None:
+            defect = _sectors_defect(blocks)
         _require_unitary(defect, 2 ** n_modes)
-        matrix.setflags(write=False)
         u = object.__new__(cls)
         object.__setattr__(u, "n_modes", n_modes)
-        object.__setattr__(u, "matrix", matrix)
+        for block in blocks:
+            block.setflags(write=False)
+        object.__setattr__(u, "blocks", blocks)
         object.__setattr__(u, "defect", defect)
         if local is not None:
             local[0].setflags(write=False)
-        object.__setattr__(u, "_local", local)
-        if blocks is not None:
-            for block in blocks:
-                block.setflags(write=False)
-            object.__setattr__(u, "_sector_blocks", blocks)
+            object.__setattr__(u, "_local", local)
         return u
 
-    @cached_property
-    def _sector_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (even, even) and (odd, odd) blocks of the matrix, gathered once per unitary."""
-        return _sector_blocks_of(self.matrix, self.n_modes)
+    @property
+    def matrix(self) -> np.ndarray:
+        """A fresh read-only dense form on each read: the blocks scattered into +0.0 zeros."""
+        m = np.zeros((self.dim,) * 2, dtype=complex)
+        for pair, block in zip(_sector_pairs(self.n_modes), self.blocks):
+            m[pair] = block
+        m.setflags(write=False)
+        return m
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_modes
 
     def dag(self) -> "PSUnitary":
-        """The adjoint: as even and finite as U, and |U U^dag - I| = |U^dag U - I|."""
-        return PSUnitary._trusted(self.n_modes, self.matrix.conj().T.copy(), self.defect)
+        """The adjoint: each block's, and |U U^dag - I| = |U^dag U - I|."""
+        return self._trusted(self.n_modes, (b.conj().T.copy() for b in self.blocks), self.defect)
 
     def __matmul__(self, other: "PSUnitary") -> "PSUnitary":
         if not isinstance(other, PSUnitary):
@@ -140,15 +133,15 @@ class PSUnitary:
                 "dimension_mismatch",
                 f"unitaries act on different systems ({self.n_modes} vs {other.n_modes} modes)",
             )
-        pairs = zip(self._sector_blocks, other._sector_blocks)
-        return _from_blocks(self.n_modes, (a @ b for a, b in pairs))
+        pairs = zip(self.blocks, other.blocks)
+        return PSUnitary._trusted(self.n_modes, (a @ b for a, b in pairs))
 
     def heisenberg(self, mode: int) -> np.ndarray:
         """Heisenberg image U^dag f_mode U, computed from the two sector blocks of U."""
-        return _sector_image(self.n_modes, mode, *self._sector_blocks)
+        return _sector_image(self.n_modes, mode, *self.blocks)
 
     def as_operator(self) -> FockOperator:
-        return FockOperator._trusted(self.n_modes, self.matrix)  # read-only, checked once
+        return FockOperator._trusted(self.n_modes, self.matrix)  # fresh and read-only
 
 
 def _require_unitary(defect: float, dim: int) -> None:
@@ -166,6 +159,7 @@ def _sectors_defect(blocks) -> float:
 
 
 def _sector_blocks_of(matrix: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of the (even, even) and (odd, odd) blocks of a dense matrix."""
     even_even, odd_odd, _, _ = _sector_pairs(n_modes)
     blocks = matrix[even_even], matrix[odd_odd]
     for block in blocks:
@@ -214,7 +208,7 @@ def exp_hamiltonian(h: FockOperator) -> PSUnitary:
 
     Taken as V e^{i lambda} V^dag from ``eigh`` of each parity block of
     ``h / 2^e`` (``algebra.scaled_to_unit``), with the eigenvalues scaled
-    back by ``2^e``, and assembled by ``_from_blocks``; the result is
+    back by ``2^e``; these are its sector blocks, and the result is
     unitary to rounding at any finite scale of ``h``.
     """
     g, e = algebra.scaled_to_unit(h.matrix)
@@ -222,16 +216,7 @@ def exp_hamiltonian(h: FockOperator) -> PSUnitary:
     algebra.require_even(g, "generator")
     eighs = (np.linalg.eigh(g[np.ix_(idx, idx)]) for idx in parity_sectors(h.n_modes))
     blocks = ((v * np.exp(1j * np.ldexp(lam, e))) @ v.conj().T for lam, v in eighs)
-    return _from_blocks(h.n_modes, blocks)
-
-
-def _from_blocks(n_modes: int, blocks) -> PSUnitary:
-    """The unitary with these (even, odd) sector blocks; the blocks' squared defects add up."""
-    u = np.zeros((2 ** n_modes,) * 2, dtype=complex)
-    blocks = tuple(blocks)
-    for pair, block in zip(_sector_pairs(n_modes), blocks):
-        u[pair] = block
-    return PSUnitary._trusted(n_modes, u, _sectors_defect(blocks), blocks)
+    return PSUnitary._trusted(h.n_modes, blocks)
 
 
 _GATE_ARITY = {"phase": 1, "tunneling": 2, "interaction": 2}
@@ -300,16 +285,16 @@ def _lifted(small: np.ndarray, defect: float, sub: ModeSet) -> PSUnitary:
     reordered frame, so its ``U^dag U - I`` is ``(small^dag small - I) (x) I``
     reordered, of norm ``defect * 2^((N - m) / 2)``, and it is exactly even
     as ``small`` is; both callers build ``small`` so, and nothing is graded.
-    The lift keeps its factor ``(small, sub)``: ``invariance_support`` runs
+    The dense lift is folded once and its two sector blocks are kept.  The
+    lift keeps its factor ``(small, sub)``: ``invariance_support`` runs
     its rule on ``small`` and ``descriptors.ontic_apply`` folds ``small``
     into its frame, so neither reads the 2^N x 2^N matrix.  The theorem
     checks read the matrix, never the factor.
     """
-    lift = algebra.embed_local_operator(small, sub).matrix
-    scale = math.sqrt(2 ** (sub.ambient_n - len(sub)))
-    return PSUnitary._trusted(
-        sub.ambient_n, lift, defect * scale, local=(np.array(small, dtype=complex), sub)
-    )
+    n = sub.ambient_n
+    blocks = _sector_blocks_of(algebra.embed_local_operator(small, sub).matrix, n)
+    scale = math.sqrt(2 ** (n - len(sub)))
+    return PSUnitary._trusted(n, blocks, defect * scale, (np.array(small, dtype=complex), sub))
 
 
 def is_local_unitary(u: PSUnitary, subsystem: ModeSet, tol: float = 1e-10) -> bool:
@@ -365,7 +350,7 @@ def random_ps_unitary(n_modes: int, seed: int) -> PSUnitary:
     key = (n_modes, _checked_seed(seed))
     u = _samples.get(key)
     if u is None:
-        u = _from_blocks(n_modes, _haar_sectors(n_modes, key[1]))
+        u = PSUnitary._trusted(n_modes, _haar_sectors(n_modes, key[1]))
         _samples.put(key, u)
     return u
 
@@ -398,11 +383,11 @@ def _haar_sectors(n_modes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 class _SampleMemo:
     """Drawn samples by ``(n_modes, seed)``, least recently used first, bounded in bytes.
 
-    A sample's bytes are those of its matrix and its two sector blocks
-    (``24 * 4^N``); the oldest samples go when a new one would pass the
-    cap, and a sample larger than the cap is never held.  The samples are
-    immutable and carry no lift factor, so a hit can be shared.  A lock
-    keeps the order and the byte count consistent across threads.
+    A sample's bytes are those of its two sector blocks (``8 * 4^N``); the
+    oldest samples go when a new one would pass the cap, and a sample
+    larger than the cap is never held.  The samples are immutable and
+    carry no lift factor, so a hit can be shared.  A lock keeps the order
+    and the byte count consistent across threads.
     """
 
     def __init__(self, cap: int):
@@ -436,11 +421,11 @@ class _SampleMemo:
 
 
 def _sample_bytes(u: PSUnitary) -> int:
-    return u.matrix.nbytes + sum(block.nbytes for block in u._sector_blocks)
+    return sum(block.nbytes for block in u.blocks)
 
 
-# bytes of matrix plus sector blocks the sample memo holds: every sample up
-# to N = 7 (384 KiB each) fits, none from N = 8 (1.5 MiB) on
+# bytes of sector blocks the sample memo holds: every sample up to N = 8
+# (128 KiB at N = 7, 512 KiB at N = 8) fits, none from N = 9 (2 MiB) on
 SAMPLE_MEMO_BYTES = 1 << 20
 _samples = _SampleMemo(SAMPLE_MEMO_BYTES)
 
@@ -451,8 +436,8 @@ def local_random_ps_unitary(subsystem: ModeSet, seed: int) -> PSUnitary:
     Sampled on the subsystem's own Fock space, then lifted through the
     monomial substitution embedding, so it commutes with every ladder
     operator outside the subsystem.  The lift carries the small unitary's
-    defect; the small unitary's sector blocks are placed into zeros, so it
-    is exactly even and nothing is graded.
+    defect; the small unitary's dense form is its sector blocks in zeros,
+    so it is exactly even and nothing is graded.
     """
     subsystem.require_nonempty()
     small = random_ps_unitary(len(subsystem), seed)
@@ -480,6 +465,8 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     sqrt(|a|^2+|b|^2-2|tr|) loses half the significant digits to
     cancellation when the operands are close.
     """
+    if np.shape(a) != np.shape(b):
+        raise ValidationError("dimension_mismatch", f"shapes {np.shape(a)}, {np.shape(b)} differ")
     overlap = complex(np.trace(b.conj().T @ a))
     if abs(overlap) < 1e-300:
         return float(np.linalg.norm(a - b))

@@ -24,6 +24,7 @@ from .fock import (
     FockVector,
     ModeSet,
     _check_n_modes,
+    _is_int,
     _ladder_columns,
     annihilator,
     anticommutator,
@@ -93,8 +94,8 @@ def random_phenomenal(n_modes: int, seed: int) -> PhenomenalState:
     rng = np.random.default_rng(_checked_seed(seed))
     probs = rng.random(2 ** n_modes)
     probs /= probs.sum()
-    u = random_ps_unitary(n_modes, seed)
-    rho = (u.matrix * probs[None, :]) @ u.matrix.conj().T
+    u = random_ps_unitary(n_modes, seed).matrix
+    rho = (u * probs[None, :]) @ u.conj().T
     return PhenomenalState._trusted(ModeSet.full(n_modes), rho)
 
 
@@ -132,18 +133,20 @@ def check_no_signalling(
     pos_b = ModeSet(part_b.positions_in(rho.subsystem), n)
     if u_a.n_modes != n or v_b.n_modes != n:
         raise ValidationError("dimension_mismatch", "unitaries must act on the state's space")
-    u_small = algebra.compress_local_operator(u_a.as_operator(), pos_a)  # not_local otherwise
-    if not is_local_unitary(v_b, pos_b):
+    op_a, op_b = u_a.as_operator(), v_b.as_operator()  # each dense form assembled once
+    u_small = algebra.compress_local_operator(op_a, pos_a)  # not_local otherwise
+    if not algebra.is_local_to(op_b, pos_b):
         raise ValidationError("not_local", f"v_b is not local to modes {part_b.indices}")
 
-    conj_b = v_b.matrix @ rho.matrix @ v_b.matrix.conj().T
+    u, v = op_a.matrix, op_b.matrix
+    conj_b = v @ rho.matrix @ v.conj().T
     reduced = partial_trace(rho, part_a)
     res_2 = frobenius(
         partial_trace(PhenomenalState._trusted(rho.subsystem, conj_b), part_a).matrix
         - reduced.matrix
     )
 
-    joint = u_a.matrix @ conj_b @ u_a.matrix.conj().T
+    joint = u @ conj_b @ u.conj().T
     left = partial_trace(PhenomenalState._trusted(rho.subsystem, joint), part_a)
     right = u_small @ reduced.matrix @ u_small.conj().T
     res_1 = frobenius(left.matrix - right)
@@ -483,7 +486,8 @@ def check_epimorphism(runs, tol: float = SWEEP_TOLERANCES["epimorphism"]) -> Che
         psi0 = random_sector_state(n_modes, seed + 17)
         d = dsc.evolve_descriptors(u, ModeSet.full(n_modes), psi0)
         lhs = dsc.phenomenal_of(d).matrix
-        evolved = u.matrix @ psi0.projector().matrix @ u.matrix.conj().T
+        dense = u.matrix
+        evolved = dense @ psi0.projector().matrix @ dense.conj().T
         residual = frobenius(lhs - evolved)
         worst = max(worst, residual)
         details.append({"n_modes": n_modes, "seed": seed, "residual": residual})
@@ -563,17 +567,16 @@ def run_sweep(n_modes: int, base_seed: int, count: int) -> list[CheckResult]:
     The arguments, the mode cap included, are checked before any family
     runs; a family that raises fails (see :func:`_family`).
     """
+    _check_n_modes(n_modes)
     if n_modes < 2:
         raise ValidationError(
             "mode_out_of_range",
             "the sweep needs at least 2 modes (locality and signalling checks "
             "are vacuous on a single mode)",
         )
-    _check_n_modes(n_modes)
-    if count < 1:
-        raise ValidationError("bad_schema", "count must be at least 1")
-    if base_seed < 0:
-        raise ValidationError("bad_schema", "the base seed must be >= 0")
+    if not _is_int(count) or count < 1:
+        raise ValidationError("bad_schema", f"count must be an integer >= 1, got {count!r}")
+    base_seed = _checked_seed(base_seed)
     seeds = [base_seed + i for i in range(count)]
 
     def locality():

@@ -11,13 +11,13 @@ constructor.  The exact O(m^2) residual ``descriptor_algebra_residual`` runs
 only in that gate, when the witness bound cannot certify a set, and in the
 ``canonical_algebra`` check, so it cannot spread back into the library's
 hot paths.  ``PSUnitary(...)`` grades its matrix and
-stores the even part, so it is called only where a matrix enters (a
+keeps its two sector blocks, so it is called only where a matrix enters (a
 scenario's total, JSON, ``validate_ps_unitary``, the witness-uniqueness
-check's phase); products and lifts go through ``PSUnitary._trusted``.
-Unitaries built from sector blocks, products included, are assembled by one
-routine, ``_from_blocks``; the blocks are gathered from a dense matrix only
-at the constructor and lazily for a unitary built without them, and only a
-lift carries its local factor.
+check's phase); products, adjoints, samples and lifts go through
+``PSUnitary._trusted`` with their blocks.  Blocks are gathered from a dense
+array only where one becomes a unitary (the constructor, a lift, a folded
+frame), a unitary's dense form is assembled in one place, its ``matrix``
+property, and only a lift carries its local factor.
 ``PhenomenalState(...)`` runs ``eigvalsh`` and the grade, so it is called
 only for JSON and the ``ssr_gatekeeping`` check's forbidden state;
 reductions, products, conjugations and the descriptor substitution go
@@ -134,18 +134,22 @@ def test_validating_calls_stay_at_the_boundary(name, allowed):
 
 
 def test_sector_blocks_are_assembled_by_one_routine_and_gathered_only_at_the_constructor():
-    assert sorted(callers("_from_blocks")) == [
-        "transformations:__matmul__",
-        "transformations:exp_hamiltonian",
-        "transformations:random_ps_unitary",
-    ]
+    # blocks come from a dense array only where that array becomes a unitary
     assert sorted(callers("_sector_blocks_of")) == [
+        "descriptors:_folded_frame",
         "transformations:__post_init__",
-        "transformations:_sector_blocks",
+        "transformations:_lifted",
+    ]
+    # the sector pairs scatter a unitary's blocks only in the matrix property,
+    # and an image's in _sector_image; _sector_blocks_of gathers through them
+    assert sorted(callers("_sector_pairs")) == [
+        "transformations:_sector_blocks_of",
+        "transformations:_sector_image",
+        "transformations:matrix",
     ]
 
 
 def test_only_a_lift_is_trusted_with_a_local_factor():
-    # PSUnitary._trusted(n_modes, matrix, defect, blocks, local): local by keyword or fifth
-    with_factor = lambda call: len(call.args) >= 5 or any(k.arg == "local" for k in call.keywords)
+    # PSUnitary._trusted(n_modes, blocks, defect, local): local by keyword or fourth
+    with_factor = lambda call: len(call.args) >= 4 or any(k.arg == "local" for k in call.keywords)
     assert callers("_trusted", with_factor) == ["transformations:_lifted"]

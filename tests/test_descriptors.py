@@ -1345,7 +1345,7 @@ def test_a_folded_frame_carries_bounds_above_its_measured_defects(n_modes):
                 frame, eps = dsc.ontic_apply(lift, d)._witness
                 product = (lift @ d._witness[0]).matrix
                 assert fock.frobenius(frame.matrix - product) <= 1e-14 * fock.frobenius(product)
-                measured = tf._sectors_defect(tf._sector_blocks_of(frame.matrix, n_modes))
+                measured = tf._sectors_defect(frame.blocks)
                 assert frame.defect >= measured
                 unmoved = {a: m for a, m in d.matrices().items() if a not in moved}
                 assert eps >= dsc._witness_residual(frame, unmoved)

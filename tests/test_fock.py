@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidesc import fock, serialize, states, transformations
+from fermidesc import fock, serialize, states, transformations, verification
 from fermidesc.errors import ValidationError
 from fermidesc.fock import ModeSet
 
@@ -225,6 +225,32 @@ def test_mode_and_occupation_rules(build, code):
     with pytest.raises(ValidationError) as err:
         build()
     assert err.value.code == code
+
+
+# mode counts, base seeds and sweep counts that are not ints or numpy
+# integers; each is refused with a code where it enters, before any work
+_BAD_COUNT_CASES = {
+    "random_ps_unitary-bool": (
+        lambda: transformations.random_ps_unitary(True, 0), "mode_out_of_range"
+    ),
+    "PSUnitary-bool": (lambda: transformations.PSUnitary(True, np.eye(2)), "mode_out_of_range"),
+    "FockVector-float": (lambda: fock.FockVector(2.0, np.eye(4)[0]), "mode_out_of_range"),
+    "identity-float": (lambda: fock.identity(2.0), "mode_out_of_range"),
+    "vacuum_state-float": (lambda: fock.vacuum_state(2.0), "mode_out_of_range"),
+    "run_sweep-float-modes": (lambda: verification.run_sweep(3.0, 0, 2), "mode_out_of_range"),
+    "run_sweep-float-seed": (lambda: verification.run_sweep(3, 0.5, 2), "bad_schema"),
+    "run_sweep-bool-seed": (lambda: verification.run_sweep(3, True, 2), "bad_schema"),
+    "run_sweep-float-count": (lambda: verification.run_sweep(3, 0, 2.0), "bad_schema"),
+}
+
+
+@pytest.mark.parametrize("build, code", _BAD_COUNT_CASES.values(), ids=_BAD_COUNT_CASES.keys())
+def test_mode_counts_obey_the_one_integer_rule(monkeypatch, build, code):
+    families = count_calls(monkeypatch, verification, "check_canonical_algebra")
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == code
+    assert families == [] and not transformations._samples._held
 
 
 def test_modeset_invariants():

@@ -166,13 +166,28 @@ def looped_partial_trace(state: states.PhenomenalState, keep: ModeSet) -> np.nda
     return out
 
 
+def _signed_zero_state(n_modes: int) -> states.PhenomenalState:
+    """A unit-trace matrix whose other entries are mostly +0.0 or -0.0 in each part.
+
+    A sum of zeros started from +0.0 is +0.0 however its terms are signed.
+    """
+    rng = np.random.default_rng(70 + n_modes)
+    dim = 2 ** n_modes
+    parts = [np.where(rng.random((dim, dim)) < 0.5, -0.0, 0.0) for _ in range(2)]
+    m = parts[0] + 1j * parts[1]
+    m[rng.random((dim, dim)) < 0.3] = -1.0 + 0.5j
+    np.fill_diagonal(m, 1.0 / dim)
+    return states.PhenomenalState._trusted(ModeSet.full(n_modes), m)
+
+
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
 def test_partial_trace_matches_loop_bitwise(n_modes):
-    rho = random_phenomenal(n_modes, 40 + n_modes)
-    for size in range(1, n_modes):
-        for keep in itertools.combinations(range(n_modes), size):
-            reduced = states.partial_trace(rho, ModeSet(keep, n_modes))
-            assert reduced.matrix.tobytes() == looped_partial_trace(rho, ModeSet(keep, n_modes)).tobytes()
+    for rho in (random_phenomenal(n_modes, 40 + n_modes), _signed_zero_state(n_modes)):
+        for size in range(1, n_modes):
+            for keep in itertools.combinations(range(n_modes), size):
+                reduced = states.partial_trace(rho, ModeSet(keep, n_modes)).matrix
+                looped = looped_partial_trace(rho, ModeSet(keep, n_modes))
+                assert reduced.tobytes() == looped.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -380,14 +381,18 @@ def test_adjoint_is_trusted_and_c_contiguous(monkeypatch):
     assert validations == []
     assert adjoint.defect == u.defect
     assert adjoint.matrix.flags.c_contiguous and not adjoint.matrix.flags.writeable
-    assert adjoint.matrix.tobytes() == np.ascontiguousarray(u.matrix.conj().T).tobytes()
+    assert np.array_equal(adjoint.matrix, u.matrix.conj().T)
+    for block, original in zip(adjoint.blocks, u.blocks):
+        assert block.flags.c_contiguous and not block.flags.writeable
+        assert block.tobytes() == np.ascontiguousarray(original.conj().T).tobytes()
 
 
 def test_as_operator_runs_no_second_array_rule(monkeypatch):
     u = tf.random_ps_unitary(3, 2)
     rules = count_calls(monkeypatch, fock, "checked_array")
     op = u.as_operator()
-    assert rules == [] and op.matrix is u.matrix
+    assert rules == [] and np.array_equal(op.matrix, u.matrix)
+    assert not op.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("n_modes", range(1, 9))
@@ -395,7 +400,7 @@ def test_stacked_draw_equals_the_per_sector_loop_bit_for_bit(n_modes):
     for seed in (0, 1, 7, 123456, 2**40):
         u = tf.random_ps_unitary(n_modes, seed)
         blocks = haar_sector_blocks(n_modes, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(u._sector_blocks, blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(u.blocks, blocks))
         assert u.defect == tf._sectors_defect(blocks)
         for pair, block in zip(fock._sector_pairs(n_modes), blocks):
             assert np.array_equal(u.matrix[pair], block)
@@ -410,7 +415,7 @@ def test_a_seed_is_drawn_once_and_shared(monkeypatch):
     assert draws == [(4, 11)] and len(tf._samples._held) == 1
     assert u._local is None
     assert not u.matrix.flags.writeable
-    assert not any(block.flags.writeable for block in u._sector_blocks)
+    assert not any(block.flags.writeable for block in u.blocks)
     assert tf.random_ps_unitary(3, 11) is not u  # the key holds the mode count
     assert draws == [(4, 11), (3, 11)]
 
@@ -419,17 +424,32 @@ def test_the_sample_memo_stays_within_its_byte_cap(monkeypatch):
     draws = count_calls(monkeypatch, tf, "_haar_sectors")
     memo = tf._samples
     for seed in range(60):
-        for n_modes in range(1, 8):
+        for n_modes in range(1, 9):
             tf.random_ps_unitary(n_modes, seed)
             assert memo.nbytes <= tf.SAMPLE_MEMO_BYTES
             assert memo.nbytes == sum(map(tf._sample_bytes, memo._held.values()))
-    assert len(draws) == 60 * 7
-    assert tf.random_ps_unitary(7, 59) is tf.random_ps_unitary(7, 59)  # the newest stays
+    assert len(draws) == 60 * 8
+    assert tf._sample_bytes(tf.random_ps_unitary(8, 59)) == 8 * 4**8  # 512 KiB: it fits
+    assert tf.random_ps_unitary(8, 59) is tf.random_ps_unitary(8, 59)  # the newest stays
     held = len(memo._held)
-    big = tf.random_ps_unitary(8, 0)
+    big = tf.random_ps_unitary(9, 0)
     assert tf._sample_bytes(big) > tf.SAMPLE_MEMO_BYTES
-    assert len(memo._held) == held and tf.random_ps_unitary(8, 0) is not big
-    assert np.array_equal(tf.random_ps_unitary(8, 0).matrix, big.matrix)
+    assert len(memo._held) == held and tf.random_ps_unitary(9, 0) is not big
+    assert all(map(np.array_equal, tf.random_ps_unitary(9, 0).blocks, big.blocks))
+
+
+def test_a_sample_at_ten_modes_retains_only_its_two_blocks():
+    # 8 * 4^N bytes of blocks; a held dense matrix would add 16 * 4^N more
+    tf.random_ps_unitary(2, 0)  # numpy.random is imported lazily, before the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u = tf.random_ps_unitary(10, 5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 9 * 4**10
+    assert tf._sample_bytes(u) == 8 * 4**10
 
 
 def test_the_sample_memo_keeps_its_count_across_threads():
@@ -516,11 +536,13 @@ def dense_defect(u: tf.PSUnitary) -> float:
 
 def test_trusted_unitary_refuses_a_carried_defect_above_tolerance():
     dim = 8
-    at_bound = tf.PSUnitary._trusted(3, np.eye(dim, dtype=complex), tf.UNITARY_TOL * dim)
+    blocks = lambda: (np.eye(4, dtype=complex), np.eye(4, dtype=complex))
+    at_bound = tf.PSUnitary._trusted(3, blocks(), tf.UNITARY_TOL * dim)
     assert at_bound.defect == tf.UNITARY_TOL * dim
     assert not at_bound.matrix.flags.writeable
+    assert not any(block.flags.writeable for block in at_bound.blocks)
     with pytest.raises(ValidationError) as err:
-        tf.PSUnitary._trusted(3, np.eye(dim, dtype=complex), 1.01 * tf.UNITARY_TOL * dim)
+        tf.PSUnitary._trusted(3, blocks(), 1.01 * tf.UNITARY_TOL * dim)
     assert err.value.code == "not_unitary"
 
 
@@ -623,9 +645,12 @@ def test_the_boundary_stores_the_even_part_of_a_near_tolerance_input():
     assert w.defect == dense_defect(w)
 
 
-def test_the_boundary_keeps_an_exactly_even_input_without_a_copy():
+def test_the_boundary_keeps_its_input_blocks_and_drops_the_input():
     m = np.array(tf.random_ps_unitary(3, 6).matrix)
-    assert tf.PSUnitary(3, m).matrix is m
+    u = tf.PSUnitary(3, m)
+    assert set(vars(u)) == {"n_modes", "blocks", "defect"}
+    assert all(block.base is not m and not np.shares_memory(block, m) for block in u.blocks)
+    assert u.matrix is not u.matrix and np.array_equal(u.matrix, m)  # assembled on each read
 
 
 def test_a_product_grades_and_validates_nothing(monkeypatch):
@@ -642,20 +667,19 @@ def test_a_product_grades_and_validates_nothing(monkeypatch):
 @pytest.mark.parametrize("n_modes", range(1, 9))
 def test_a_product_is_assembled_from_its_factors_sector_blocks(monkeypatch, n_modes):
     u, v = tf.random_ps_unitary(n_modes, 3), tf.random_ps_unitary(n_modes, 4)
-    assemblies = count_calls(monkeypatch, tf, "_from_blocks")
     gathers = count_calls(monkeypatch, tf, "_sector_blocks_of")
     product = u @ v
-    assert len(assemblies) == 1 and gathers == []
-    assert "_sector_blocks" in vars(product)  # carried from the assembly, not gathered again
+    assert gathers == []
+    assert set(vars(product)) == {"n_modes", "blocks", "defect"}  # no dense array is held
     dense = u.matrix @ v.matrix
     assert fock.frobenius(product.matrix - dense) <= 1e-14 * fock.frobenius(dense)
     pairs = fock._sector_pairs(n_modes)
-    for pair, block, a, b in zip(pairs, product._sector_blocks, u._sector_blocks, v._sector_blocks):
+    for pair, block, a, b in zip(pairs, product.blocks, u.blocks, v.blocks):
         assert np.array_equal(block, a @ b) and np.array_equal(product.matrix[pair], block)
     off = np.concatenate([product.matrix[pair].ravel() for pair in pairs[2:]])
     assert np.array_equal(off, np.zeros_like(off))
     assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()  # exact +0.0
-    assert product.defect == tf._sectors_defect(product._sector_blocks)
+    assert product.defect == tf._sectors_defect(product.blocks)
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
@@ -695,6 +719,12 @@ def test_phase_distance():
     assert tf.phase_distance(u, np.exp(1.2j) * u) < 1e-12
     v = tf.random_ps_unitary(2, 2).matrix
     assert tf.phase_distance(u, v) > 0.1
+
+
+def test_phase_distance_refuses_arrays_of_different_shapes():
+    with pytest.raises(ValidationError) as err:
+        tf.phase_distance(np.eye(2), np.eye(4))
+    assert err.value.code == "dimension_mismatch"
 
 
 def test_canonical_phase_pins_first_block_entry():

@@ -468,17 +468,27 @@ def _naive_ontic_apply(w, d):
 
 
 def _trusted_product_in_the_wrong_order(self, other):
-    product = other.matrix @ self.matrix
-    return tf.PSUnitary._trusted(self.n_modes, product, tf._block_defect(product))
+    pairs = zip(other.blocks, self.blocks)
+    return tf.PSUnitary._trusted(self.n_modes, (a @ b for a, b in pairs))
 
 
 def _trusted_product_without_its_defect(self, other):
-    return tf.PSUnitary._trusted(self.n_modes, self.matrix @ other.matrix, 0.0)
+    pairs = zip(self.blocks, other.blocks)
+    return tf.PSUnitary._trusted(self.n_modes, (a @ b for a, b in pairs), 0.0)
 
 
 def _product_with_the_odd_blocks_reversed(self, other):
-    (even, odd), (other_even, other_odd) = self._sector_blocks, other._sector_blocks
-    return tf._from_blocks(self.n_modes, (even @ other_even, other_odd @ odd))
+    (even, odd), (other_even, other_odd) = self.blocks, other.blocks
+    return tf.PSUnitary._trusted(self.n_modes, (even @ other_even, other_odd @ odd))
+
+
+def _matrix_with_the_sector_blocks_swapped(self):
+    # each block lands on the other sector's index pair, which has the same shape
+    m = np.zeros((self.dim,) * 2, dtype=complex)
+    for pair, block in zip(fock._sector_pairs(self.n_modes), self.blocks[::-1]):
+        m[pair] = block
+    m.setflags(write=False)
+    return m
 
 
 def _sector_image_of_the_even_block_twice(n_modes, mode, even, odd, image=tf._sector_image):
@@ -575,6 +585,9 @@ def _plant(monkeypatch, bug):
         monkeypatch.setattr(tf.PSUnitary, "__matmul__", _trusted_product_without_its_defect)
     elif bug == "product_of_the_odd_blocks_in_reverse_order":
         monkeypatch.setattr(tf.PSUnitary, "__matmul__", _product_with_the_odd_blocks_reversed)
+    elif bug == "matrix_assembled_with_the_sector_blocks_swapped":
+        swapped = property(_matrix_with_the_sector_blocks_swapped)
+        monkeypatch.setattr(tf.PSUnitary, "matrix", swapped)
     elif bug == "foreign_evolved_witness":
         evolve = dsc.evolve_descriptors
 
@@ -663,6 +676,7 @@ def test_kernel_caches_are_all_cleared():
         "trusted_product_in_the_wrong_order",
         "trusted_product_drops_its_defect",
         "product_of_the_odd_blocks_in_reverse_order",
+        "matrix_assembled_with_the_sector_blocks_swapped",
         "gate_keeps_a_set_without_a_witness",
         "sector_image_of_the_even_block_twice",
         "seeded_block_in_the_other_sector",
@@ -707,7 +721,7 @@ def test_the_sweep_draws_each_sample_once(monkeypatch):
     assert all(r.passed for r in vf.run_sweep(4, 101, 50))
     # 872 calls for 510 distinct (n_modes, seed) pairs, each call a draw before the memo
     assert sum(map(len, calls)) == 872 and len(set(draws)) == 510
-    assert len(draws) <= 560  # 520: a few pairs are drawn again after eviction
+    assert len(draws) <= 560  # 510: at 8 * 4^N bytes a sample, the memo evicts none
 
 
 def test_the_sweep_grades_each_heisenberg_state_once(monkeypatch):
